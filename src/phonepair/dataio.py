@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,20 +228,26 @@ def select_channels(rec: Recording, kinds) -> Recording:
 
 
 def load_manifest(path: str) -> Manifest:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    """Load a manifest; relative paths in it are relative to its directory."""
     base = os.path.dirname(os.path.abspath(path))
 
     def _resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    m = Manifest(
-        subject_id=str(doc["subject_id"]),
-        task=doc["task"],
-        recording_path=_resolve(doc["recording_path"]),
-        events_path=_resolve(doc["events_path"]),
-        sample_rate=float(doc["sample_rate"]),
-    )
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+            fields = dict(
+                subject_id=str(doc["subject_id"]),
+                task=doc["task"],
+                recording_path=_resolve(doc["recording_path"]),
+                events_path=_resolve(doc["events_path"]),
+                sample_rate=float(doc["sample_rate"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed manifest {path}: "
+                            f"{type(exc).__name__}: {exc}") from exc
+    m = Manifest(**fields)
     for p in (m.recording_path, m.recording_path + ".json", m.events_path):
         if not os.path.exists(p):
             raise DataError(f"manifest {path}: referenced file missing: {p}")
@@ -256,11 +262,13 @@ def load_manifest(path: str) -> Manifest:
 
 
 def save_manifest(m: Manifest, path: str) -> None:
+    """Write ``m`` with its file paths relative to the manifest's directory."""
+    base = os.path.dirname(os.path.abspath(path))
     doc = {
         "subject_id": m.subject_id,
         "task": m.task,
-        "recording_path": m.recording_path,
-        "events_path": m.events_path,
+        "recording_path": os.path.relpath(m.recording_path, base),
+        "events_path": os.path.relpath(m.events_path, base),
         "sample_rate": m.sample_rate,
     }
     with open(path, "w", encoding="utf-8") as f:

@@ -193,8 +193,10 @@ def evaluate(spec: models.ModelSpec, ds: PairDataset, split: FoldSplit):
                 n_channels=ds.n_channels, n_times=ds.n_times,
             )
             scores = model.predict_proba(X_test)[:, 1]
-        except (models.ModelError, models.ConvergenceError) as exc:
+        except models.ModelError as exc:
             raise EvalError(f"fold {fold}: {exc}") from exc
+        except models.ConvergenceError as exc:
+            raise models.ConvergenceError(f"fold {fold}: {exc}") from exc
         per_fold.append(metrics(y_test, scores))
 
     def _agg(fn):

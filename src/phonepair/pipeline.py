@@ -3,12 +3,12 @@ toggle set into per-(subject, task, pair, model, fold) metric rows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from . import dataio, dsp, evaluation, models
+from . import dataio, dsp, evaluation
 from .epochs import build_pair_dataset, count_phones, extract_epochs
 
 BAND_PASS_LO = 0.2  # Hz, low edge used whenever a band limit is set
@@ -110,15 +110,8 @@ def evaluate_recording(
     return rows
 
 
-def evaluate_manifest(manifest: dataio.Manifest, **kwargs) -> list[dict]:
-    rec = dataio.load_recording(manifest.recording_path)
-    events = dataio.load_events(manifest.events_path)
-    return evaluate_recording(
-        rec, events, subject=manifest.subject_id, task=manifest.task, **kwargs
-    )
-
-
 ROW_KEY = ("task", "configuration", "model", "subject", "pair", "fold")
+PAIRING_KEY = ("subject", "task", "pair", "fold")
 
 
 def sort_rows(rows: list[dict]) -> list[dict]:
@@ -145,11 +138,11 @@ def summarize(rows: list[dict]) -> dict:
     return out
 
 
-def paired_metric_vectors(rows_a: list[dict], rows_b: list[dict], metric="accuracy"):
-    """Metric vectors aligned on (subject, task, pair, fold) for paired tests."""
+def paired_metric_vectors(rows_a: list[dict], rows_b: list[dict],
+                          metric="accuracy", key=PAIRING_KEY):
+    """Metric vectors aligned on the ``key`` fields for paired tests."""
     def _index(rows):
-        return {(r["subject"], r["task"], r["pair"], r["fold"]): r[metric]
-                for r in rows}
+        return {tuple(r[k] for k in key): r[metric] for r in rows}
     ia, ib = _index(rows_a), _index(rows_b)
     keys = sorted(set(ia) & set(ib))
     if not keys:
@@ -157,9 +150,9 @@ def paired_metric_vectors(rows_a: list[dict], rows_b: list[dict], metric="accura
     return (np.array([ia[k] for k in keys]), np.array([ib[k] for k in keys]))
 
 
-def compare_rows(rows_a, rows_b, metric="accuracy"):
+def compare_rows(rows_a, rows_b, metric="accuracy", key=PAIRING_KEY):
     """Wilcoxon on per-example paired metrics; None when all diffs are zero."""
-    a, b = paired_metric_vectors(rows_a, rows_b, metric)
+    a, b = paired_metric_vectors(rows_a, rows_b, metric, key)
     try:
         return evaluation.wilcoxon(a, b)
     except evaluation.EvalError:

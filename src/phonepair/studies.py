@@ -5,14 +5,12 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-import numpy as np
-
-from . import dataio, dsp, evaluation, pipeline
+from . import dataio, dsp, pipeline
 from .models import ModelSpec
-from .pipeline import (CvConfig, EpochWindow, PipelineError,
+from .pipeline import (PAIRING_KEY, CvConfig, EpochWindow, PipelineError,
                        PreprocessingToggles, compare_rows, sort_rows,
                        summarize)
 from .report import ResultTable
@@ -79,8 +77,8 @@ def _manifests_by_task(cfg: ExperimentConfig) -> dict:
     return groups
 
 
-def _comparison(label, rows_a, rows_b):
-    res = compare_rows(rows_a, rows_b)
+def _comparison(label, rows_a, rows_b, key=PAIRING_KEY):
+    res = compare_rows(rows_a, rows_b, key=key)
     if res is None:
         return {"label": label, "W": None, "p": None, "method": None}
     return {"label": label, "W": res.W, "p": res.p, "method": res.method}
@@ -140,25 +138,14 @@ def run_task_comparison(cfg: ExperimentConfig):
                            "configuration": "baseline",
                            **summarize(by_modality[task])})
     for a, b in combinations(sorted(by_task), 2):
-        va = np.array([r["accuracy"] for r in by_modality[a]])
-        vb = np.array([r["accuracy"] for r in by_modality[b]])
-        n = min(len(va), len(vb))
-        try:
-            res = evaluation.wilcoxon(va[:n], vb[:n])
-            table.comparisons.append({"label": f"{a} vs {b}", "W": res.W,
-                                      "p": res.p, "method": res.method})
-        except evaluation.EvalError:
-            table.comparisons.append({"label": f"{a} vs {b}", "W": None,
-                                      "p": None, "method": None})
+        # the same subject, pair and fold observed in both modalities
+        table.comparisons.append(_comparison(
+            f"{a} vs {b}", by_modality[a], by_modality[b],
+            key=("subject", "pair", "fold")))
     for task in sorted(by_task):
-        v = np.array([r["accuracy"] for r in by_modality[task]])
-        try:
-            res = evaluation.wilcoxon(v, np.full_like(v, CHANCE_LEVEL))
-            table.comparisons.append({"label": f"{task} vs chance", "W": res.W,
-                                      "p": res.p, "method": res.method})
-        except evaluation.EvalError:
-            table.comparisons.append({"label": f"{task} vs chance", "W": None,
-                                      "p": None, "method": None})
+        chance = [dict(r, accuracy=CHANCE_LEVEL) for r in by_modality[task]]
+        table.comparisons.append(_comparison(
+            f"{task} vs chance", by_modality[task], chance))
     return table, sort_rows(all_rows)
 
 

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from phonepair import dataio
-from phonepair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from phonepair import dataio, models
+from phonepair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 SYNTH_DOC = {
     "recordings": [
@@ -113,6 +113,17 @@ class TestRunModels:
         b = open(os.path.join(out2, "model_comparison.csv"), "rb").read()
         assert a == b
 
+    def test_unconverged_solver_exits_numeric(self, cli_corpus, tmp_path,
+                                              monkeypatch, capsys):
+        _, manifests = cli_corpus
+        monkeypatch.setattr(models, "EN_MAX_ITER", 2)
+        cfg = write_json(tmp_path / "run.json", run_config(manifests))
+        assert main(["run-models", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: fold 0: ")
+        assert err.count("\n") == 1
+
 
 class TestAlign:
     def test_planted_delay(self, cli_corpus, tmp_path):
@@ -154,6 +165,14 @@ class TestReportCommand:
         counts = dict(l.split(",") for l in lines[1:])
         assert float(counts["a"]) == 24.0
         assert float(counts["e"]) == 24.0
+
+    def test_relative_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_json("synth.json", {"recordings": SYNTH_DOC["recordings"][:1]})
+        assert main(["synth", "--config", cfg, "--out", "corp"]) == EXIT_OK
+        rep = write_json("rep.json",
+                         {"manifests": ["corp/s01_production.manifest.json"]})
+        assert main(["report", "--config", rep, "--out", "out"]) == EXIT_OK
 
 
 class TestOtherStudies:
@@ -204,3 +223,28 @@ class TestExitCodes:
                          run_config([str(tmp_path / "ghost.json")]))
         assert main(["run-models", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("breakage", [
+        "bad_json", "no_subject_id", "no_task", "no_recording_path",
+        "no_events_path", "no_sample_rate", "text_sample_rate"])
+    def test_malformed_manifest(self, cli_corpus, tmp_path, capsys, breakage):
+        _, manifests = cli_corpus
+        man = dataio.load_manifest(manifests[0])
+        doc = {"subject_id": man.subject_id, "task": man.task,
+               "recording_path": man.recording_path,
+               "events_path": man.events_path,
+               "sample_rate": man.sample_rate}
+        if breakage.startswith("no_"):
+            del doc[breakage[3:]]
+        elif breakage == "text_sample_rate":
+            doc["sample_rate"] = "fast"
+        path = tmp_path / "m.manifest.json"
+        if breakage == "bad_json":
+            path.write_text(json.dumps(doc)[:-1])
+        else:
+            write_json(path, doc)
+        cfg = write_json(tmp_path / "rep.json", {"manifests": [str(path)]})
+        assert main(["report", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1

@@ -4,7 +4,10 @@ from scipy import optimize
 
 from phonepair import models
 from phonepair.models import (
+    EN_KKT_TOL,
+    EN_MAX_ITER,
     CnnNet,
+    ConvergenceError,
     FfnNet,
     ModelError,
     ModelSpec,
@@ -129,6 +132,62 @@ class TestElasticNet:
             ModelSpec("elastic_net", alpha=0.0)
         with pytest.raises(ModelError):
             ModelSpec("elastic_net", l1_ratio=1.5)
+
+
+def en_kkt_violation(X, y, w, b, alpha, l1):
+    """Largest full-width KKT violation of an elastic-net fit, intercept
+    included."""
+    n = len(y)
+    ypm = 2.0 * y - 1.0
+    gz = -ypm / (1.0 + np.exp(ypm * (X @ w + b))) / n
+    g = X.T @ gz + alpha * (1 - l1) * w
+    viol = np.where(w != 0, np.abs(g + alpha * l1 * np.sign(w)),
+                    np.maximum(np.abs(g) - alpha * l1, 0.0))
+    return max(viol.max(), abs(gz.sum()))
+
+
+def wide_sparse(rng, n=100, p=3000, k=5):
+    X = rng.standard_normal((n, p))
+    y = (X[:, :k].sum(axis=1) + rng.standard_normal(n) > 0).astype(int)
+    return (X - X.mean(axis=0)) / X.std(axis=0), y
+
+
+class TestElasticNetSolver:
+    def test_wide_sparse_meets_kkt(self, rng):
+        X, y = wide_sparse(rng)
+        alpha, l1 = 1e-2, 0.5
+        model = train(ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
+        w, b = model.params["w"], model.params["b"]
+        assert en_kkt_violation(X, y, w, b, alpha, l1) <= EN_KKT_TOL
+        assert model.meta["kkt_violation"] <= EN_KKT_TOL
+        assert 0 < np.count_nonzero(w) < 0.1 * X.shape[1]
+        assert model.meta["n_iter"] < EN_MAX_ITER
+
+    @pytest.mark.parametrize("l1", [0.0, 1.0])
+    def test_ridge_and_lasso_converge(self, rng, l1):
+        X, y = wide_sparse(rng, n=80, p=600)
+        alpha = 1e-2
+        model = train(ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
+        w, b = model.params["w"], model.params["b"]
+        assert en_kkt_violation(X, y, w, b, alpha, l1) <= EN_KKT_TOL
+        assert model.meta["n_iter"] < EN_MAX_ITER
+        if l1 == 0.0:
+            assert np.count_nonzero(w) == X.shape[1]
+
+    def test_huge_alpha_fits_intercept_only(self, rng):
+        X, y = wide_sparse(rng, n=90, p=300)
+        y[:20] = 1
+        model = train(ModelSpec("elastic_net", alpha=1e4), X, y)
+        assert not np.any(model.params["w"])
+        n1 = y.sum()
+        assert model.params["b"] == pytest.approx(np.log(n1 / (len(y) - n1)),
+                                                  abs=1e-4)
+
+    def test_budget_exhausted_raises(self, rng, monkeypatch):
+        X, y = wide_sparse(rng, n=60, p=200)
+        monkeypatch.setattr(models, "EN_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="KKT"):
+            train(ModelSpec("elastic_net"), X, y)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phonepair import config as configmod
-from phonepair import dataio, report, studies, synth
+from phonepair import dataio, evaluation, report, studies, synth
 from phonepair.models import ModelSpec
 from phonepair.pipeline import (
     CvConfig,
@@ -29,14 +29,14 @@ FAST_CV = CvConfig(k=3, seed=0)
 
 
 def make_corpus(tmpdir, subjects=("s01", "s02"), task="production",
-                fs=1000.0, n_channels=12, n_mag=0, seed0=10):
+                fs=1000.0, n_channels=12, n_mag=0, seed0=10, snr=2.5):
     """Small synthetic corpus on disk; returns manifest paths."""
     os.makedirs(tmpdir, exist_ok=True)
     paths = []
     for i, subj in enumerate(subjects):
         spec = synth.SynthSpec(
             duration=20, phones=(("a", 24), ("e", 24)), n_channels=n_channels,
-            n_magnetometers=n_mag, fs=fs, snr=2.5, active_fraction=0.25,
+            n_magnetometers=n_mag, fs=fs, snr=snr, active_fraction=0.25,
             seed=seed0 + i,
         )
         rec, events = synth.generate(spec)
@@ -205,6 +205,26 @@ class TestStudies:
         assert "listening vs production" in labels
         assert "production vs chance" in labels
         assert "listening vs chance" in labels
+
+    def test_task_comparison_pairs_by_subject(self, tmp_path):
+        # production {s01, s02} against listening {s02}: only s02's folds
+        # may be paired, each with the same fold of the other modality
+        manifests = (
+            make_corpus(str(tmp_path / "p1"), ("s01",), "production")
+            + make_corpus(str(tmp_path / "p2"), ("s02",), "production",
+                          seed0=20, snr=0.5)
+            + make_corpus(str(tmp_path / "l2"), ("s02",), "listening",
+                          seed0=40, snr=0.5))
+        table, rows = studies.run_task_comparison(exp_config(manifests))
+
+        def s02(task):
+            return [r["accuracy"] for r in rows
+                    if r["task"] == task and r["subject"] == "s02"]
+
+        expected = evaluation.wilcoxon(s02("listening"), s02("production"))
+        comp = next(c for c in table.comparisons
+                    if c["label"] == "listening vs production")
+        assert (comp["W"], comp["p"]) == (expected.W, expected.p)
 
     def test_task_comparison_needs_two(self, corpus):
         with pytest.raises(PipelineError, match="modalities"):
