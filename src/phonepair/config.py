@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .models import ModelSpec, TrainConfig
 from .pipeline import CvConfig, EpochWindow, PreprocessingToggles
@@ -74,44 +74,18 @@ def parse_experiment(doc: dict, base_dir: str = ".", seed: int | None = None,
 
 
 def echo_experiment(cfg: ExperimentConfig) -> dict:
-    """Fully resolved config; re-parsing it reproduces the run."""
-    models = []
-    for name, spec in cfg.models:
-        models.append({
-            "name": name,
-            "variant": spec.variant,
-            "alpha": spec.alpha,
-            "l1_ratio": spec.l1_ratio,
-            "C": spec.C,
-            "gamma": spec.gamma,
-            "shrinkage": spec.shrinkage,
-            "hidden_sizes": list(spec.hidden_sizes),
-            "kernel": spec.kernel,
-            "stride": spec.stride,
-            "filters_per_channel": spec.filters_per_channel,
-            "train": {
-                "learning_rate": spec.train.learning_rate,
-                "weight_decay": spec.train.weight_decay,
-                "max_epochs": spec.train.max_epochs,
-                "patience": spec.train.patience,
-                "val_fraction": spec.train.val_fraction,
-                "seed": spec.train.seed,
-            },
-        })
+    """Fully resolved config; re-parsing it reproduces the run.
+
+    Every field of the nested dataclasses is echoed as it is declared."""
     return {
         "manifests": list(cfg.manifests),
-        "models": models,
+        "models": [{"name": name, **asdict(spec)} for name, spec in cfg.models],
         "phone_pairs": (cfg.phone_pairs if cfg.phone_pairs == "auto"
                         else [list(p) for p in cfg.phone_pairs]),
-        "preprocessing": {
-            "sensor_kinds": list(cfg.preprocessing.sensor_kinds),
-            "wavelet": cfg.preprocessing.wavelet,
-            "decimation_factor": cfg.preprocessing.decimation_factor,
-            "band_limit": cfg.preprocessing.band_limit,
-        },
-        "cv": {"k": cfg.cv.k, "seed": cfg.cv.seed},
+        "preprocessing": asdict(cfg.preprocessing),
+        "cv": asdict(cfg.cv),
         "min_count": cfg.min_count,
-        "epoch_window": {"tmin": cfg.window.tmin, "tmax": cfg.window.tmax},
+        "epoch_window": asdict(cfg.window),
     }
 
 

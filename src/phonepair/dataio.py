@@ -45,8 +45,8 @@ class Recording:
     data: np.ndarray  # [n_channels, n_samples]
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise DataError("sample_rate must be positive")
+        if not 0 < self.sample_rate < np.inf:
+            raise DataError("sample_rate must be positive and finite")
         object.__setattr__(self, "channels", tuple(self.channels))
         names = [c.name for c in self.channels]
         if len(set(names)) != len(names):
@@ -87,6 +87,14 @@ class Event:
     offset: float
     label: str
 
+    def __post_init__(self):
+        if not 0 <= self.onset < self.offset < np.inf:
+            raise DataError(
+                f"invalid event interval [{self.onset}, {self.offset}] for {self.label!r}"
+            )
+        if not self.label:
+            raise DataError("event label must be nonempty")
+
 
 @dataclass(frozen=True)
 class EventTable:
@@ -94,13 +102,6 @@ class EventTable:
 
     def __post_init__(self):
         evs = tuple(sorted(self.events, key=lambda e: (e.onset, e.offset, e.label)))
-        for e in evs:
-            if not (0 <= e.onset < e.offset):
-                raise DataError(
-                    f"invalid event interval [{e.onset}, {e.offset}] for {e.label!r}"
-                )
-            if not e.label:
-                raise DataError("event label must be nonempty")
         object.__setattr__(self, "events", evs)
 
     def __len__(self) -> int:
@@ -143,6 +144,22 @@ def save_recording(rec: Recording, path: str) -> None:
         f.write("\n")
 
 
+def _read_header(sidecar: str) -> tuple[float, int, tuple[ChannelInfo, ...]]:
+    """Sample rate, sample count and channels from a recording sidecar."""
+    try:
+        with open(sidecar, encoding="utf-8") as f:
+            header = json.load(f)  # ValueError also covers bad JSON and non-UTF-8
+        return (
+            float(header["sample_rate"]),
+            int(header["n_samples"]),
+            tuple(ChannelInfo(ch["name"], ch["kind"], ch.get("unit", ""))
+                  for ch in header["channels"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed header {sidecar}: "
+                        f"{type(exc).__name__}: {exc}") from exc
+
+
 def load_recording(path: str) -> Recording:
     """Load a ``.nrd`` recording, validating header/payload consistency."""
     sidecar = path + ".json"
@@ -150,20 +167,7 @@ def load_recording(path: str) -> Recording:
         raise DataError(f"recording payload not found: {path}")
     if not os.path.exists(sidecar):
         raise DataError(f"recording sidecar not found: {sidecar}")
-    with open(sidecar, encoding="utf-8") as f:
-        try:
-            header = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed header {sidecar}: {exc}") from exc
-    try:
-        sample_rate = float(header["sample_rate"])
-        n_samples = int(header["n_samples"])
-        channels = tuple(
-            ChannelInfo(ch["name"], ch["kind"], ch.get("unit", ""))
-            for ch in header["channels"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed header {sidecar}: {exc}") from exc
+    sample_rate, n_samples, channels = _read_header(sidecar)
     raw = np.fromfile(path, dtype="<f4")
     expected = len(channels) * n_samples
     if raw.size != expected:
@@ -179,26 +183,22 @@ def load_events(path: str) -> EventTable:
     """Load and validate a tab-separated event table."""
     events = []
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if lineno == 1 and line.split("\t")[:3] == ["onset", "offset", "label"]:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                onset, offset = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparsable number: {exc}") from exc
-            if not (0 <= onset < offset):
-                raise DataError(
-                    f"{path}:{lineno}: onset {onset} must be >= 0 and < offset {offset}"
-                )
-            if not parts[2]:
-                raise DataError(f"{path}:{lineno}: empty label")
-            events.append(Event(onset, offset, parts[2]))
+        try:
+            lines = f.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        if lineno == 1 and line.split("\t")[:3] == ["onset", "offset", "label"]:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        try:
+            events.append(Event(float(parts[0]), float(parts[1]), parts[2]))
+        except ValueError as exc:  # unparsable number, or DataError from Event
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return EventTable(tuple(events))
 
 
@@ -251,12 +251,11 @@ def load_manifest(path: str) -> Manifest:
     for p in (m.recording_path, m.recording_path + ".json", m.events_path):
         if not os.path.exists(p):
             raise DataError(f"manifest {path}: referenced file missing: {p}")
-    with open(m.recording_path + ".json", encoding="utf-8") as f:
-        header = json.load(f)
-    if float(header["sample_rate"]) != m.sample_rate:
+    sample_rate, _, _ = _read_header(m.recording_path + ".json")
+    if sample_rate != m.sample_rate:
         raise DataError(
             f"manifest {path}: sample_rate {m.sample_rate} does not match "
-            f"recording header {header['sample_rate']}"
+            f"recording header {sample_rate}"
         )
     return m
 

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .dataio import Recording
 
@@ -107,10 +106,25 @@ def design_fir(lo: float | None, hi: float, fs: float) -> FirFilter:
     )
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, the real-input FFT length that
+    ``scipy.fft.next_fast_len`` picks."""
+    best = 1 << (n - 1).bit_length()
+    p35 = 1
+    while p35 < best:
+        p = p35
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p35 *= 5
+    return best
+
+
 def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     """Filter with no net delay: reflect-pad, convolve once, crop center.
 
     Accepts a 1-D signal or a [channels x samples] matrix (filtered per row).
+    Filters longer than 64 taps convolve by real FFT (``numpy.fft``).
     """
     h = filt.coefficients
     x = np.asarray(x, dtype=float)
@@ -118,12 +132,16 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     if one_d:
         x = x[None, :]
     n = x.shape[1]
-    if n <= len(h):
-        raise DspError(f"signal length {n} must exceed filter length {len(h)}")
-    pad = (len(h) - 1) // 2
+    m = len(h)
+    if n <= m:
+        raise DspError(f"signal length {n} must exceed filter length {m}")
+    pad = (m - 1) // 2
     padded = np.pad(x, ((0, 0), (pad, pad)), mode="reflect")
-    if len(h) > 64:
-        y = fftconvolve(padded, h[None, :], mode="valid", axes=1)
+    if m > 64:
+        n_pad = padded.shape[1]
+        nfft = _next_fast_len(n_pad + m - 1)
+        spec = np.fft.rfft(padded, nfft, axis=1) * np.fft.rfft(h, nfft)
+        y = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad].copy()
     else:
         y = np.apply_along_axis(lambda row: np.convolve(row, h, mode="valid"), 1, padded)
     return y[0] if one_d else y
@@ -171,21 +189,26 @@ def _sym_ext(x: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate([x[p - 1::-1], x, x[:-p - 1:-1]])
 
 
-def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _analysis(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """One analysis branch: filter the symmetric extension, keep odd samples."""
     p = _FILT_LEN - 1
-    ext = _sym_ext(x, p)
-    lo = np.convolve(ext, _DEC_LO)[p: p + len(x) + p][1::2]
-    hi = np.convolve(ext, _DEC_HI)[p: p + len(x) + p][1::2]
-    return lo, hi
+    return np.convolve(_sym_ext(x, p), taps)[p: p + len(x) + p][1::2]
 
 
-def _idwt_step(cA: np.ndarray, cD: np.ndarray, n_out: int) -> np.ndarray:
-    up_a = np.zeros(2 * len(cA))
-    up_a[::2] = cA
-    up_d = np.zeros(2 * len(cD))
-    up_d[::2] = cD
-    rec = np.convolve(up_a, _REC_LO) + np.convolve(up_d, _REC_HI)
-    return rec[_IDWT_OFFSET: _IDWT_OFFSET + n_out]
+def _synthesis(c: np.ndarray, taps: np.ndarray, n_out: int) -> np.ndarray:
+    """One synthesis branch: upsample by two, filter, crop to ``n_out``."""
+    up = np.zeros(2 * len(c))
+    up[::2] = c
+    return np.convolve(up, taps)[_IDWT_OFFSET: _IDWT_OFFSET + n_out]
+
+
+def _check_signal(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DspError("the wavelet transform expects a 1-D signal")
+    if len(x) < _FILT_LEN:
+        raise DspError(f"signal length {len(x)} is below the filter length {_FILT_LEN}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -204,27 +227,25 @@ class WaveletDecomposition:
 def wavelet_decompose(x: np.ndarray) -> WaveletDecomposition:
     """Two-level db4 analysis with symmetric extension, each component
     reconstructed back to the input length."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DspError("wavelet_decompose expects a 1-D signal")
+    x = _check_signal(x)
     n = len(x)
-    if n < _FILT_LEN:
-        raise DspError(f"signal length {n} is below the filter length {_FILT_LEN}")
-    cA1, cD1 = _dwt_step(x)
-    cA2, cD2 = _dwt_step(cA1)
+    cA1, cD1 = _analysis(x, _DEC_LO), _analysis(x, _DEC_HI)
     n1 = len(cA1)
-    z1 = np.zeros_like(cD1)
-    z2 = np.zeros_like(cD2)
-    a1 = _idwt_step(cA1, z1, n)
-    d1 = _idwt_step(np.zeros_like(cA1), cD1, n)
-    a2 = _idwt_step(_idwt_step(cA2, z2, n1), z1, n)
-    d2 = _idwt_step(_idwt_step(np.zeros_like(cA2), cD2, n1), z1, n)
-    return WaveletDecomposition(a1=a1, d1=d1, a2=a2, d2=d2)
+    return WaveletDecomposition(
+        a1=_synthesis(cA1, _REC_LO, n),
+        d1=_synthesis(cD1, _REC_HI, n),
+        a2=_synthesis(_synthesis(_analysis(cA1, _DEC_LO), _REC_LO, n1), _REC_LO, n),
+        d2=_synthesis(_synthesis(_analysis(cA1, _DEC_HI), _REC_HI, n1), _REC_LO, n),
+    )
 
 
 def wavelet_denoise(x: np.ndarray) -> np.ndarray:
-    """Keep only the second-level approximation (details zeroed)."""
-    return wavelet_decompose(x).a2
+    """Keep only the second-level approximation (details zeroed): two
+    low-pass analysis steps, then two low-pass synthesis steps."""
+    x = _check_signal(x)
+    cA1 = _analysis(x, _DEC_LO)
+    cA2 = _analysis(cA1, _DEC_LO)
+    return _synthesis(_synthesis(cA2, _REC_LO, len(cA1)), _REC_LO, len(x))
 
 
 def wavelet_denoise_recording(rec: Recording) -> Recording:

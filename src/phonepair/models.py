@@ -402,16 +402,18 @@ def _predict_svm(model, X):
 # Neural models: FFN (0/1/2 hidden ReLU layers) and depthwise-conv CNN
 # ---------------------------------------------------------------------------
 
+def _softmax(logits):
+    ez = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
 def _softmax_ce(logits, y):
     """Mean cross-entropy and d(loss)/d(logits)."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    probs = ez / ez.sum(axis=1, keepdims=True)
+    probs = _softmax(logits)
     n = len(y)
     loss = -np.mean(np.log(probs[np.arange(n), y] + 1e-300))
-    grad = probs.copy()
-    grad[np.arange(n), y] -= 1.0
-    return loss, grad / n, probs
+    probs[np.arange(n), y] -= 1.0
+    return loss, probs / n
 
 
 class FfnNet:
@@ -443,7 +445,7 @@ class FfnNet:
 
     def loss_and_grads(self, params, X, y):
         logits, acts = self.forward(params, X)
-        loss, dlogits, _ = _softmax_ce(logits, y)
+        loss, dlogits = _softmax_ce(logits, y)
         grads = {}
         delta = dlogits
         for i in reversed(range(self.n_layers())):
@@ -496,7 +498,7 @@ class CnnNet:
 
     def loss_and_grads(self, params, X, y):
         logits, (Xw, h) = self.forward(params, X)
-        loss, dlogits, _ = _softmax_ce(logits, y)
+        loss, dlogits = _softmax_ce(logits, y)
         grads = {
             "Wl": h.T @ dlogits,
             "bl": dlogits.sum(axis=0),
@@ -555,7 +557,7 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
             if k in weight_names:
                 params[k] = params[k] - lr * wd * params[k]
         vlogits, _ = net.forward(params, Xv)
-        vloss, _, _ = _softmax_ce(vlogits, yv)
+        vloss, _ = _softmax_ce(vlogits, yv)
         val_log.append(float(vloss))
         if vloss < best_loss - 1e-12:
             best_loss = float(vloss)
@@ -604,8 +606,7 @@ def _predict_ffn(model, X):
     _check_dim(model, X)
     net = FfnNet(model.meta["n_features"], tuple(model.meta["hidden_sizes"]))
     logits, _ = net.forward(model.params, X)
-    _, _, probs = _softmax_ce(logits, np.zeros(len(X), dtype=int))
-    return probs
+    return _softmax(logits)
 
 
 def _predict_cnn(model, X):
@@ -615,8 +616,7 @@ def _predict_cnn(model, X):
         model.meta["stride"], model.meta["filters_per_channel"],
     )
     logits, _ = net.forward(model.params, X)
-    _, _, probs = _softmax_ce(logits, np.zeros(len(X), dtype=int))
-    return probs
+    return _softmax(logits)
 
 
 _PREDICTORS = {

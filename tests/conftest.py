@@ -1,3 +1,10 @@
+import os
+
+# numpy and scipy each load their own OpenBLAS, with a thread pool each; left
+# unpinned on a few CPUs the two pools contend. Pin them before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -123,6 +124,62 @@ class TestRunModels:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: fold 0: ")
         assert err.count("\n") == 1
+
+
+HEADER_BREAKAGES = {
+    "text_sample_rate": ("sample_rate", "fast"),
+    "nan_sample_rate": ("sample_rate", float("nan")),
+    "text_n_samples": ("n_samples", "many"),
+    "infinite_n_samples": ("n_samples", float("inf")),
+}
+BAD_EVENT_ROWS = {
+    "infinite_offset": "1.0\tinf\ta\n",
+    "nan_onset": "nan\t1.1\ta\n",
+}
+
+
+class TestMalformedRecordingsAndEvents:
+    """``align`` reads recordings directly; ``report`` goes through the
+    manifest, which reads the recording header and the event table."""
+
+    @pytest.mark.parametrize("command,breakage", [
+        *[(c, b) for b in [*HEADER_BREAKAGES, "sidecar_not_utf8"]
+          for c in ("align", "report")],
+        *[("report", b) for b in [*BAD_EVENT_ROWS, "events_not_utf8"]],
+    ])
+    def test_exits_data_error(self, cli_corpus, tmp_path, capsys, command,
+                              breakage):
+        _, manifests = cli_corpus
+        man = dataio.load_manifest(manifests[0])
+        rec_path = str(tmp_path / "r.nrd")
+        ev_path = str(tmp_path / "r.events.tsv")
+        shutil.copy(man.recording_path, rec_path)
+        shutil.copy(man.events_path, ev_path)
+        header = json.load(open(man.recording_path + ".json", encoding="utf-8"))
+        if breakage in HEADER_BREAKAGES:
+            key, value = HEADER_BREAKAGES[breakage]
+            header[key] = value
+        write_json(rec_path + ".json", header)
+        if breakage == "sidecar_not_utf8":
+            with open(rec_path + ".json", "r+b") as f:
+                f.write(b"\xff")
+        elif breakage == "events_not_utf8":
+            with open(ev_path, "ab") as f:
+                f.write(b"1.0\t1.1\t\xe9\n")
+        elif breakage in BAD_EVENT_ROWS:
+            with open(ev_path, "a", encoding="utf-8") as f:
+                f.write(BAD_EVENT_ROWS[breakage])
+        man_path = str(tmp_path / "m.manifest.json")
+        dataio.save_manifest(dataio.Manifest(man.subject_id, man.task, rec_path,
+                                             ev_path, man.sample_rate), man_path)
+        doc = ({"misc": rec_path, "audio": rec_path} if command == "align"
+               else {"manifests": [man_path]})
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestAlign:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,6 +105,50 @@ class TestZeroPhase:
             apply_zero_phase(f, np.zeros(10))
 
 
+def fftconvolve_oracle(filt, x):
+    """apply_zero_phase's reflect-pad and crop around scipy's fftconvolve."""
+    from scipy.signal import fftconvolve
+    h = filt.coefficients
+    pad = (len(h) - 1) // 2
+    padded = np.pad(np.atleast_2d(x), ((0, 0), (pad, pad)), mode="reflect")
+    y = fftconvolve(padded, h[None, :], mode="valid", axes=1)
+    return y[0] if np.ndim(x) == 1 else y
+
+
+class TestFftConvolution:
+    @pytest.mark.parametrize("design,shape,random_taps", [
+        ((None, 50, 1000), (2, 777), 65),
+        ((None, 200, 1000), (3, 5000), None),      # 67 taps
+        ((14, 31, 1000), (8, 4000), None),         # 943 taps
+        ((0.2, 31, 100), (153, 4000), None),       # 1651 taps
+        ((0.2, 31, 100), (9001,), None),
+        ((None, 50, 1000), (48000,), None),        # 265 taps
+    ])
+    def test_bitwise_equal_to_scipy(self, design, shape, random_taps):
+        rng = np.random.default_rng(len(shape))
+        f = design_fir(*design)
+        if random_taps:
+            f = replace(f, coefficients=rng.standard_normal(random_taps))
+        x = rng.standard_normal(shape)
+        y = apply_zero_phase(f, x)
+        assert y.shape == x.shape
+        assert np.array_equal(y, fftconvolve_oracle(f, x))
+
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+        for n in range(1, 20001):
+            assert dsp._next_fast_len(n) == next_fast_len(n, True), n
+
+    def test_cli_import_leaves_out_scipy_signal(self):
+        src = os.path.dirname(os.path.dirname(dsp.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, phonepair.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestDecimate:
     def test_rate_division(self):
         rec = make_recording(2, 2000, fs=1000.0)
@@ -167,6 +216,16 @@ class TestWavelet:
     def test_too_short(self):
         with pytest.raises(DspError):
             wavelet_denoise(np.zeros(7))
+
+    def test_two_d_input(self):
+        with pytest.raises(DspError, match="1-D"):
+            wavelet_denoise(np.zeros((2, 100)))
+
+    def test_denoise_equals_decomposition_a2(self):
+        rng = np.random.default_rng(3)
+        for n in list(range(8, 41)) + [40001]:
+            x = rng.standard_normal(n)
+            assert np.array_equal(wavelet_denoise(x), wavelet_decompose(x).a2), n
 
     def test_golden_vector(self):
         # frozen two-level decomposition of a fixed ramp+sine signal

@@ -1,13 +1,14 @@
 import csv
 import json
 import os
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 from phonepair import config as configmod
 from phonepair import dataio, evaluation, report, studies, synth
-from phonepair.models import ModelSpec
+from phonepair.models import ModelSpec, TrainConfig
 from phonepair.pipeline import (
     CvConfig,
     EpochWindow,
@@ -344,6 +345,35 @@ class TestConfig:
         echoed = configmod.echo_experiment(cfg)
         cfg2 = configmod.parse_experiment(echoed)
         assert cfg2 == cfg
+
+    def test_every_field_round_trips(self):
+        train = TrainConfig(learning_rate=3e-3, weight_decay=0.0, max_epochs=7,
+                            patience=2, val_fraction=0.2, seed=5)
+        spec = ModelSpec("ffn", alpha=0.3, l1_ratio=0.25, C=2.0, gamma=0.5,
+                         shrinkage=0.1, hidden_sizes=(1024,), kernel=5,
+                         stride=5, filters_per_channel=4, train=train)
+        cfg = studies.ExperimentConfig(
+            manifests=("/data/a.json", "/data/b.json"),
+            models=(("custom", spec),),
+            phone_pairs=(("a", "e"),),
+            preprocessing=PreprocessingToggles(
+                sensor_kinds=("gradiometer", "magnetometer"), wavelet=False,
+                decimation_factor=4, band_limit=20.0),
+            cv=CvConfig(k=3, seed=7),
+            min_count=10,
+            window=EpochWindow(tmin=-0.05, tmax=0.3),
+        )
+        # every field with a default is set away from it ("jobs" is not echoed)
+        for obj in (train, spec, cfg.preprocessing, cfg.cv, cfg.window, cfg):
+            for f in fields(obj):
+                if f.name == "jobs" or (f.default is MISSING
+                                        and f.default_factory is MISSING):
+                    continue
+                default = (f.default if f.default is not MISSING
+                           else f.default_factory())
+                assert getattr(obj, f.name) != default, f.name
+        doc = json.loads(json.dumps(configmod.echo_experiment(cfg)))
+        assert configmod.parse_experiment(doc) == cfg
 
     def test_seed_override(self, corpus):
         doc = {"manifests": corpus["production"], "cv": {"seed": 1}}
