@@ -39,9 +39,13 @@ def parse_model(doc: dict) -> tuple[str, ModelSpec]:
 def parse_experiment(doc: dict, base_dir: str = ".", seed: int | None = None,
                      jobs: int = 1) -> ExperimentConfig:
     try:
+        manifests = doc["manifests"]
+        if not (isinstance(manifests, list)
+                and all(isinstance(p, str) for p in manifests)):
+            raise ConfigError("'manifests' must be a list of paths")
         manifests = tuple(
             p if os.path.isabs(p) else os.path.join(base_dir, p)
-            for p in doc["manifests"]
+            for p in manifests
         )
         if not manifests:
             raise ConfigError("at least one manifest is required")
@@ -52,22 +56,23 @@ def parse_experiment(doc: dict, base_dir: str = ".", seed: int | None = None,
         pre = PreprocessingToggles(**doc.get("preprocessing", {}))
         cv = CvConfig(**doc.get("cv", {}))
         window = EpochWindow(**doc.get("epoch_window", {}))
+        phone_pairs = doc.get("phone_pairs", "auto")
+        if phone_pairs != "auto":
+            phone_pairs = tuple(tuple(p) for p in phone_pairs)
+        min_count = int(doc.get("min_count", 50))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
     if seed is not None:
         cv = replace(cv, seed=seed)
-    phone_pairs = doc.get("phone_pairs", "auto")
-    if phone_pairs != "auto":
-        phone_pairs = tuple(tuple(p) for p in phone_pairs)
     return ExperimentConfig(
         manifests=manifests,
         models=models,
         phone_pairs=phone_pairs,
         preprocessing=pre,
         cv=cv,
-        min_count=int(doc.get("min_count", 50)),
+        min_count=min_count,
         window=window,
         jobs=jobs,
     )

@@ -9,7 +9,6 @@ validation-based early stopping; no autodiff dependency.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +25,6 @@ class ConvergenceError(RuntimeError):
 
 
 ALLOWED_HIDDEN_SIZES = ((), (1024,), (2048, 1024))
-
-SERIALIZATION_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -643,47 +640,3 @@ def train(spec: ModelSpec, X, y, n_channels=None, n_times=None) -> TrainedModel:
             raise ModelError("cnn requires n_channels and n_times")
         return train_cnn(X, y, spec, n_channels, n_times)
     raise ModelError(f"unknown variant {spec.variant!r}")
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def model_to_json(model: TrainedModel) -> str:
-    def _enc(v):
-        if isinstance(v, np.ndarray):
-            return {"__array__": v.tolist(), "shape": list(v.shape)}
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-        return v
-
-    doc = {
-        "version": SERIALIZATION_VERSION,
-        "variant": model.variant,
-        "params": {k: _enc(v) for k, v in model.params.items()},
-        "meta": {k: _enc(v) if not isinstance(v, tuple) else list(v)
-                 for k, v in model.meta.items()},
-        "best_epoch": model.best_epoch,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def model_from_json(text: str) -> TrainedModel:
-    doc = json.loads(text)
-    if doc.get("version") != SERIALIZATION_VERSION:
-        raise ModelError(f"unsupported model document version {doc.get('version')}")
-
-    def _dec(v):
-        if isinstance(v, dict) and "__array__" in v:
-            return np.array(v["__array__"]).reshape(v["shape"])
-        return v
-
-    meta = {k: _dec(v) for k, v in doc["meta"].items()}
-    if "hidden_sizes" in meta:
-        meta["hidden_sizes"] = tuple(meta["hidden_sizes"])
-    return TrainedModel(
-        variant=doc["variant"],
-        params={k: _dec(v) for k, v in doc["params"].items()},
-        meta=meta,
-        best_epoch=doc.get("best_epoch"),
-    )

@@ -1,5 +1,5 @@
-"""Preprocessing chain and corpus-level evaluation: turns manifests plus a
-toggle set into per-(subject, task, pair, model, fold) metric rows."""
+"""Preprocessing chain and per-recording evaluation: a preprocessed
+recording plus (configuration, model) runs give per-fold metric rows."""
 
 from __future__ import annotations
 
@@ -70,20 +70,18 @@ def resolve_pairs(phone_pairs, inventory) -> list[tuple[str, str]]:
 
 
 def evaluate_recording(
-    rec: dataio.Recording,
+    prec: dataio.Recording,
     events: dataio.EventTable,
     subject: str,
     task: str,
-    toggles: PreprocessingToggles,
-    model_specs: list,          # list of (name, ModelSpec)
+    runs: list,                 # list of (configuration, name, ModelSpec)
     cv: CvConfig,
     phone_pairs="auto",
     min_count: int = 50,
     window: EpochWindow = EpochWindow(),
-    configuration: str = "baseline",
 ) -> list[dict]:
-    """Metric rows for every (pair, model, fold) of one recording."""
-    prec = preprocess(rec, toggles)
+    """Metric rows for every (pair, run, fold) of one preprocessed recording;
+    each pair's dataset and split are built once for all runs."""
     eps, _skipped = extract_epochs(prec, events, window.tmin, window.tmax)
     inventory = count_phones(events, min_count=min_count)
     pairs = resolve_pairs(phone_pairs, inventory)
@@ -93,7 +91,7 @@ def evaluate_recording(
     for pair in pairs:
         ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed)
         split = evaluation.kfold(ds.y, k=cv.k, seed=cv.seed)
-        for name, spec in model_specs:
+        for configuration, name, spec in runs:
             per_fold, _, _ = evaluation.evaluate(spec, ds, split)
             for fold, m in enumerate(per_fold):
                 rows.append({

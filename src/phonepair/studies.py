@@ -31,42 +31,45 @@ class ExperimentConfig:
 
 
 def _eval_unit(args):
-    (manifest_path, toggles, model_specs, cv, pairs, min_count, window,
-     configuration, band_pass) = args
+    """Load one recording, preprocess it once, then evaluate the runs of
+    each band-pass (None = unfiltered) on it."""
+    manifest_path, toggles, passes, cv, pairs, min_count, window = args
     manifest = dataio.load_manifest(manifest_path)
-    rec = dataio.load_recording(manifest.recording_path)
+    # no name holds the raw recording, so it is freed once channels are picked
+    rec = pipeline.preprocess(
+        dataio.load_recording(manifest.recording_path), toggles)
     events = dataio.load_events(manifest.events_path)
-    rec = dataio.select_channels(rec, toggles.sensor_kinds)
-    if band_pass is not None:
-        filt = dsp.design_fir(band_pass[0], band_pass[1], rec.sample_rate)
-        rec = rec.with_data(dsp.apply_zero_phase(filt, rec.data))
-        toggles = replace(toggles, sensor_kinds=tuple(
-            {c.kind for c in rec.channels}))
-    return pipeline.evaluate_recording(
-        rec, events, subject=manifest.subject_id, task=manifest.task,
-        toggles=toggles, model_specs=model_specs, cv=cv,
-        phone_pairs=pairs, min_count=min_count, window=window,
-        configuration=configuration,
-    )
+    rows = []
+    for band_pass, runs in passes:
+        filtered = rec
+        if band_pass is not None:
+            filt = dsp.design_fir(band_pass[0], band_pass[1], rec.sample_rate)
+            filtered = rec.with_data(dsp.apply_zero_phase(filt, rec.data))
+        rows += pipeline.evaluate_recording(
+            filtered, events, subject=manifest.subject_id,
+            task=manifest.task, runs=runs, cv=cv, phone_pairs=pairs,
+            min_count=min_count, window=window)
+    return rows
 
 
-def _fanout(units: list, jobs: int) -> list[dict]:
+def _run_plan(cfg: ExperimentConfig, plan: list) -> list[dict]:
+    """Sorted rows of a plan of (manifest, toggles, band_pass,
+    configuration, name, spec) entries.  Each distinct (manifest, toggles)
+    is one unit, in plan order, and all units share one process pool."""
+    grouped = {}
+    for manifest, toggles, band_pass, *run in plan:
+        passes = grouped.setdefault((manifest, toggles), {})
+        passes.setdefault(band_pass, []).append(tuple(run))
+    units = [(manifest, toggles, tuple(passes.items()), cfg.cv,
+              cfg.phone_pairs, cfg.min_count, cfg.window)
+             for (manifest, toggles), passes in grouped.items()]
+    jobs = min(cfg.jobs, len(units))
     if jobs <= 1:
-        results = [_eval_unit(u) for u in units]
+        results = map(_eval_unit, units)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_eval_unit, units))
-    rows = [r for chunk in results for r in chunk]
-    return sort_rows(rows)
-
-
-def _units(cfg: ExperimentConfig, manifests, toggles, model_specs,
-           configuration="baseline", band_pass=None):
-    return [
-        (m, toggles, tuple(model_specs), cfg.cv, cfg.phone_pairs,
-         cfg.min_count, cfg.window, configuration, band_pass)
-        for m in manifests
-    ]
+    return sort_rows([r for chunk in results for r in chunk])
 
 
 def _manifests_by_task(cfg: ExperimentConfig) -> dict:
@@ -91,7 +94,8 @@ def run_model_comparison(cfg: ExperimentConfig):
     prod = by_task.get("production")
     if not prod:
         raise PipelineError("model comparison requires production-task manifests")
-    rows = _fanout(_units(cfg, prod, cfg.preprocessing, cfg.models), cfg.jobs)
+    rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", *model)
+                           for m in prod for model in cfg.models])
 
     by_model = {name: [r for r in rows if r["model"] == name]
                 for name, _ in cfg.models}
@@ -124,29 +128,27 @@ def run_task_comparison(cfg: ExperimentConfig):
     if len(by_task) < 2:
         raise PipelineError("need two modalities to compare")
     model = _primary_model(cfg)
-    all_rows = []
-    by_modality = {}
-    for task in sorted(by_task):
-        rows = _fanout(_units(cfg, by_task[task], cfg.preprocessing, [model]),
-                       cfg.jobs)
-        by_modality[task] = rows
-        all_rows.extend(rows)
+    tasks = sorted(by_task)
+    rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", *model)
+                           for task in tasks for m in by_task[task]])
+    by_modality = {task: [r for r in rows if r["task"] == task]
+                   for task in tasks}
 
     table = ResultTable(title="Task comparison (elastic net)")
-    for task in sorted(by_task):
+    for task in tasks:
         table.rows.append({"modality": task, "model": model[0],
                            "configuration": "baseline",
                            **summarize(by_modality[task])})
-    for a, b in combinations(sorted(by_task), 2):
+    for a, b in combinations(tasks, 2):
         # the same subject, pair and fold observed in both modalities
         table.comparisons.append(_comparison(
             f"{a} vs {b}", by_modality[a], by_modality[b],
             key=("subject", "pair", "fold")))
-    for task in sorted(by_task):
+    for task in tasks:
         chance = [dict(r, accuracy=CHANCE_LEVEL) for r in by_modality[task]]
         table.comparisons.append(_comparison(
             f"{task} vs chance", by_modality[task], chance))
-    return table, sort_rows(all_rows)
+    return table, rows
 
 
 def run_band_sweep(cfg: ExperimentConfig):
@@ -158,31 +160,33 @@ def run_band_sweep(cfg: ExperimentConfig):
         sensor_kinds=cfg.preprocessing.sensor_kinds,
         wavelet=False, decimation_factor=1, band_limit=None,
     )
-    all_rows = []
-    table = ResultTable(title="Frequency-band sweep (elastic net)")
+    plan, kept = [], []
+    configs = [("unfiltered", None)]
+    configs += [(band, dsp.BANDS[band]) for band in dsp.BAND_ORDER]
     for task in sorted(by_task):
         mans = by_task[task]
-        configs = [("unfiltered", None)]
-        configs += [(band, dsp.BANDS[band]) for band in dsp.BAND_ORDER]
+        fs = dataio.load_manifest(mans[0]).sample_rate
         for conf_name, band_pass in configs:
             if band_pass is not None:
                 # skip bands whose upper transition exceeds Nyquist
-                fs = dataio.load_manifest(mans[0]).sample_rate
                 try:
                     dsp.design_fir(band_pass[0], band_pass[1], fs)
                 except dsp.DspError as exc:
                     print(f"warning: skipping band {conf_name} for task "
                           f"{task}: {exc}", file=sys.stderr)
                     continue
-            rows = _fanout(
-                _units(cfg, mans, minimal, [model], configuration=conf_name,
-                       band_pass=band_pass),
-                cfg.jobs,
-            )
-            all_rows.extend(rows)
-            table.rows.append({"modality": task, "model": model[0],
-                               "configuration": conf_name, **summarize(rows)})
-    return table, sort_rows(all_rows)
+            kept.append((task, conf_name))
+            plan += [(m, minimal, band_pass, conf_name, *model) for m in mans]
+    rows = _run_plan(cfg, plan)
+
+    table = ResultTable(title="Frequency-band sweep (elastic net)")
+    for task, conf_name in kept:
+        conf_rows = [r for r in rows if r["task"] == task
+                     and r["configuration"] == conf_name]
+        table.rows.append({"modality": task, "model": model[0],
+                           "configuration": conf_name,
+                           **summarize(conf_rows)})
+    return table, rows
 
 
 ABLATION_BASELINE = "full_model"
@@ -212,17 +216,13 @@ def run_ablation(cfg: ExperimentConfig):
     if not prod:
         raise PipelineError("ablation requires production-task manifests")
     name, spec = _primary_model(cfg)
-    all_rows = []
-    per_config = {}
-    for conf_name, toggles, conf_spec in ablation_configurations(
-            cfg.preprocessing, spec):
-        rows = _fanout(
-            _units(cfg, prod, toggles, [(name, conf_spec)],
-                   configuration=conf_name),
-            cfg.jobs,
-        )
-        per_config[conf_name] = rows
-        all_rows.extend(rows)
+    configs = ablation_configurations(cfg.preprocessing, spec)
+    rows = _run_plan(cfg, [(m, toggles, None, conf_name, name, conf_spec)
+                           for conf_name, toggles, conf_spec in configs
+                           for m in prod])
+    per_config = {conf_name: [r for r in rows
+                              if r["configuration"] == conf_name]
+                  for conf_name, _, _ in configs}
 
     table = ResultTable(title="Ablation (production, elastic net)")
     base_rows = per_config[ABLATION_BASELINE]
@@ -235,4 +235,4 @@ def run_ablation(cfg: ExperimentConfig):
             table.comparisons.append(comp)
             row["W"], row["p"] = comp["W"], comp["p"]
         table.rows.append(row)
-    return table, sort_rows(all_rows)
+    return table, rows

@@ -9,23 +9,11 @@ import numpy as np
 import pytest
 
 from phonepair import synth
-from phonepair.dataio import ChannelInfo, Recording
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def make_recording(n_channels=4, n_samples=1000, fs=1000.0, kinds=None, seed=0):
-    rng = np.random.default_rng(seed)
-    if kinds is None:
-        kinds = ["gradiometer"] * n_channels
-    channels = tuple(
-        ChannelInfo(f"CH{i:03d}", kind, "T/m") for i, kind in enumerate(kinds)
-    )
-    data = rng.standard_normal((n_channels, n_samples))
-    return Recording(sample_rate=fs, channels=channels, data=data)
 
 
 @pytest.fixture(scope="session")

@@ -305,3 +305,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [
+        ("min_count", "abc"), ("min_count", None), ("phone_pairs", 5),
+        ("phone_pairs", [3]), ("manifests", "abc"), ("manifests", [3]),
+        ("manifests", {"a": "b"})])
+    def test_malformed_study_config(self, cli_corpus, tmp_path, capsys, key,
+                                    value):
+        _, manifests = cli_corpus
+        doc = run_config(manifests)
+        doc[key] = value
+        cfg = write_json(tmp_path / "bad.json", doc)
+        assert main(["ablate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1

@@ -6,7 +6,7 @@ from phonepair.dataio import (ChannelInfo, DataError, Event, EventTable,
                               Recording, load_events, load_recording,
                               save_events, save_recording, select_channels)
 
-from conftest import make_recording
+from helpers import make_recording
 
 
 class TestRecordingRoundTrip:

@@ -11,7 +11,7 @@ from phonepair.dsp import (BANDS, DspError, apply_zero_phase,
                            compute_zscore_stats, apply_zscore, decimate,
                            design_fir, wavelet_decompose, wavelet_denoise)
 
-from conftest import make_recording
+from helpers import make_recording
 
 
 def freq_response(filt, n=4096):

@@ -5,7 +5,7 @@ from phonepair.dataio import Event, EventTable
 from phonepair.epochs import (EpochError, build_pair_dataset, count_phones,
                               extract_epochs, flatten_epoch, unflatten_epoch)
 
-from conftest import make_recording
+from helpers import make_recording
 
 
 def events_of(*rows):

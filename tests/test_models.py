@@ -14,8 +14,6 @@ from phonepair.models import (
     TrainConfig,
     TrainedModel,
     elastic_net_objective,
-    model_from_json,
-    model_to_json,
     svm_decision,
     train,
 )
@@ -507,35 +505,3 @@ class TestPredictContract:
         model = train(ModelSpec("lda"), X, y)
         with pytest.raises(ModelError, match="dimension"):
             model.predict_proba(np.zeros((2, 5)))
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("variant", ["elastic_net", "lda", "svm_rbf"])
-    def test_round_trip(self, rng, variant):
-        X, y = two_blobs(rng, n_per=15, p=3)
-        model = train(ModelSpec(variant), X, y)
-        restored = model_from_json(model_to_json(model))
-        assert np.allclose(restored.predict_proba(X), model.predict_proba(X))
-
-    def test_round_trip_neural(self, rng):
-        X, y = two_blobs(rng, n_per=15, p=4)
-        cfg = TrainConfig(learning_rate=0.01, max_epochs=30, seed=3)
-        for spec, kw in [
-            (ModelSpec("ffn", hidden_sizes=(), train=cfg), {}),
-            (ModelSpec("cnn", kernel=2, stride=2, filters_per_channel=2,
-                       train=cfg), {"n_channels": 2, "n_times": 2}),
-        ]:
-            model = train(spec, X, y, **kw)
-            restored = model_from_json(model_to_json(model))
-            assert np.allclose(
-                restored.predict_proba(X), model.predict_proba(X)
-            )
-
-    def test_version_check(self):
-        with pytest.raises(ModelError, match="version"):
-            model_from_json('{"version": 99}')
-
-    def test_json_stable(self, rng):
-        X, y = two_blobs(rng, n_per=15, p=3)
-        model = train(ModelSpec("lda"), X, y)
-        assert model_to_json(model) == model_to_json(model)

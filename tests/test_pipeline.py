@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phonepair import config as configmod
-from phonepair import dataio, evaluation, report, studies, synth
+from phonepair import dataio, evaluation, pipeline, report, studies, synth
 from phonepair.models import ModelSpec, TrainConfig
 from phonepair.pipeline import (
     CvConfig,
@@ -26,6 +26,7 @@ from phonepair.pipeline import (
 from phonepair.report import ResultTable, format_pm
 
 EN = [("elastic_net", ModelSpec("elastic_net"))]
+EN_RUNS = [("baseline", "elastic_net", ModelSpec("elastic_net"))]
 FAST_CV = CvConfig(k=3, seed=0)
 
 
@@ -151,8 +152,8 @@ class TestEvaluateRecording:
         rec = dataio.load_recording(man.recording_path)
         events = dataio.load_events(man.events_path)
         rows = evaluate_recording(
-            rec, events, subject=man.subject_id, task=man.task,
-            toggles=PreprocessingToggles(), model_specs=EN, cv=FAST_CV,
+            preprocess(rec, PreprocessingToggles()), events,
+            subject=man.subject_id, task=man.task, runs=EN_RUNS, cv=FAST_CV,
             min_count=20,
         )
         assert len(rows) == 3  # one pair, three folds
@@ -166,10 +167,39 @@ class TestEvaluateRecording:
         events = dataio.load_events(man.events_path)
         with pytest.raises(PipelineError, match="pairs"):
             evaluate_recording(
-                rec, events, subject="s", task="t",
-                toggles=PreprocessingToggles(), model_specs=EN, cv=FAST_CV,
+                preprocess(rec, PreprocessingToggles()), events,
+                subject="s", task="t", runs=EN_RUNS, cv=FAST_CV,
                 min_count=1000,
             )
+
+
+@pytest.fixture(scope="session")
+def mag_corpus(tmp_path_factory):
+    """Two production recordings with gradiometers and magnetometers."""
+    return make_corpus(str(tmp_path_factory.mktemp("mag")), ("s01", "s02"),
+                       n_mag=4, seed0=90)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Runs study pools in-process and lists the size each was asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(studies, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
 def exp_config(manifests, **kw):
@@ -261,12 +291,45 @@ class TestStudies:
         ]
         assert len(table.comparisons) == 7
 
-    def test_parallel_matches_serial(self, corpus):
-        cfg = exp_config(corpus["production"])
-        _, serial = studies.run_model_comparison(cfg)
-        cfg2 = exp_config(corpus["production"], jobs=2)
-        _, parallel = studies.run_model_comparison(cfg2)
-        assert serial == parallel
+    def test_parallel_matches_serial(self, mag_corpus):
+        for study in (studies.run_model_comparison, studies.run_ablation,
+                      studies.run_band_sweep):
+            serial = study(exp_config(mag_corpus))
+            parallel = study(exp_config(mag_corpus, jobs=2))
+            assert parallel == serial, study.__name__
+
+    def test_ablation_preprocesses_each_toggle_set_once(self, mag_corpus,
+                                                        monkeypatch):
+        calls = []
+        real_preprocess = pipeline.preprocess
+
+        def counting_preprocess(rec, toggles):
+            calls.append(toggles)
+            return real_preprocess(rec, toggles)
+
+        monkeypatch.setattr(pipeline, "preprocess", counting_preprocess)
+        studies.run_ablation(exp_config(mag_corpus[:1]))
+        # no_l1_ridge and no_l2_lasso preprocess as full_model does
+        assert len(calls) == 6
+
+        starts = []
+        real_pool = studies.ProcessPoolExecutor
+
+        def counting_pool(**kw):
+            starts.append(kw)
+            return real_pool(**kw)
+
+        monkeypatch.setattr(studies, "ProcessPoolExecutor", counting_pool)
+        studies.run_ablation(exp_config(mag_corpus[:1], jobs=2))
+        assert starts == [{"max_workers": 2}]
+
+    def test_pool_never_larger_than_units(self, mag_corpus, pool_sizes):
+        studies.run_ablation(exp_config(mag_corpus[:1], jobs=64))
+        studies.run_model_comparison(exp_config(mag_corpus, jobs=64))
+        studies.run_model_comparison(exp_config(mag_corpus[:1], jobs=64))
+        # 6 distinct toggle sets, then 2 recordings; a single unit runs
+        # in-process
+        assert pool_sizes == [6, 2]
 
 
 class TestReport:
