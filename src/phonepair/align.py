@@ -3,7 +3,7 @@ iterative window-narrowing, band-widening refinement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

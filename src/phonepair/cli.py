@@ -11,13 +11,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import dataio, synth as synthmod
 from .align import AlignError, align
-from .config import ConfigError, load_json, parse_experiment, write_echo
+from .config import (ConfigError, load_json, manifest_paths, parse_experiment,
+                     write_echo)
 from .dataio import DataError
 from .dsp import DspError
 from .epochs import EpochError
@@ -109,10 +109,10 @@ def _cmd_align(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     doc = load_json(args.config)
+    manifests = manifest_paths(doc)
     try:
         toggles = PreprocessingToggles(**doc.get("preprocessing", {}))
-        manifests = doc["manifests"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid preprocess config: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     out_manifests = []
@@ -154,10 +154,7 @@ def _run_study(args, study, stem: str, pair_matrix: bool = False) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = load_json(args.config)
-    manifests = doc.get("manifests")
-    if not manifests:
-        raise ConfigError("report config needs a 'manifests' list")
+    manifests = manifest_paths(load_json(args.config))
     totals: dict = {}
     for path in manifests:
         man = dataio.load_manifest(path)

@@ -36,19 +36,21 @@ def parse_model(doc: dict) -> tuple[str, ModelSpec]:
     return name, spec
 
 
+def manifest_paths(doc: dict) -> list[str]:
+    """The config's 'manifests' entry, checked to be a nonempty list of
+    paths; callers resolve relative paths their own way."""
+    manifests = doc.get("manifests") if isinstance(doc, dict) else None
+    if not (isinstance(manifests, list) and manifests
+            and all(isinstance(p, str) for p in manifests)):
+        raise ConfigError("'manifests' must be a nonempty list of paths")
+    return manifests
+
+
 def parse_experiment(doc: dict, base_dir: str = ".", seed: int | None = None,
                      jobs: int = 1) -> ExperimentConfig:
+    manifests = tuple(os.path.join(base_dir, p)
+                      for p in manifest_paths(doc))
     try:
-        manifests = doc["manifests"]
-        if not (isinstance(manifests, list)
-                and all(isinstance(p, str) for p in manifests)):
-            raise ConfigError("'manifests' must be a list of paths")
-        manifests = tuple(
-            p if os.path.isabs(p) else os.path.join(base_dir, p)
-            for p in manifests
-        )
-        if not manifests:
-            raise ConfigError("at least one manifest is required")
         models = tuple(parse_model(m) for m in doc.get(
             "models", [{"variant": "elastic_net"}]))
         if not models:

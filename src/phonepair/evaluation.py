@@ -171,11 +171,10 @@ def wilcoxon(a, b) -> TestResult:
     return TestResult(W=float(W), p=p, n_effective=n, method="normal_approx")
 
 
-def evaluate(spec: models.ModelSpec, ds: PairDataset, split: FoldSplit):
-    """Per-fold metrics with fold-local z-scoring (no test-row leakage).
-
-    Returns (list of per-fold MetricSet, mean MetricSet, std MetricSet).
-    """
+def evaluate(spec: models.ModelSpec, ds: PairDataset,
+             split: FoldSplit) -> list[MetricSet]:
+    """One MetricSet per fold, with fold-local z-scoring (no test-row
+    leakage)."""
     if len(split.assignments) != len(ds.y):
         raise EvalError("fold split does not match dataset size")
     per_fold = []
@@ -198,12 +197,4 @@ def evaluate(spec: models.ModelSpec, ds: PairDataset, split: FoldSplit):
         except models.ConvergenceError as exc:
             raise models.ConvergenceError(f"fold {fold}: {exc}") from exc
         per_fold.append(metrics(y_test, scores))
-
-    def _agg(fn):
-        return MetricSet(
-            accuracy=float(fn([m.accuracy for m in per_fold])),
-            f1=float(fn([m.f1 for m in per_fold])),
-            auc=float(fn([m.auc for m in per_fold])),
-        )
-
-    return per_fold, _agg(np.mean), _agg(np.std)
+    return per_fold

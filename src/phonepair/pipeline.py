@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -18,6 +19,11 @@ class PipelineError(ValueError):
     pass
 
 
+def _is_a(x, kind) -> bool:
+    """isinstance that does not count a bool as a number."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class PreprocessingToggles:
     sensor_kinds: tuple = ("gradiometer",)
@@ -26,9 +32,20 @@ class PreprocessingToggles:
     band_limit: float | None = 31.0  # band-pass 0.2..band_limit Hz, or None
 
     def __post_init__(self):
-        object.__setattr__(self, "sensor_kinds", tuple(self.sensor_kinds))
-        if self.decimation_factor < 1:
-            raise PipelineError("decimation_factor must be >= 1")
+        kinds = self.sensor_kinds
+        if not (isinstance(kinds, (list, tuple)) and kinds
+                and all(k in dataio.CHANNEL_KINDS for k in kinds)):
+            raise PipelineError(f"sensor_kinds must be a nonempty list of "
+                                f"{dataio.CHANNEL_KINDS}")
+        object.__setattr__(self, "sensor_kinds", tuple(kinds))
+        if not isinstance(self.wavelet, bool):
+            raise PipelineError("wavelet must be true or false")
+        if not (_is_a(self.decimation_factor, Integral)
+                and self.decimation_factor >= 1):
+            raise PipelineError("decimation_factor must be an integer >= 1")
+        if self.band_limit is not None and not (
+                _is_a(self.band_limit, Real) and self.band_limit > 0):
+            raise PipelineError("band_limit must be null or a positive number")
 
 
 @dataclass(frozen=True)
@@ -36,11 +53,22 @@ class CvConfig:
     k: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        if not (_is_a(self.k, Integral) and self.k >= 2):
+            raise PipelineError("cv k must be an integer >= 2")
+        if not _is_a(self.seed, Integral):
+            raise PipelineError("cv seed must be an integer")
+
 
 @dataclass(frozen=True)
 class EpochWindow:
     tmin: float = -0.1
     tmax: float = 0.2
+
+    def __post_init__(self):
+        if not (_is_a(self.tmin, Real) and _is_a(self.tmax, Real)
+                and self.tmin < self.tmax):
+            raise PipelineError("epoch_window needs numbers tmin < tmax")
 
 
 def preprocess(rec: dataio.Recording, toggles: PreprocessingToggles) -> dataio.Recording:
@@ -92,7 +120,7 @@ def evaluate_recording(
         ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed)
         split = evaluation.kfold(ds.y, k=cv.k, seed=cv.seed)
         for configuration, name, spec in runs:
-            per_fold, _, _ = evaluation.evaluate(spec, ds, split)
+            per_fold = evaluation.evaluate(spec, ds, split)
             for fold, m in enumerate(per_fold):
                 rows.append({
                     "subject": subject,

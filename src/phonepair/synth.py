@@ -4,7 +4,7 @@ for end-to-end pipeline tests."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

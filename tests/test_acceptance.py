@@ -72,9 +72,9 @@ def baseline_dataset(spec):
 
 def mean_accuracy(spec_ds, model_spec=None):
     split = kfold(spec_ds.y, k=5, seed=0)
-    _, mean, _ = evaluation.evaluate(model_spec or ModelSpec("elastic_net"),
-                                     spec_ds, split)
-    return mean.accuracy
+    per_fold = evaluation.evaluate(model_spec or ModelSpec("elastic_net"),
+                                   spec_ds, split)
+    return float(np.mean([m.accuracy for m in per_fold]))
 
 
 # ---------------------------------------------------------------------------

@@ -309,14 +309,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [
         ("min_count", "abc"), ("min_count", None), ("phone_pairs", 5),
         ("phone_pairs", [3]), ("manifests", "abc"), ("manifests", [3]),
-        ("manifests", {"a": "b"})])
+        ("manifests", {"a": "b"}), ("manifests", []),
+        ("cv", {"k": "five"}), ("cv", {"k": 0}), ("cv", {"k": 1}),
+        ("cv", {"k": 2.5}), ("cv", {"seed": "x"}),
+        ("epoch_window", {"tmin": "x"}),
+        ("epoch_window", {"tmin": 0.2, "tmax": 0.1}),
+        ("preprocessing", {"band_limit": "x"}),
+        ("preprocessing", {"band_limit": 0}),
+        ("preprocessing", {"sensor_kinds": "gradiometer"}),
+        ("preprocessing", {"sensor_kinds": ["eeg"]}),
+        ("preprocessing", {"sensor_kinds": []}),
+        ("preprocessing", {"wavelet": "no"}),
+        ("preprocessing", {"decimation_factor": 2.5})])
     def test_malformed_study_config(self, cli_corpus, tmp_path, capsys, key,
                                     value):
         _, manifests = cli_corpus
         doc = run_config(manifests)
         doc[key] = value
         cfg = write_json(tmp_path / "bad.json", doc)
-        assert main(["ablate", "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
+        # every command that reads the key rejects it the same way
+        commands = {"manifests": ("ablate", "preprocess", "report"),
+                    "preprocessing": ("ablate", "preprocess")}
+        for command in commands.get(key, ("ablate",)):
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == EXIT_CONFIG, command
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1

@@ -468,6 +468,18 @@ class TestNeuralTraining:
 # shared prediction contract and serialization
 # ---------------------------------------------------------------------------
 
+VARIANTS = ("elastic_net", "lda", "svm_rbf", "ffn", "cnn")
+
+
+def fit_every_variant(rng):
+    """(X, model) for a short fit of each variant; each row of X is laid out
+    as 2 channels x 10 samples, the smallest the default CNN kernel takes."""
+    X, y = two_blobs(rng, n_per=15, p=20)
+    for variant in VARIANTS:
+        spec = ModelSpec(variant, train=TrainConfig(max_epochs=20))
+        yield X, train(spec, X, y, n_channels=2, n_times=10)
+
+
 class TestPredictContract:
     def test_zero_weights_give_half(self):
         model = TrainedModel("elastic_net", {"w": np.zeros(3), "b": 0.0},
@@ -476,9 +488,7 @@ class TestPredictContract:
         assert np.allclose(proba, 0.5)
 
     def test_rows_sum_to_one(self, rng):
-        X, y = two_blobs(rng, n_per=15, p=3)
-        for variant in ("elastic_net", "lda", "svm_rbf"):
-            model = train(ModelSpec(variant), X, y)
+        for X, model in fit_every_variant(rng):
             proba = model.predict_proba(X)
             assert proba.shape == (len(X), 2)
             assert np.allclose(proba.sum(axis=1), 1.0)
@@ -501,7 +511,29 @@ class TestPredictContract:
         assert np.array_equal(Xq, before)
 
     def test_dimension_mismatch(self, rng):
+        for X, model in fit_every_variant(rng):
+            with pytest.raises(ModelError, match="dimension"):
+                model.predict_proba(np.zeros((2, X.shape[1] + 1)))
+
+    def test_train_checks_labels_for_every_variant(self, rng):
+        X, y = two_blobs(rng, n_per=15, p=20)
+        y[0] = 2
+        for variant in VARIANTS:
+            with pytest.raises(ModelError, match="binary"):
+                train(ModelSpec(variant), X, y, n_channels=2, n_times=10)
+
+    def test_train_calls_the_module_trainer(self, rng, monkeypatch):
+        # a wrapper bound to models.train_<variant> after import must see
+        # the fit; tracing relies on it
         X, y = two_blobs(rng, n_per=15, p=3)
-        model = train(ModelSpec("lda"), X, y)
-        with pytest.raises(ModelError, match="dimension"):
-            model.predict_proba(np.zeros((2, 5)))
+        seen = []
+        real = models.train_lda
+
+        def spy(*args):
+            seen.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(models, "train_lda", spy)
+        spec = ModelSpec("lda")
+        assert train(spec, X, y).variant == "lda"
+        assert seen == [spec]
