@@ -8,17 +8,15 @@ ablate, report.  Exit codes: 0 success, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-
-import numpy as np
+from numbers import Real
 
 from . import dataio, synth as synthmod
 from .align import AlignError, align
-from .config import (ConfigError, load_json, manifest_paths, parse_experiment,
+from .config import (ConfigError, load_json, nonempty_list, parse_experiment,
                      write_echo)
-from .dataio import DataError
+from .dataio import DataError, _is_a
 from .dsp import DspError
 from .epochs import EpochError
 from .evaluation import EvalError
@@ -34,61 +32,58 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+def _write_corpus(out_dir: str, sessions, suffix: str = "") -> int:
+    """Save each (subject, task, recording, events) with its manifest as
+    ``<subject>_<task><suffix>``, then ``corpus.json``; returns the count."""
+    os.makedirs(out_dir, exist_ok=True)
+    manifests = []
+    for subject, task, rec, events in sessions:
+        stem = os.path.join(out_dir, f"{subject}_{task}{suffix}")
+        dataio.save_recording(rec, stem + ".nrd")
+        dataio.save_events(events, stem + ".events.tsv")
+        dataio.save_manifest(dataio.Manifest(
+            subject, task, stem + ".nrd", stem + ".events.tsv",
+            rec.sample_rate), stem + ".manifest.json")
+        manifests.append(stem + ".manifest.json")
+    dataio.write_json(os.path.join(out_dir, "corpus.json"),
+                      {"manifests": manifests})
+    return len(manifests)
+
+
 def _cmd_synth(args) -> int:
-    doc = load_json(args.config)
-    recordings = doc.get("recordings")
-    if not recordings:
-        raise ConfigError("synth config needs a nonempty 'recordings' list")
-    os.makedirs(args.out, exist_ok=True)
-    manifest_paths = []
-    for i, rdoc in enumerate(recordings):
-        rdoc = dict(rdoc)
-        subject = rdoc.pop("subject_id", f"s{i + 1:02d}")
-        task = rdoc.pop("task", "production")
-        if args.seed is not None:
-            rdoc["seed"] = args.seed + i
-        try:
-            spec = synthmod.SynthSpec(**rdoc)
-        except TypeError as exc:
-            raise ConfigError(f"bad synth spec #{i}: {exc}") from exc
-        rec, events = synthmod.generate(spec)
-        stem = f"{subject}_{task}"
-        rec_path = os.path.join(args.out, stem + ".nrd")
-        ev_path = os.path.join(args.out, stem + ".events.tsv")
-        dataio.save_recording(rec, rec_path)
-        dataio.save_events(events, ev_path)
-        man = dataio.Manifest(
-            subject_id=subject, task=task,
-            recording_path=rec_path, events_path=ev_path,
-            sample_rate=spec.fs,
-        )
-        man_path = os.path.join(args.out, stem + ".manifest.json")
-        dataio.save_manifest(man, man_path)
-        manifest_paths.append(man_path)
-    with open(os.path.join(args.out, "corpus.json"), "w", encoding="utf-8") as f:
-        json.dump({"manifests": manifest_paths}, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {len(manifest_paths)} recordings to {args.out}")
+    recordings = nonempty_list(load_json(args.config), "recordings", dict,
+                               "objects")
+
+    def sessions():
+        for i, rdoc in enumerate(recordings):
+            rdoc = dict(rdoc)
+            subject = rdoc.pop("subject_id", f"s{i + 1:02d}")
+            task = rdoc.pop("task", "production")
+            if args.seed is not None:
+                rdoc["seed"] = args.seed + i
+            try:
+                rec, events = synthmod.generate(synthmod.SynthSpec(**rdoc))
+            except (TypeError, synthmod.SynthError) as exc:
+                raise ConfigError(f"bad synth spec #{i}: {exc}") from exc
+            yield subject, task, rec, events
+
+    n = _write_corpus(args.out, sessions())
+    print(f"wrote {n} recordings to {args.out}")
     return EXIT_OK
-
-
-def _load_single_channel(path: str) -> tuple[np.ndarray, float]:
-    rec = dataio.load_recording(path)
-    return rec.data[0], rec.sample_rate
 
 
 def _cmd_align(args) -> int:
     doc = load_json(args.config)
-    try:
-        misc_path, audio_path = doc["misc"], doc["audio"]
-        window = float(doc.get("window", 2.0))
-    except KeyError as exc:
-        raise ConfigError(f"align config missing key: {exc}") from exc
-    misc, fs_m = _load_single_channel(misc_path)
-    audio, fs_a = _load_single_channel(audio_path)
-    if fs_m != fs_a:
+    if not (isinstance(doc, dict) and isinstance(doc.get("misc"), str)
+            and isinstance(doc.get("audio"), str)
+            and _is_a(doc.get("window", 2.0), Real)):
+        raise ConfigError("align config needs 'misc' and 'audio' paths and "
+                          "a numeric 'window'")
+    misc, audio = (dataio.load_recording(doc[k]) for k in ("misc", "audio"))
+    if misc.sample_rate != audio.sample_rate:
         raise DataError("misc and audio must share a sampling rate")
-    result = align(misc, audio, fs_m, window)
+    result = align(misc.data[0], audio.data[0], misc.sample_rate,
+                   float(doc.get("window", 2.0)))
     out_doc = {
         "delay": result.delay,
         "peak_correlation": result.peak_correlation,
@@ -98,45 +93,27 @@ def _cmd_align(args) -> int:
             for w, b, d in result.iterations
         ],
     }
-    text = json.dumps(out_doc, indent=2, sort_keys=True)
-    print(text)
+    sys.stdout.write(dataio.json_text(out_doc))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "align.json"), "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        dataio.write_json(os.path.join(args.out, "align.json"), out_doc)
     return EXIT_OK
 
 
 def _cmd_preprocess(args) -> int:
     doc = load_json(args.config)
-    manifests = manifest_paths(doc)
+    manifests = nonempty_list(doc, "manifests", str, "paths")
     try:
         toggles = PreprocessingToggles(**doc.get("preprocessing", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid preprocess config: {exc}") from exc
-    os.makedirs(args.out, exist_ok=True)
-    out_manifests = []
-    for path in manifests:
-        man = dataio.load_manifest(path)
-        rec = dataio.load_recording(man.recording_path)
-        out = preprocess(rec, toggles)
-        stem = f"{man.subject_id}_{man.task}_preprocessed"
-        rec_path = os.path.join(args.out, stem + ".nrd")
-        dataio.save_recording(out, rec_path)
-        ev_path = os.path.join(args.out, stem + ".events.tsv")
-        dataio.save_events(dataio.load_events(man.events_path), ev_path)
-        new_man = dataio.Manifest(
-            subject_id=man.subject_id, task=man.task,
-            recording_path=rec_path, events_path=ev_path,
-            sample_rate=out.sample_rate,
-        )
-        man_path = os.path.join(args.out, stem + ".manifest.json")
-        dataio.save_manifest(new_man, man_path)
-        out_manifests.append(man_path)
-    with open(os.path.join(args.out, "corpus.json"), "w", encoding="utf-8") as f:
-        json.dump({"manifests": out_manifests}, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"preprocessed {len(out_manifests)} recordings into {args.out}")
+    # no name holds a raw recording while its output is written
+    sessions = ((man.subject_id, man.task,
+                 preprocess(dataio.load_recording(man.recording_path), toggles),
+                 dataio.load_events(man.events_path))
+                for man in map(dataio.load_manifest, manifests))
+    n = _write_corpus(args.out, sessions, suffix="_preprocessed")
+    print(f"preprocessed {n} recordings into {args.out}")
     return EXIT_OK
 
 
@@ -154,7 +131,7 @@ def _run_study(args, study, stem: str, pair_matrix: bool = False) -> int:
 
 
 def _cmd_report(args) -> int:
-    manifests = manifest_paths(load_json(args.config))
+    manifests = nonempty_list(load_json(args.config), "manifests", str, "paths")
     totals: dict = {}
     for path in manifests:
         man = dataio.load_manifest(path)
@@ -178,28 +155,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, flags=()):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=None, help="seed override")
+        if "jobs" in flags:
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers")
         p.set_defaults(func=func)
-        return p
 
-    add("synth", _cmd_synth, "generate a synthetic corpus")
+    study = ("seed", "jobs")
+    add("synth", _cmd_synth, "generate a synthetic corpus", ("seed",))
     add("align", _cmd_align, "estimate audio/MISC delay")
     add("preprocess", _cmd_preprocess, "apply the preprocessing chain")
     add("run-models", lambda a: _run_study(a, run_model_comparison,
                                            "model_comparison", pair_matrix=True),
-        "compare classifier families on production data")
+        "compare classifier families on production data", study)
     add("run-tasks", lambda a: _run_study(a, run_task_comparison,
                                           "task_comparison"),
-        "compare decoding across modalities")
+        "compare decoding across modalities", study)
     add("sweep-bands", lambda a: _run_study(a, run_band_sweep, "band_sweep"),
-        "decoding accuracy per frequency band")
+        "decoding accuracy per frequency band", study)
     add("ablate", lambda a: _run_study(a, run_ablation, "ablation"),
-        "single-component preprocessing ablation")
+        "single-component preprocessing ablation", study)
     add("report", _cmd_report, "emit the phone inventory as CSV")
     return parser
 

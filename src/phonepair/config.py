@@ -6,6 +6,7 @@ import json
 import os
 from dataclasses import asdict, replace
 
+from .dataio import write_json
 from .models import ModelSpec, TrainConfig
 from .pipeline import CvConfig, EpochWindow, PreprocessingToggles
 from .studies import ExperimentConfig
@@ -36,25 +37,27 @@ def parse_model(doc: dict) -> tuple[str, ModelSpec]:
     return name, spec
 
 
-def manifest_paths(doc: dict) -> list[str]:
-    """The config's 'manifests' entry, checked to be a nonempty list of
-    paths; callers resolve relative paths their own way."""
-    manifests = doc.get("manifests") if isinstance(doc, dict) else None
-    if not (isinstance(manifests, list) and manifests
-            and all(isinstance(p, str) for p in manifests)):
-        raise ConfigError("'manifests' must be a nonempty list of paths")
-    return manifests
+def nonempty_list(doc, key: str, kind: type, what: str) -> list:
+    """``doc[key]``, checked to be a nonempty list of ``kind`` (``what`` in
+    the message); ``doc`` may be any JSON value."""
+    items = doc.get(key) if isinstance(doc, dict) else None
+    if not (isinstance(items, list) and items
+            and all(isinstance(x, kind) for x in items)):
+        raise ConfigError(f"{key!r} must be a nonempty list of {what}")
+    return items
 
 
 def parse_experiment(doc: dict, base_dir: str = ".", seed: int | None = None,
                      jobs: int = 1) -> ExperimentConfig:
     manifests = tuple(os.path.join(base_dir, p)
-                      for p in manifest_paths(doc))
+                      for p in nonempty_list(doc, "manifests", str, "paths"))
     try:
         models = tuple(parse_model(m) for m in doc.get(
             "models", [{"variant": "elastic_net"}]))
         if not models:
             raise ConfigError("at least one model is required")
+        if len({n for n, _ in models if isinstance(n, str)}) < len(models):
+            raise ConfigError("model names must be distinct strings")
         pre = PreprocessingToggles(**doc.get("preprocessing", {}))
         cv = CvConfig(**doc.get("cv", {}))
         window = EpochWindow(**doc.get("epoch_window", {}))
@@ -107,7 +110,5 @@ def load_json(path: str) -> dict:
 def write_echo(cfg: ExperimentConfig, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config_echo.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(echo_experiment(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, echo_experiment(cfg))
     return path

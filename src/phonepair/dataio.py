@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -21,6 +22,35 @@ TASKS = ("production", "listening", "playback")
 
 class DataError(ValueError):
     """Raised for malformed or inconsistent on-disk data."""
+
+
+def _is_a(x, kind) -> bool:
+    """isinstance that does not count a bool as a number."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+_NUMBER_FIELDS = {"int": (Integral, "an integer"), "float": (Real, "a number"),
+                  "float | None": ((Real, type(None)), "null or a number")}
+
+
+def check_numbers(obj, error) -> None:
+    """Raise ``error`` unless each field of the dataclass ``obj`` holds what
+    its annotation (a string, as the modules postpone annotations) names."""
+    for f in fields(obj):
+        if f.type in _NUMBER_FIELDS:
+            kind, what = _NUMBER_FIELDS[f.type]
+            if not _is_a(getattr(obj, f.name), kind):
+                raise error(f"{f.name} must be {what}")
+
+
+def json_text(doc) -> str:
+    """The one JSON layout of every output: sorted keys, indent 2, newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str, doc) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json_text(doc))
 
 
 @dataclass(frozen=True)
@@ -139,9 +169,7 @@ def save_recording(rec: Recording, path: str) -> None:
     }
     with open(path, "wb") as f:
         f.write(payload.tobytes())
-    with open(path + ".json", "w", encoding="utf-8") as f:
-        json.dump(header, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path + ".json", header)
 
 
 def _read_header(sidecar: str) -> tuple[float, int, tuple[ChannelInfo, ...]]:
@@ -270,6 +298,4 @@ def save_manifest(m: Manifest, path: str) -> None:
         "events_path": os.path.relpath(m.events_path, base),
         "sample_rate": m.sample_rate,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc)

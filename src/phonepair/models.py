@@ -16,6 +16,8 @@ import numpy as np
 from scipy import optimize
 from scipy.special import expit
 
+from .dataio import check_numbers
+
 
 class ModelError(ValueError):
     pass
@@ -36,6 +38,14 @@ class TrainConfig:
     patience: int = 10
     val_fraction: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        check_numbers(self, ModelError)
+        if not (self.learning_rate > 0 and self.weight_decay >= 0
+                and self.max_epochs >= 1 and self.patience >= 1
+                and 0 < self.val_fraction < 1):
+            raise ModelError("need learning_rate > 0, weight_decay >= 0, "
+                             "max_epochs, patience >= 1, val_fraction in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in _PREDICTORS:
             raise ModelError(f"unknown model variant {self.variant!r}")
+        check_numbers(self, ModelError)
+        if min(self.kernel, self.stride, self.filters_per_channel) < 1:
+            raise ModelError("kernel, stride and filters_per_channel must be >= 1")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if self.variant == "ffn" and self.hidden_sizes not in ALLOWED_HIDDEN_SIZES:
             raise ModelError(
@@ -68,8 +81,9 @@ class ModelSpec:
         if self.variant == "elastic_net":
             if self.alpha <= 0 or not (0 <= self.l1_ratio <= 1):
                 raise ModelError("need alpha > 0 and l1_ratio in [0, 1]")
-        if self.variant == "svm_rbf" and self.C <= 0:
-            raise ModelError("C must be positive")
+        if self.variant == "svm_rbf" and not (
+                self.C > 0 and (self.gamma is None or self.gamma > 0)):
+            raise ModelError("need C > 0 and gamma null or > 0")
         if self.variant == "lda" and not (0 <= self.shrinkage <= 1):
             raise ModelError("shrinkage must be in [0, 1]")
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -17,11 +16,6 @@ BAND_PASS_LO = 0.2  # Hz, low edge used whenever a band limit is set
 
 class PipelineError(ValueError):
     pass
-
-
-def _is_a(x, kind) -> bool:
-    """isinstance that does not count a bool as a number."""
-    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -40,12 +34,11 @@ class PreprocessingToggles:
         object.__setattr__(self, "sensor_kinds", tuple(kinds))
         if not isinstance(self.wavelet, bool):
             raise PipelineError("wavelet must be true or false")
-        if not (_is_a(self.decimation_factor, Integral)
-                and self.decimation_factor >= 1):
-            raise PipelineError("decimation_factor must be an integer >= 1")
-        if self.band_limit is not None and not (
-                _is_a(self.band_limit, Real) and self.band_limit > 0):
-            raise PipelineError("band_limit must be null or a positive number")
+        dataio.check_numbers(self, PipelineError)
+        if self.decimation_factor < 1:
+            raise PipelineError("decimation_factor must be >= 1")
+        if self.band_limit is not None and self.band_limit <= 0:
+            raise PipelineError("band_limit must be null or positive")
 
 
 @dataclass(frozen=True)
@@ -54,10 +47,9 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_a(self.k, Integral) and self.k >= 2):
-            raise PipelineError("cv k must be an integer >= 2")
-        if not _is_a(self.seed, Integral):
-            raise PipelineError("cv seed must be an integer")
+        dataio.check_numbers(self, PipelineError)
+        if self.k < 2:
+            raise PipelineError("cv k must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -66,9 +58,9 @@ class EpochWindow:
     tmax: float = 0.2
 
     def __post_init__(self):
-        if not (_is_a(self.tmin, Real) and _is_a(self.tmax, Real)
-                and self.tmin < self.tmax):
-            raise PipelineError("epoch_window needs numbers tmin < tmax")
+        dataio.check_numbers(self, PipelineError)
+        if not self.tmin < self.tmax:
+            raise PipelineError("epoch_window needs tmin < tmax")
 
 
 def preprocess(rec: dataio.Recording, toggles: PreprocessingToggles) -> dataio.Recording:

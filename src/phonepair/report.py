@@ -41,14 +41,19 @@ def _cell(row, col):
     return str(v)
 
 
-def write_table_csv(table: ResultTable, path: str) -> None:
-    if not table.rows:
-        raise ReportError(f"refusing to write empty table {table.title!r}")
+def _write_csv(path: str, header, rows: list) -> None:
+    """The one CSV writer: a header line, then one line per row."""
+    if not rows:
+        raise ReportError(f"refusing to write an empty table to {path}")
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(ResultTable.COLUMNS)
-        for row in table.rows:
-            writer.writerow([_cell(row, c) for c in ResultTable.COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_table_csv(table: ResultTable, path: str) -> None:
+    cols = ResultTable.COLUMNS
+    _write_csv(path, cols, [[_cell(r, c) for c in cols] for r in table.rows])
 
 
 def write_table_markdown(table: ResultTable, path: str) -> None:
@@ -87,65 +92,49 @@ def write_table_markdown(table: ResultTable, path: str) -> None:
 def write_fold_rows_csv(rows: list, path: str) -> None:
     """Raw per-fold rows (subject, task, pair, model, configuration, fold,
     accuracy, f1, auc)."""
-    if not rows:
-        raise ReportError("no rows to write")
     cols = ("subject", "task", "pair", "model", "configuration", "fold",
             "accuracy", "f1", "auc")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(cols)
-        for r in rows:
-            writer.writerow([_cell(r, c) for c in cols])
+    _write_csv(path, cols, [[_cell(r, c) for c in cols] for r in rows])
 
 
 def write_pair_matrix(rows: list, path: str) -> None:
     """Phone x phone mean-accuracy matrix (symmetric, empty diagonal)."""
-    if not rows:
-        raise ReportError("no rows to write")
     acc = {}
     for r in rows:
         acc.setdefault(r["pair"], []).append(r["accuracy"])
     means = {pair: float(np.mean(v)) for pair, v in acc.items()}
     phones = sorted({ph for pair in means for ph in pair.split("-")})
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow([""] + phones)
-        for a in phones:
-            row = [a]
-            for b in phones:
-                if a == b:
-                    row.append("")
-                else:
-                    key = "-".join(sorted((a, b)))
-                    row.append(f"{means[key]:.6f}" if key in means else "")
-            writer.writerow(row)
+    matrix = []
+    for a in phones:
+        row = [a]
+        for b in phones:
+            if a == b:
+                row.append("")
+            else:
+                key = "-".join(sorted((a, b)))
+                row.append(f"{means[key]:.6f}" if key in means else "")
+        matrix.append(row)
+    _write_csv(path, [""] + phones, matrix)
 
 
 def write_inventory_csv(counts: dict, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["label", "count"])
-        for label in sorted(counts, key=lambda l: (-counts[l], l)):
-            writer.writerow([label, counts[label]])
+    labels = sorted(counts, key=lambda l: (-counts[l], l))
+    _write_csv(path, ["label", "count"], [[l, counts[l]] for l in labels])
 
 
 def write_reports(table: ResultTable, out_dir: str, stem: str,
                   fold_rows: list | None = None,
                   pair_matrix: bool = False) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    csv_path = os.path.join(out_dir, f"{stem}.csv")
-    write_table_csv(table, csv_path)
-    written.append(csv_path)
-    md_path = os.path.join(out_dir, f"{stem}.md")
-    write_table_markdown(table, md_path)
-    written.append(md_path)
+    outputs = [(".csv", write_table_csv, table),
+               (".md", write_table_markdown, table)]
     if fold_rows:
-        rows_path = os.path.join(out_dir, f"{stem}_folds.csv")
-        write_fold_rows_csv(fold_rows, rows_path)
-        written.append(rows_path)
+        outputs.append(("_folds.csv", write_fold_rows_csv, fold_rows))
         if pair_matrix:
-            mat_path = os.path.join(out_dir, f"{stem}_pair_matrix.csv")
-            write_pair_matrix(fold_rows, mat_path)
-            written.append(mat_path)
+            outputs.append(("_pair_matrix.csv", write_pair_matrix, fold_rows))
+    written = []
+    for suffix, write, content in outputs:
+        path = os.path.join(out_dir, f"{stem}{suffix}")
+        write(content, path)
+        written.append(path)
     return written

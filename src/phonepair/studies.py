@@ -87,6 +87,32 @@ def _comparison(label, rows_a, rows_b, key=PAIRING_KEY):
     return {"label": label, "W": res.W, "p": res.p, "method": res.method}
 
 
+def _groups(rows: list, keys) -> dict:
+    """Rows by (task, configuration, model), one group per key of ``keys``
+    and in that order, not in the order of the sorted rows."""
+    groups = {key: [] for key in keys}
+    for r in rows:
+        groups[r["task"], r["configuration"], r["model"]].append(r)
+    return groups
+
+
+def _table(title: str, groups: dict, versus=None) -> ResultTable:
+    """One summary row per group.  With ``versus``, each other group gets
+    the W and p of a test against it, labelled by the differing key field."""
+    table = ResultTable(title=title)
+    for key, rows in groups.items():
+        task, configuration, model = key
+        row = {"modality": task, "model": model,
+               "configuration": configuration, **summarize(rows)}
+        if versus is not None and key != versus:
+            a, b = next((a, b) for a, b in zip(key, versus) if a != b)
+            comp = _comparison(f"{a} vs {b}", rows, groups[versus])
+            table.comparisons.append(comp)
+            row["W"], row["p"] = comp["W"], comp["p"]
+        table.rows.append(row)
+    return table
+
+
 def run_model_comparison(cfg: ExperimentConfig):
     """Every configured model on production recordings, full preprocessing;
     Wilcoxon of each model against the best one."""
@@ -96,22 +122,10 @@ def run_model_comparison(cfg: ExperimentConfig):
         raise PipelineError("model comparison requires production-task manifests")
     rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", *model)
                            for m in prod for model in cfg.models])
-
-    by_model = {name: [r for r in rows if r["model"] == name]
-                for name, _ in cfg.models}
-    stats = {name: summarize(mr) for name, mr in by_model.items()}
-    best = max(stats, key=lambda n: stats[n]["accuracy_mean"])
-
-    table = ResultTable(title="Model comparison (production)")
-    for name, _ in cfg.models:
-        row = {"modality": "production", "model": name,
-               "configuration": "baseline", **stats[name]}
-        if len(cfg.models) > 1 and name != best:
-            comp = _comparison(f"{name} vs {best}", by_model[name], by_model[best])
-            table.comparisons.append(comp)
-            row["W"], row["p"] = comp["W"], comp["p"]
-        table.rows.append(row)
-    return table, rows
+    groups = _groups(rows, [("production", "baseline", name)
+                            for name, _ in cfg.models])
+    best = max(groups, key=lambda k: summarize(groups[k])["accuracy_mean"])
+    return _table("Model comparison (production)", groups, versus=best), rows
 
 
 def _primary_model(cfg: ExperimentConfig):
@@ -131,14 +145,9 @@ def run_task_comparison(cfg: ExperimentConfig):
     tasks = sorted(by_task)
     rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", *model)
                            for task in tasks for m in by_task[task]])
-    by_modality = {task: [r for r in rows if r["task"] == task]
-                   for task in tasks}
-
-    table = ResultTable(title="Task comparison (elastic net)")
-    for task in tasks:
-        table.rows.append({"modality": task, "model": model[0],
-                           "configuration": "baseline",
-                           **summarize(by_modality[task])})
+    groups = _groups(rows, [(task, "baseline", model[0]) for task in tasks])
+    table = _table("Task comparison (elastic net)", groups)
+    by_modality = dict(zip(tasks, groups.values()))
     for a, b in combinations(tasks, 2):
         # the same subject, pair and fold observed in both modalities
         table.comparisons.append(_comparison(
@@ -178,15 +187,9 @@ def run_band_sweep(cfg: ExperimentConfig):
             kept.append((task, conf_name))
             plan += [(m, minimal, band_pass, conf_name, *model) for m in mans]
     rows = _run_plan(cfg, plan)
-
-    table = ResultTable(title="Frequency-band sweep (elastic net)")
-    for task, conf_name in kept:
-        conf_rows = [r for r in rows if r["task"] == task
-                     and r["configuration"] == conf_name]
-        table.rows.append({"modality": task, "model": model[0],
-                           "configuration": conf_name,
-                           **summarize(conf_rows)})
-    return table, rows
+    groups = _groups(rows, [(task, conf_name, model[0])
+                            for task, conf_name in kept])
+    return _table("Frequency-band sweep (elastic net)", groups), rows
 
 
 ABLATION_BASELINE = "full_model"
@@ -220,19 +223,7 @@ def run_ablation(cfg: ExperimentConfig):
     rows = _run_plan(cfg, [(m, toggles, None, conf_name, name, conf_spec)
                            for conf_name, toggles, conf_spec in configs
                            for m in prod])
-    per_config = {conf_name: [r for r in rows
-                              if r["configuration"] == conf_name]
-                  for conf_name, _, _ in configs}
-
-    table = ResultTable(title="Ablation (production, elastic net)")
-    base_rows = per_config[ABLATION_BASELINE]
-    for conf_name in per_config:
-        row = {"modality": "production", "model": name,
-               "configuration": conf_name, **summarize(per_config[conf_name])}
-        if conf_name != ABLATION_BASELINE:
-            comp = _comparison(f"{conf_name} vs {ABLATION_BASELINE}",
-                               per_config[conf_name], base_rows)
-            table.comparisons.append(comp)
-            row["W"], row["p"] = comp["W"], comp["p"]
-        table.rows.append(row)
-    return table, rows
+    groups = _groups(rows, [("production", conf_name, name)
+                            for conf_name, _, _ in configs])
+    return _table("Ablation (production, elastic net)", groups,
+                  versus=("production", ABLATION_BASELINE, name)), rows

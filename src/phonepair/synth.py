@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .dataio import ChannelInfo, Event, EventTable, Recording
+from .dataio import ChannelInfo, Event, EventTable, Recording, check_numbers
 
 
 class SynthError(ValueError):
@@ -36,9 +36,16 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "phones", tuple((str(l), int(c)) for l, c in self.phones)
-        )
+        check_numbers(self, SynthError)
+        if not (0 < self.duration < np.inf and 0 < self.fs < np.inf
+                and self.n_channels >= 1 and self.n_magnetometers >= 0):
+            raise SynthError("need finite duration and fs > 0, n_channels "
+                             ">= 1 and n_magnetometers >= 0")
+        try:
+            phones = tuple((str(l), int(c)) for l, c in self.phones)
+        except (TypeError, ValueError) as exc:
+            raise SynthError(f"phones must be [label, count] pairs: {exc}") from exc
+        object.__setattr__(self, "phones", phones)
         if any(c < 1 for _, c in self.phones):
             raise SynthError("phone counts must be >= 1")
         if self.snr < 0:

@@ -320,7 +320,24 @@ class TestExitCodes:
         ("preprocessing", {"sensor_kinds": ["eeg"]}),
         ("preprocessing", {"sensor_kinds": []}),
         ("preprocessing", {"wavelet": "no"}),
-        ("preprocessing", {"decimation_factor": 2.5})])
+        ("preprocessing", {"decimation_factor": 2.5}),
+        ("models", [{"variant": "elastic_net"}, {"variant": "elastic_net"}]),
+        ("models", [{"variant": "elastic_net", "name": 5},
+                    {"variant": "lda", "name": "x"}]),
+        ("models", [{"variant": "ffn", "train": {"max_epochs": "x"}}]),
+        ("models", [{"variant": "ffn", "train": {"max_epochs": 0}}]),
+        ("models", [{"variant": "ffn", "train": {"patience": 0}}]),
+        ("models", [{"variant": "ffn", "train": {"learning_rate": "x"}}]),
+        ("models", [{"variant": "ffn", "train": {"learning_rate": 0}}]),
+        ("models", [{"variant": "ffn", "train": {"weight_decay": -1}}]),
+        ("models", [{"variant": "ffn", "train": {"val_fraction": 5}}]),
+        ("models", [{"variant": "ffn", "train": {"seed": 1.5}}]),
+        ("models", [{"variant": "cnn", "kernel": "x"}]),
+        ("models", [{"variant": "cnn", "kernel": 0}]),
+        ("models", [{"variant": "cnn", "stride": 2.5}]),
+        ("models", [{"variant": "svm_rbf", "gamma": "x"}]),
+        ("models", [{"variant": "svm_rbf", "gamma": 0}]),
+        ("models", [{"variant": "elastic_net", "alpha": True}])])
     def test_malformed_study_config(self, cli_corpus, tmp_path, capsys, key,
                                     value):
         _, manifests = cli_corpus
@@ -329,9 +346,62 @@ class TestExitCodes:
         cfg = write_json(tmp_path / "bad.json", doc)
         # every command that reads the key rejects it the same way
         commands = {"manifests": ("ablate", "preprocess", "report"),
-                    "preprocessing": ("ablate", "preprocess")}
+                    "preprocessing": ("ablate", "preprocess"),
+                    "models": ("run-models",)}
         for command in commands.get(key, ("ablate",)):
             assert main([command, "--config", cfg,
                          "--out", str(tmp_path / "o")]) == EXIT_CONFIG, command
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [
+        [], {"recordings": [5]},
+        {"recordings": [{"duration": "x"}]},
+        {"recordings": [{"duration": 20, "n_channels": 0}]},
+        {"recordings": [{"duration": 20, "n_channels": 4, "fs": True}]},
+        {"recordings": [{"duration": 20, "n_channels": 4,
+                         "phones": [["a", 0]]}]},
+        {"recordings": [{"duration": 20, "n_channels": 4,
+                         "phones": [["a"]]}]},
+        # too short for the planted events
+        {"recordings": [{"duration": 1, "n_channels": 4}]}])
+    def test_malformed_synth_config(self, tmp_path, capsys, doc):
+        cfg = write_json(tmp_path / "bad.json", doc)
+        assert main(["synth", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("change", [
+        None, {"window": "x"}, {"window": None}, {"window": True},
+        {"misc": 5}])
+    def test_malformed_align_config(self, cli_corpus, tmp_path, capsys,
+                                    change):
+        _, manifests = cli_corpus
+        rec_path = dataio.load_manifest(manifests[0]).recording_path
+        # None stands for a config that is not an object at all
+        doc = ([] if change is None
+               else {"misc": rec_path, "audio": rec_path, **change})
+        cfg = write_json(tmp_path / "bad.json", doc)
+        assert main(["align", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,flag", [
+        ("align", "--seed"), ("preprocess", "--seed"), ("report", "--seed"),
+        ("synth", "--jobs"), ("align", "--jobs"), ("preprocess", "--jobs"),
+        ("report", "--jobs")])
+    def test_flags_a_command_ignores_are_rejected(self, cli_corpus, tmp_path,
+                                                  capsys, command, flag):
+        # a config the command accepts, so only the flag can fail it
+        _, manifests = cli_corpus
+        rec_path = dataio.load_manifest(manifests[0]).recording_path
+        cfg = write_json(tmp_path / "c.json", {
+            "synth": SYNTH_DOC, "align": {"misc": rec_path, "audio": rec_path},
+        }.get(command, {"manifests": manifests[:1]}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                  flag, "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err

@@ -223,6 +223,23 @@ class TestStudies:
         assert len(rows) == 12
         assert rows == sort_rows(rows)
 
+    def test_model_comparison_keeps_configured_order(self, corpus):
+        # rows come back sorted by model name; the table must not be
+        names = ["zz_lda", "mm_elastic_net", "aa_svm"]
+        specs = [ModelSpec("lda"), ModelSpec("elastic_net"),
+                 ModelSpec("svm_rbf")]
+        cfg = exp_config(corpus["production"], models=tuple(zip(names, specs)))
+        table, rows = studies.run_model_comparison(cfg)
+        assert [r["model"] for r in table.rows] == names
+        best = max(table.rows, key=lambda r: r["accuracy_mean"])["model"]
+        others = [n for n in names if n != best]
+        assert [c["label"] for c in table.comparisons] == [
+            f"{n} vs {best}" for n in others]
+        for r, c in zip([r for r in table.rows if r["model"] != best],
+                        table.comparisons):
+            assert (r["W"], r["p"]) == (c["W"], c["p"])
+        assert "W" not in next(r for r in table.rows if r["model"] == best)
+
     def test_model_comparison_needs_production(self, corpus):
         cfg = exp_config(corpus["listening"])
         with pytest.raises(PipelineError, match="production"):
@@ -290,6 +307,10 @@ class TestStudies:
             "no_decimation", "no_l1_ridge", "no_l2_lasso", "no_beta_filter",
         ]
         assert len(table.comparisons) == 7
+        assert [c["label"] for c in table.comparisons] == [
+            f"{c} vs full_model" for c in configs[1:]]
+        assert [r.get("p") for r in table.rows] == [
+            None, *(c["p"] for c in table.comparisons)]
 
     def test_parallel_matches_serial(self, mag_corpus):
         for study in (studies.run_model_comparison, studies.run_ablation,
