@@ -490,15 +490,28 @@ class CnnNet:
         }
 
     def _windows(self, X):
+        """[n, C, P, k] windows, C-contiguous (the einsum weight gradient
+        runs several times slower on a strided view)."""
         x = X.reshape(-1, self.C, self.T)
+        if self.k == self.s:
+            # abutting windows: drop the tail, then split the time axis
+            return np.ascontiguousarray(
+                x[:, :, :self.P * self.k].reshape(len(x), self.C, self.P, self.k))
         return np.stack(
             [x[:, :, p * self.s: p * self.s + self.k] for p in range(self.P)], axis=2
-        )  # [n, C, P, k]
+        )
 
     def forward(self, params, X):
         Xw = self._windows(X)
-        conv = Xw @ params["Wc"].T + params["bc"]          # [n, C, P, F]
-        h = conv.reshape(len(conv), -1)                    # order: C, P, F
+        if self.P > 1 and self.F > 1:
+            # one GEMM over all n*C*P windows; numpy would run one per
+            # (n, c), and both sum each window in the same order
+            conv = Xw.reshape(-1, self.k) @ params["Wc"].T + params["bc"]
+        else:
+            # numpy sends 1-row or 1-column products to gemv, whose sums
+            # round differently from the one GEMM's
+            conv = Xw @ params["Wc"].T + params["bc"]      # [n, C, P, F]
+        h = conv.reshape(len(Xw), -1)                      # order: C, P, F
         return h @ params["Wl"] + params["bl"], (Xw, h)
 
     def loss_and_grads(self, params, X, y):
@@ -529,7 +542,61 @@ def _stratified_holdout(y, val_fraction, rng):
     return ~val_mask, val_mask
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Elements per AdamW block: the p, g, m and v blocks and two scratch blocks
+# (6 x 256 KiB) stay in a 2 MiB L2 cache between the ufuncs of one block.
+ADAMW_BLOCK = 1 << 15
+
+
+def _adamw_step(p, g, m, v, scratch, t, lr, decay=None):
+    """AdamW step number ``t`` (from 1), in place on ``p``, ``m`` and ``v``.
+
+    Runs the out-of-place update
+
+        m = beta1*m + (1-beta1)*g
+        v = beta2*v + (1-beta2)*g*g
+        p = p - lr*(m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps)
+        p = p - decay*p                     # weights only; decay = lr*wd
+
+    with the same operations in the same order (a scalar times an array
+    commutes exactly), so it is bitwise equal, and allocates nothing.
+    ``p``, ``m`` and ``v`` are C-contiguous, so their flat reshapes are
+    views; each is walked in ADAMW_BLOCK pieces.  ``scratch`` is [2, >=
+    min(p.size, ADAMW_BLOCK)].
+    """
+    c1, c2 = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
+    pf, gf, mf, vf = (a.reshape(-1) for a in (p, g, m, v))
+    for lo in range(0, pf.size, ADAMW_BLOCK):
+        blk = slice(lo, lo + ADAMW_BLOCK)
+        pb, gb, mb, vb = pf[blk], gf[blk], mf[blk], vf[blk]
+        a, b = scratch[0, :len(pb)], scratch[1, :len(pb)]
+        mb *= ADAM_BETA1
+        np.multiply(gb, 1 - ADAM_BETA1, out=a)
+        mb += a
+        vb *= ADAM_BETA2
+        np.multiply(gb, 1 - ADAM_BETA2, out=a)
+        a *= gb
+        vb += a
+        np.divide(mb, c1, out=a)
+        a *= lr
+        np.divide(vb, c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        pb -= a
+        if decay is not None:
+            np.multiply(pb, decay, out=a)
+            pb -= a
+
+
 def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
+    """Full-batch AdamW on the training split; keeps the parameters of the
+    epoch with the lowest validation loss and stops after ``patience``
+    epochs without improvement.
+
+    Allocates nothing per epoch outside the forward and backward passes:
+    the moments, two scratch blocks for ``_adamw_step`` and the best
+    parameters (refreshed with ``np.copyto``) are allocated once."""
     if len(y) < 10:
         raise ModelError("need at least 10 samples to hold out a validation set")
     rng = np.random.default_rng(cfg.seed)
@@ -537,12 +604,13 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
     train_mask, val_mask = _stratified_holdout(y, cfg.val_fraction, rng)
     Xt, yt = X[train_mask], y[train_mask]
     Xv, yv = X[val_mask], y[val_mask]
-    weight_names = set(net.weight_names())
+    decay = {k: cfg.learning_rate * cfg.weight_decay
+             for k in net.weight_names()}
 
-    m = {k: np.zeros_like(v) for k, v in params.items()}
+    m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    lr, wd = cfg.learning_rate, cfg.weight_decay
+    scratch = np.empty(
+        (2, min(ADAMW_BLOCK, max(p.size for p in params.values()))))
 
     train_log, val_log = [], []
     best_loss = np.inf
@@ -552,21 +620,17 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
     for epoch in range(1, cfg.max_epochs + 1):
         loss, grads = net.loss_and_grads(params, Xt, yt)
         train_log.append(float(loss))
-        for k in params:
-            g = grads[k]
-            m[k] = beta1 * m[k] + (1 - beta1) * g
-            v[k] = beta2 * v[k] + (1 - beta2) * g * g
-            mhat = m[k] / (1 - beta1 ** epoch)
-            vhat = v[k] / (1 - beta2 ** epoch)
-            params[k] = params[k] - lr * mhat / (np.sqrt(vhat) + eps)
-            if k in weight_names:
-                params[k] = params[k] - lr * wd * params[k]
+        for k, p in params.items():
+            _adamw_step(p, grads[k], m[k], v[k], scratch, epoch,
+                        cfg.learning_rate, decay.get(k))
+        del grads  # so the next epoch's gradients do not coexist with them
         vlogits, _ = net.forward(params, Xv)
         vloss, _ = _softmax_ce(vlogits, yv)
         val_log.append(float(vloss))
         if vloss < best_loss - 1e-12:
             best_loss = float(vloss)
-            best_params = {k: p.copy() for k, p in params.items()}
+            for k, p in params.items():
+                np.copyto(best_params[k], p)
             best_epoch = epoch
             since_best = 0
         else:

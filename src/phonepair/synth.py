@@ -5,11 +5,13 @@ for end-to-end pipeline tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from . import dsp
-from .dataio import ChannelInfo, Event, EventTable, Recording, check_numbers
+from .dataio import (ChannelInfo, Event, EventTable, Recording, _is_a,
+                     check_numbers)
 
 
 class SynthError(ValueError):
@@ -42,12 +44,18 @@ class SynthSpec:
             raise SynthError("need finite duration and fs > 0, n_channels "
                              ">= 1 and n_magnetometers >= 0")
         try:
-            phones = tuple((str(l), int(c)) for l, c in self.phones)
+            phones = tuple((str(l), c) for l, c in self.phones)
         except (TypeError, ValueError) as exc:
             raise SynthError(f"phones must be [label, count] pairs: {exc}") from exc
+        if not all(_is_a(c, Integral) and c >= 1 for _, c in phones):
+            raise SynthError("phone counts must be integers >= 1")
         object.__setattr__(self, "phones", phones)
-        if any(c < 1 for _, c in self.phones):
-            raise SynthError("phone counts must be >= 1")
+        try:
+            hi = dsp.band_spec(self.band)[1]
+        except dsp.DspError as exc:
+            raise SynthError(str(exc)) from exc
+        if hi >= self.fs / 2:
+            raise SynthError(f"band {self.band} exceeds Nyquist for fs={self.fs}")
         if self.snr < 0:
             raise SynthError("snr must be >= 0")
         if not (0 < self.active_fraction <= 1):
@@ -69,8 +77,6 @@ def _one_over_f_noise(rng: np.random.Generator, n: int, fs: float) -> np.ndarray
 def _band_template(rng: np.random.Generator, band: str, fs: float) -> np.ndarray:
     """Unit-RMS Hann-tapered burst of sinusoids inside the requested band."""
     lo, hi = dsp.band_spec(band)
-    if hi >= fs / 2:
-        raise SynthError(f"band {band} exceeds Nyquist for fs={fs}")
     n = int(round(TEMPLATE_SPAN * fs))
     t = np.arange(n) / fs
     template = np.zeros(n)

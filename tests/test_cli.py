@@ -363,6 +363,13 @@ class TestExitCodes:
                          "phones": [["a", 0]]}]},
         {"recordings": [{"duration": 20, "n_channels": 4,
                          "phones": [["a"]]}]},
+        # counts that are not integers, not truncated or read as 1
+        {"recordings": [{"duration": 20, "n_channels": 4,
+                         "phones": [["a", 24.9]]}]},
+        {"recordings": [{"duration": 20, "n_channels": 4,
+                         "phones": [["a", True]]}]},
+        # a band name is config, not data
+        {"recordings": [{"duration": 20, "n_channels": 4, "band": "Foo"}]},
         # too short for the planted events
         {"recordings": [{"duration": 1, "n_channels": 4}]}])
     def test_malformed_synth_config(self, tmp_path, capsys, doc):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -462,6 +464,99 @@ class TestNeuralTraining:
         X, y = two_blobs(rng, n_per=10, p=20)
         with pytest.raises(ModelError, match="n_channels"):
             train(ModelSpec("cnn"), X, y)
+
+
+def adamw_out_of_place(p, g, m, v, t, lr, wd, is_weight):
+    """The AdamW update written with whole-array temporaries."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = beta1 * m + (1 - beta1) * g
+    v = beta2 * v + (1 - beta2) * g * g
+    mhat = m / (1 - beta1 ** t)
+    vhat = v / (1 - beta2 ** t)
+    p = p - lr * mhat / (np.sqrt(vhat) + eps)
+    if is_weight:
+        p = p - lr * wd * p
+    return p, m, v
+
+
+class TestInPlaceUpdate:
+    @pytest.mark.parametrize("is_weight", [True, False])
+    def test_adamw_step_is_bitwise_the_out_of_place_update(self, rng,
+                                                           is_weight):
+        # two full blocks and a tail block
+        shape = (3, (2 * models.ADAMW_BLOCK + 1234) // 3)
+        assert np.prod(shape) % models.ADAMW_BLOCK != 0
+        lr, wd = 3e-3, 1e-2
+        p = rng.standard_normal(shape)
+        m, v = np.zeros(shape), np.zeros(shape)
+        rp, rm, rv = p.copy(), m.copy(), v.copy()
+        scratch = np.empty((2, models.ADAMW_BLOCK))
+        for t in (1, 2, 3):
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 2)
+            models._adamw_step(p, g, m, v, scratch, t, lr,
+                               lr * wd if is_weight else None)
+            rp, rm, rv = adamw_out_of_place(rp, g, rm, rv, t, lr, wd,
+                                            is_weight)
+            for got, want in zip((p, m, v), (rp, rm, rv)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_early_stopped_params_are_not_touched_by_later_epochs(self, rng):
+        X, y = two_blobs(rng, n_per=25, p=4, sep=2.0)
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=120, patience=5,
+                          seed=2)
+        spec = ModelSpec("ffn", hidden_sizes=(1024,), train=cfg)
+        full = train(spec, X, y)
+        assert full.best_epoch < len(full.val_log)  # patience fired
+        cut = train(ModelSpec("ffn", hidden_sizes=(1024,), train=TrainConfig(
+            learning_rate=0.01, max_epochs=full.best_epoch, patience=5,
+            seed=2)), X, y)
+        assert cut.best_epoch == full.best_epoch
+        assert full.params.keys() == cut.params.keys()
+        for k in full.params:
+            assert full.params[k].tobytes() == cut.params[k].tobytes()
+
+    @pytest.mark.parametrize("T,kernel,stride", [
+        (31, 10, 10),    # kernel == stride, T % kernel != 0
+        (30, 10, 10),    # kernel == stride, no tail
+        (31, 5, 3),      # overlapping windows
+        (31, 3, 5)])     # gaps between windows
+    def test_windows_equal_stacked_slices(self, rng, T, kernel, stride):
+        C, n = 3, 4
+        net = CnnNet(C, T, kernel=kernel, stride=stride, filters=2)
+        X = rng.standard_normal((n, C * T))
+        x = X.reshape(n, C, T)
+        want = np.stack([x[:, :, p * stride: p * stride + kernel]
+                         for p in range(net.P)], axis=2)
+        got = net._windows(X)
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("T,filters", [(31, 8), (15, 8), (31, 1)])
+    def test_cnn_conv_equals_per_window_products(self, rng, T, filters):
+        # the conv must sum each window as numpy's batched matmul does,
+        # whichever BLAS call it makes
+        net = CnnNet(5, T, kernel=10, stride=10, filters=filters)
+        params = net.init_params(rng)
+        params["bc"] = rng.standard_normal(filters)
+        X = rng.standard_normal((7, 5 * T))
+        _, (Xw, h) = net.forward(params, X)
+        want = (Xw @ params["Wc"].T + params["bc"]).reshape(7, -1)
+        assert h.tobytes() == want.tobytes()
+
+    def test_ffn_memory_peak_stays_below_seven_parameter_copies(self, rng):
+        X, y = two_blobs(rng, n_per=30, p=400)
+        spec = ModelSpec("ffn", hidden_sizes=(2048, 1024), train=TrainConfig(
+            learning_rate=1e-3, max_epochs=5, patience=5))
+        tracemalloc.start()
+        try:
+            model = train(spec, X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.val_log) == 5
+        param_bytes = sum(p.nbytes for p in model.params.values())
+        # params, moments, best copy and one set of gradients make 5
+        assert peak < 7 * param_bytes
 
 
 # ---------------------------------------------------------------------------
