@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from numbers import Real
 
 from . import dataio, synth as synthmod
@@ -74,16 +75,16 @@ def _cmd_synth(args) -> int:
 
 def _cmd_align(args) -> int:
     doc = load_json(args.config)
-    if not (isinstance(doc, dict) and isinstance(doc.get("misc"), str)
-            and isinstance(doc.get("audio"), str)
-            and _is_a(doc.get("window", 2.0), Real)):
+    window = doc.get("window", 2.0) if isinstance(doc, dict) else None
+    if not (_is_a(window, Real) and isinstance(doc.get("misc"), str)
+            and isinstance(doc.get("audio"), str)):
         raise ConfigError("align config needs 'misc' and 'audio' paths and "
                           "a numeric 'window'")
     misc, audio = (dataio.load_recording(doc[k]) for k in ("misc", "audio"))
     if misc.sample_rate != audio.sample_rate:
         raise DataError("misc and audio must share a sampling rate")
     result = align(misc.data[0], audio.data[0], misc.sample_rate,
-                   float(doc.get("window", 2.0)))
+                   float(window))
     out_doc = {
         "delay": result.delay,
         "peak_correlation": result.peak_correlation,
@@ -132,12 +133,10 @@ def _run_study(args, study, stem: str, pair_matrix: bool = False) -> int:
 
 def _cmd_report(args) -> int:
     manifests = nonempty_list(load_json(args.config), "manifests", str, "paths")
-    totals: dict = {}
+    totals = Counter()
     for path in manifests:
         man = dataio.load_manifest(path)
-        events = dataio.load_events(man.events_path)
-        for label in events.labels():
-            totals[label] = totals.get(label, 0) + 1
+        totals.update(dataio.load_events(man.events_path).labels())
     if not totals:
         raise ReportError("no events found; refusing to write an empty report")
     counts = {lab: c / len(manifests) for lab, c in totals.items()}

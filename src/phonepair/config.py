@@ -58,29 +58,22 @@ def parse_experiment(doc: dict, base_dir: str = ".", seed: int | None = None,
             raise ConfigError("at least one model is required")
         if len({n for n, _ in models if isinstance(n, str)}) < len(models):
             raise ConfigError("model names must be distinct strings")
-        pre = PreprocessingToggles(**doc.get("preprocessing", {}))
         cv = CvConfig(**doc.get("cv", {}))
-        window = EpochWindow(**doc.get("epoch_window", {}))
-        phone_pairs = doc.get("phone_pairs", "auto")
-        if phone_pairs != "auto":
-            phone_pairs = tuple(tuple(p) for p in phone_pairs)
-        min_count = int(doc.get("min_count", 50))
+        if seed is not None:
+            cv = replace(cv, seed=seed)
+        return ExperimentConfig(
+            manifests=manifests,
+            models=models,
+            preprocessing=PreprocessingToggles(**doc.get("preprocessing", {})),
+            cv=cv,
+            window=EpochWindow(**doc.get("epoch_window", {})),
+            jobs=jobs,
+            **{k: doc[k] for k in ("phone_pairs", "min_count") if k in doc},
+        )
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
-    if seed is not None:
-        cv = replace(cv, seed=seed)
-    return ExperimentConfig(
-        manifests=manifests,
-        models=models,
-        phone_pairs=phone_pairs,
-        preprocessing=pre,
-        cv=cv,
-        min_count=min_count,
-        window=window,
-        jobs=jobs,
-    )
 
 
 def echo_experiment(cfg: ExperimentConfig) -> dict:

@@ -9,6 +9,7 @@ the sample rate and channel list.  Events are UTF-8 TSV files with an
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
@@ -25,12 +26,16 @@ class DataError(ValueError):
 
 
 def _is_a(x, kind) -> bool:
-    """isinstance that does not count a bool as a number."""
-    return isinstance(x, kind) and not isinstance(x, bool)
+    """isinstance that does not count a bool, NaN or an infinity (JSON
+    parsing accepts both) as a number.  Comparing, unlike math.isfinite,
+    takes an int of any size."""
+    return (isinstance(x, kind) and not isinstance(x, bool)
+            and x == x and x not in (math.inf, -math.inf))
 
 
-_NUMBER_FIELDS = {"int": (Integral, "an integer"), "float": (Real, "a number"),
-                  "float | None": ((Real, type(None)), "null or a number")}
+_NUMBER_FIELDS = {"int": (Integral, "an integer"),
+                  "float": (Real, "a finite number"),
+                  "float | None": ((Real, type(None)), "null or a finite number")}
 
 
 def check_numbers(obj, error) -> None:

@@ -260,26 +260,20 @@ def wavelet_denoise_recording(rec: Recording) -> Recording:
 STD_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class ZScoreStats:
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def compute_zscore_stats(X: np.ndarray) -> ZScoreStats:
+def compute_zscore_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (mean, std), the std floored at ``STD_FLOOR``."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DspError("need a 2-D matrix with at least 2 rows for z-score stats")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std = np.maximum(std, STD_FLOOR)
-    return ZScoreStats(mean=mean, std=std)
+    return X.mean(axis=0), np.maximum(X.std(axis=0), STD_FLOOR)
 
 
-def apply_zscore(X: np.ndarray, stats: ZScoreStats) -> np.ndarray:
+def apply_zscore(X: np.ndarray, stats: tuple) -> np.ndarray:
+    """Z-score X with the (mean, std) of :func:`compute_zscore_stats`."""
     X = np.asarray(X, dtype=float)
-    if X.shape[1] != len(stats.mean):
+    mean, std = stats
+    if X.shape[1] != len(mean):
         raise DspError(
-            f"feature dimension {X.shape[1]} does not match stats {len(stats.mean)}"
+            f"feature dimension {X.shape[1]} does not match stats {len(mean)}"
         )
-    return (X - stats.mean) / stats.std
+    return (X - mean) / std

@@ -15,22 +15,10 @@ class EpochError(ValueError):
     pass
 
 
-DEFAULT_TMIN = -0.1
-DEFAULT_TMAX = 0.2
-DEFAULT_MIN_COUNT = 50
-
-
 @dataclass(frozen=True)
 class Epoch:
     data: np.ndarray  # [n_channels, n_times], baseline-corrected
     label: str
-    onset: float
-
-
-@dataclass(frozen=True)
-class PhoneInventory:
-    counts: dict
-    selected: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -38,25 +26,22 @@ class PairDataset:
     X: np.ndarray  # [n_epochs, n_channels * n_times], channel-major rows
     y: np.ndarray  # {0, 1}
     pair: tuple[str, str]
-    seed: int
     n_channels: int
     n_times: int
 
 
-def count_phones(events: EventTable, min_count: int = DEFAULT_MIN_COUNT) -> PhoneInventory:
-    """Occurrence counts per label; ``selected`` keeps labels reaching
-    ``min_count``, most frequent first."""
+def count_phones(events: EventTable, min_count: int) -> tuple[str, ...]:
+    """Labels occurring at least ``min_count`` times, most frequent first."""
     counts = Counter(events.labels())
     selected = [lab for lab, c in counts.items() if c >= min_count]
-    selected.sort(key=lambda lab: (-counts[lab], lab))
-    return PhoneInventory(counts=dict(counts), selected=tuple(selected))
+    return tuple(sorted(selected, key=lambda lab: (-counts[lab], lab)))
 
 
 def extract_epochs(
     rec: Recording,
     events: EventTable,
-    tmin: float = DEFAULT_TMIN,
-    tmax: float = DEFAULT_TMAX,
+    tmin: float,
+    tmax: float,
 ) -> tuple[list[Epoch], int]:
     """Cut one window per event and subtract the per-channel pre-onset mean.
 
@@ -82,52 +67,34 @@ def extract_epochs(
         window = rec.data[:, start: start + n_times].astype(float)
         if n_baseline > 0:
             window = window - window[:, :n_baseline].mean(axis=1, keepdims=True)
-        epochs.append(Epoch(data=window, label=ev.label, onset=ev.onset))
+        epochs.append(Epoch(data=window, label=ev.label))
     return epochs, skipped
 
 
-def flatten_epoch(epoch_data: np.ndarray) -> np.ndarray:
-    """Channel-major row vector; inverse of :func:`unflatten_epoch`."""
-    return np.asarray(epoch_data).reshape(-1)
-
-
-def unflatten_epoch(row: np.ndarray, n_channels: int, n_times: int) -> np.ndarray:
-    return np.asarray(row).reshape(n_channels, n_times)
-
-
-def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int = 0) -> PairDataset:
+def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int) -> PairDataset:
     """Balanced binary dataset for one phone pair.
 
     The majority class is down-sampled uniformly at random (seeded) and the
     rows are shuffled deterministically.  Label 0 goes to the
-    lexicographically smaller phone.
+    lexicographically smaller phone.  A row is an epoch's data flattened
+    channel-major.
     """
-    lo, hi = sorted((phone_a, phone_b))
-    group0 = [e for e in epochs if e.label == lo]
-    group1 = [e for e in epochs if e.label == hi]
-    if not group0 or not group1:
-        missing = lo if not group0 else hi
-        raise EpochError(f"no epochs for phone {missing!r}")
+    pair = tuple(sorted((phone_a, phone_b)))
+    groups = [[e for e in epochs if e.label == phone] for phone in pair]
+    for phone, group in zip(pair, groups):
+        if not group:
+            raise EpochError(f"no epochs for phone {phone!r}")
     rng = np.random.default_rng(seed)
-    m = min(len(group0), len(group1))
-
-    def _subsample(group):
-        if len(group) == m:
-            return list(group)
-        idx = rng.choice(len(group), size=m, replace=False)
-        return [group[i] for i in sorted(idx)]
-
-    group0 = _subsample(group0)
-    group1 = _subsample(group1)
-    rows = [(flatten_epoch(e.data), 0) for e in group0] + [
-        (flatten_epoch(e.data), 1) for e in group1
-    ]
-    order = rng.permutation(len(rows))
-    X = np.vstack([rows[i][0] for i in order])
-    y = np.array([rows[i][1] for i in order], dtype=int)
+    m = min(map(len, groups))
+    kept = []  # m epochs of label 0, then m of label 1
+    for group in groups:
+        idx = (range(m) if len(group) == m
+               else sorted(rng.choice(len(group), size=m, replace=False)))
+        kept += [group[i] for i in idx]
+    order = rng.permutation(2 * m)
+    X = np.stack([kept[i].data.reshape(-1) for i in order])
     if not np.all(np.isfinite(X)):
         raise EpochError("pair dataset contains non-finite values")
-    n_channels, n_times = group0[0].data.shape
-    return PairDataset(
-        X=X, y=y, pair=(lo, hi), seed=seed, n_channels=n_channels, n_times=n_times
-    )
+    n_channels, n_times = kept[0].data.shape
+    return PairDataset(X=X, y=(order >= m).astype(int), pair=pair,
+                       n_channels=n_channels, n_times=n_times)

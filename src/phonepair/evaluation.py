@@ -21,20 +21,6 @@ EXACT_WILCOXON_MAX_N = 25
 
 
 @dataclass(frozen=True)
-class FoldSplit:
-    k: int
-    assignments: np.ndarray  # per-row fold index in [0, k)
-    seed: int
-
-
-@dataclass(frozen=True)
-class MetricSet:
-    accuracy: float
-    f1: float
-    auc: float
-
-
-@dataclass(frozen=True)
 class TestResult:
     W: float
     p: float
@@ -42,8 +28,9 @@ class TestResult:
     method: str  # "exact" | "normal_approx"
 
 
-def kfold(y, k: int = 5, seed: int = 0) -> FoldSplit:
-    """Deterministic stratified fold assignment.
+def kfold(y, k: int, seed: int) -> np.ndarray:
+    """Deterministic stratified fold assignment: the fold index in [0, k)
+    of each row.
 
     Rows of each class are shuffled with the seed and dealt round-robin;
     a running counter across classes keeps overall fold sizes within 1.
@@ -61,7 +48,7 @@ def kfold(y, k: int = 5, seed: int = 0) -> FoldSplit:
         for i in idx:
             assignments[i] = counter % k
             counter += 1
-    return FoldSplit(k=k, assignments=assignments, seed=seed)
+    return assignments
 
 
 def _rankdata(v: np.ndarray) -> np.ndarray:
@@ -101,8 +88,9 @@ def _binary_f1(y_true, y_pred, positive):
     return 2.0 * tp / (2 * tp + fp + fn)
 
 
-def metrics(y_true, scores, threshold: float = 0.5) -> MetricSet:
-    """Accuracy, macro-averaged F1 and rank AUC from class-1 scores."""
+def metrics(y_true, scores, threshold: float = 0.5) -> dict:
+    """Accuracy, macro-averaged F1 and rank AUC from class-1 scores, as
+    ``{"accuracy", "f1", "auc"}``."""
     y_true = np.asarray(y_true)
     scores = np.asarray(scores, dtype=float)
     if len(y_true) != len(scores):
@@ -110,7 +98,8 @@ def metrics(y_true, scores, threshold: float = 0.5) -> MetricSet:
     y_pred = (scores >= threshold).astype(int)
     accuracy = float(np.mean(y_pred == y_true))
     f1 = 0.5 * (_binary_f1(y_true, y_pred, 0) + _binary_f1(y_true, y_pred, 1))
-    return MetricSet(accuracy=accuracy, f1=float(f1), auc=float(auc_score(y_true, scores)))
+    return {"accuracy": accuracy, "f1": float(f1),
+            "auc": float(auc_score(y_true, scores))}
 
 
 def _exact_signed_rank_p(ranks: np.ndarray, w: float) -> float:
@@ -172,14 +161,14 @@ def wilcoxon(a, b) -> TestResult:
 
 
 def evaluate(spec: models.ModelSpec, ds: PairDataset,
-             split: FoldSplit) -> list[MetricSet]:
-    """One MetricSet per fold, with fold-local z-scoring (no test-row
-    leakage)."""
-    if len(split.assignments) != len(ds.y):
+             folds: np.ndarray) -> list[dict]:
+    """One :func:`metrics` dict per fold of the per-row fold indices
+    ``folds``, with fold-local z-scoring (no test-row leakage)."""
+    if len(folds) != len(ds.y):
         raise EvalError("fold split does not match dataset size")
     per_fold = []
-    for fold in range(split.k):
-        test_mask = split.assignments == fold
+    for fold in range(folds.max() + 1):
+        test_mask = folds == fold
         train_mask = ~test_mask
         X_train, y_train = ds.X[train_mask], ds.y[train_mask]
         X_test, y_test = ds.X[test_mask], ds.y[test_mask]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize
 from scipy.special import expit
 
@@ -493,13 +494,8 @@ class CnnNet:
         """[n, C, P, k] windows, C-contiguous (the einsum weight gradient
         runs several times slower on a strided view)."""
         x = X.reshape(-1, self.C, self.T)
-        if self.k == self.s:
-            # abutting windows: drop the tail, then split the time axis
-            return np.ascontiguousarray(
-                x[:, :, :self.P * self.k].reshape(len(x), self.C, self.P, self.k))
-        return np.stack(
-            [x[:, :, p * self.s: p * self.s + self.k] for p in range(self.P)], axis=2
-        )
+        return np.ascontiguousarray(
+            sliding_window_view(x, self.k, axis=2)[:, :, ::self.s])
 
     def forward(self, params, X):
         Xw = self._windows(X)

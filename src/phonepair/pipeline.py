@@ -77,13 +77,17 @@ def preprocess(rec: dataio.Recording, toggles: PreprocessingToggles) -> dataio.R
     return rec
 
 
-def resolve_pairs(phone_pairs, inventory) -> list[tuple[str, str]]:
-    """Explicit pair list, or all pairs over the selected inventory."""
+def resolve_pairs(phone_pairs, selected) -> list[tuple[str, str]]:
+    """Explicit pairs of two distinct labels, each sorted, or "auto": all
+    pairs over the ``selected`` labels."""
     if phone_pairs == "auto":
-        return [tuple(sorted(p)) for p in combinations(sorted(inventory.selected), 2)]
+        return list(combinations(sorted(selected), 2))
+    if not isinstance(phone_pairs, (list, tuple)):
+        raise PipelineError('phone_pairs must be "auto" or a list of pairs')
     pairs = []
     for p in phone_pairs:
-        if len(p) != 2 or p[0] == p[1]:
+        if not (isinstance(p, (list, tuple)) and len(p) == 2
+                and all(isinstance(x, str) for x in p) and p[0] != p[1]):
             raise PipelineError(f"invalid phone pair {p!r}")
         pairs.append(tuple(sorted(p)))
     return pairs
@@ -96,23 +100,22 @@ def evaluate_recording(
     task: str,
     runs: list,                 # list of (configuration, name, ModelSpec)
     cv: CvConfig,
-    phone_pairs="auto",
-    min_count: int = 50,
-    window: EpochWindow = EpochWindow(),
+    phone_pairs,                # "auto" or pairs of labels
+    min_count: int,
+    window: EpochWindow,
 ) -> list[dict]:
     """Metric rows for every (pair, run, fold) of one preprocessed recording;
-    each pair's dataset and split are built once for all runs."""
+    each pair's dataset and folds are built once for all runs."""
     eps, _skipped = extract_epochs(prec, events, window.tmin, window.tmax)
-    inventory = count_phones(events, min_count=min_count)
-    pairs = resolve_pairs(phone_pairs, inventory)
+    pairs = resolve_pairs(phone_pairs, count_phones(events, min_count))
     if not pairs:
         raise PipelineError("no phone pairs to evaluate (inventory too small?)")
     rows = []
     for pair in pairs:
         ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed)
-        split = evaluation.kfold(ds.y, k=cv.k, seed=cv.seed)
+        folds = evaluation.kfold(ds.y, k=cv.k, seed=cv.seed)
         for configuration, name, spec in runs:
-            per_fold = evaluation.evaluate(spec, ds, split)
+            per_fold = evaluation.evaluate(spec, ds, folds)
             for fold, m in enumerate(per_fold):
                 rows.append({
                     "subject": subject,
@@ -121,9 +124,7 @@ def evaluate_recording(
                     "model": name,
                     "configuration": configuration,
                     "fold": fold,
-                    "accuracy": m.accuracy,
-                    "f1": m.f1,
-                    "auc": m.auc,
+                    **m,
                 })
     return rows
 

@@ -29,12 +29,19 @@ class ExperimentConfig:
     window: EpochWindow = EpochWindow()
     jobs: int = 1
 
+    def __post_init__(self):
+        dataio.check_numbers(self, PipelineError)
+        if self.phone_pairs != "auto":
+            # raises unless each entry is two distinct labels
+            pipeline.resolve_pairs(self.phone_pairs, ())
+            object.__setattr__(self, "phone_pairs",
+                               tuple(map(tuple, self.phone_pairs)))
+
 
 def _eval_unit(args):
     """Load one recording, preprocess it once, then evaluate the runs of
     each band-pass (None = unfiltered) on it."""
-    manifest_path, toggles, passes, cv, pairs, min_count, window = args
-    manifest = dataio.load_manifest(manifest_path)
+    manifest, toggles, passes, cv, pairs, min_count, window = args
     # no name holds the raw recording, so it is freed once channels are picked
     rec = pipeline.preprocess(
         dataio.load_recording(manifest.recording_path), toggles)
@@ -73,10 +80,11 @@ def _run_plan(cfg: ExperimentConfig, plan: list) -> list[dict]:
 
 
 def _manifests_by_task(cfg: ExperimentConfig) -> dict:
+    """The loaded manifests of each task; a study loads each one once."""
     groups = {}
     for path in cfg.manifests:
         m = dataio.load_manifest(path)
-        groups.setdefault(m.task, []).append(path)
+        groups.setdefault(m.task, []).append(m)
     return groups
 
 
@@ -174,7 +182,7 @@ def run_band_sweep(cfg: ExperimentConfig):
     configs += [(band, dsp.BANDS[band]) for band in dsp.BAND_ORDER]
     for task in sorted(by_task):
         mans = by_task[task]
-        fs = dataio.load_manifest(mans[0]).sample_rate
+        fs = mans[0].sample_rate
         for conf_name, band_pass in configs:
             if band_pass is not None:
                 # skip bands whose upper transition exceeds Nyquist

@@ -71,10 +71,10 @@ def baseline_dataset(spec):
 
 
 def mean_accuracy(spec_ds, model_spec=None):
-    split = kfold(spec_ds.y, k=5, seed=0)
+    folds = kfold(spec_ds.y, k=5, seed=0)
     per_fold = evaluation.evaluate(model_spec or ModelSpec("elastic_net"),
-                                   spec_ds, split)
-    return float(np.mean([m.accuracy for m in per_fold]))
+                                   spec_ds, folds)
+    return float(np.mean([m["accuracy"] for m in per_fold]))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def test_criterion_07_planted_vs_shuffled_labels():
         for shuffle_seed in range(500, 520):
             y = ds.y.copy()
             np.random.default_rng(shuffle_seed).shuffle(y)
-            ds_null = PairDataset(X=ds.X, y=y, pair=ds.pair, seed=0,
+            ds_null = PairDataset(X=ds.X, y=y, pair=ds.pair,
                                   n_channels=ds.n_channels, n_times=ds.n_times)
             acc = mean_accuracy(ds_null)
             within += abs(acc - 0.5) <= 0.07

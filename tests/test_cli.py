@@ -337,7 +337,16 @@ class TestExitCodes:
         ("models", [{"variant": "cnn", "stride": 2.5}]),
         ("models", [{"variant": "svm_rbf", "gamma": "x"}]),
         ("models", [{"variant": "svm_rbf", "gamma": 0}]),
-        ("models", [{"variant": "elastic_net", "alpha": True}])])
+        ("models", [{"variant": "elastic_net", "alpha": True}]),
+        # NaN and infinities, which JSON parsing accepts
+        ("epoch_window", {"tmax": float("inf")}),
+        ("epoch_window", {"tmin": float("-inf")}),
+        ("models", [{"variant": "elastic_net", "alpha": float("nan")}]),
+        ("models", [{"variant": "svm_rbf", "C": float("inf")}]),
+        # checked before any recording is preprocessed, not truncated
+        ("min_count", 24.9), ("min_count", True),
+        ("phone_pairs", "ae"), ("phone_pairs", [["a", 5]]),
+        ("phone_pairs", [["a", "a"]]), ("phone_pairs", [["a", "e", "i"]])])
     def test_malformed_study_config(self, cli_corpus, tmp_path, capsys, key,
                                     value):
         _, manifests = cli_corpus
@@ -371,7 +380,9 @@ class TestExitCodes:
         # a band name is config, not data
         {"recordings": [{"duration": 20, "n_channels": 4, "band": "Foo"}]},
         # too short for the planted events
-        {"recordings": [{"duration": 1, "n_channels": 4}]}])
+        {"recordings": [{"duration": 1, "n_channels": 4}]},
+        {"recordings": [{"duration": 30, "n_channels": 4,
+                         "snr": float("nan")}]}])
     def test_malformed_synth_config(self, tmp_path, capsys, doc):
         cfg = write_json(tmp_path / "bad.json", doc)
         assert main(["synth", "--config", cfg,
@@ -381,7 +392,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("change", [
         None, {"window": "x"}, {"window": None}, {"window": True},
-        {"misc": 5}])
+        {"misc": 5}, {"window": float("nan")}, {"window": float("inf")}])
     def test_malformed_align_config(self, cli_corpus, tmp_path, capsys,
                                     change):
         _, manifests = cli_corpus

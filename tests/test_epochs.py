@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from phonepair.dataio import Event, EventTable
-from phonepair.epochs import (EpochError, build_pair_dataset, count_phones,
-                              extract_epochs, flatten_epoch, unflatten_epoch)
+from phonepair.epochs import (Epoch, EpochError, build_pair_dataset,
+                              count_phones, extract_epochs)
 
 from helpers import make_recording
+
+
+WINDOW = (-0.1, 0.2)  # the default EpochWindow
 
 
 def events_of(*rows):
@@ -14,49 +17,51 @@ def events_of(*rows):
 
 class TestCountPhones:
     def test_basic_counts(self):
-        inv = count_phones(events_of((0.1, 0.2, "a"), (0.3, 0.4, "a"),
-                                     (0.5, 0.6, "e")), min_count=1)
-        assert inv.counts == {"a": 2, "e": 1}
-        assert inv.selected == ("a", "e")
+        selected = count_phones(events_of((0.1, 0.2, "a"), (0.3, 0.4, "a"),
+                                          (0.5, 0.6, "e")), min_count=1)
+        assert selected == ("a", "e")
+
+    def test_most_frequent_first(self):
+        selected = count_phones(events_of((0.1, 0.2, "e"), (0.3, 0.4, "a"),
+                                          (0.5, 0.6, "e")), min_count=1)
+        assert selected == ("e", "a")
 
     def test_min_count_filter(self):
-        inv = count_phones(events_of((0.1, 0.2, "a"), (0.3, 0.4, "a"),
-                                     (0.5, 0.6, "e")), min_count=2)
-        assert inv.selected == ("a",)
+        selected = count_phones(events_of((0.1, 0.2, "a"), (0.3, 0.4, "a"),
+                                          (0.5, 0.6, "e")), min_count=2)
+        assert selected == ("a",)
 
     def test_empty_table(self):
-        inv = count_phones(EventTable(()))
-        assert inv.counts == {}
-        assert inv.selected == ()
+        assert count_phones(EventTable(()), min_count=1) == ()
 
 
 class TestExtractEpochs:
     def test_window_sample_count(self):
         rec = make_recording(2, 200, fs=100.0)
-        eps, skipped = extract_epochs(rec, events_of((0.5, 0.58, "a")))
+        eps, skipped = extract_epochs(rec, events_of((0.5, 0.58, "a")), *WINDOW)
         assert skipped == 0
         assert eps[0].data.shape == (2, 31)
 
     def test_constant_channel_zeroed(self):
         rec = make_recording(1, 200, fs=100.0)
         rec = rec.with_data(np.full((1, 200), 5.0))
-        eps, _ = extract_epochs(rec, events_of((0.5, 0.58, "a")))
+        eps, _ = extract_epochs(rec, events_of((0.5, 0.58, "a")), *WINDOW)
         assert np.allclose(eps[0].data, 0.0)
 
     def test_out_of_bounds_skipped(self):
         rec = make_recording(1, 100, fs=100.0)
         eps, skipped = extract_epochs(rec, events_of((0.05, 0.1, "a"),
-                                                     (0.5, 0.58, "e")))
+                                                     (0.5, 0.58, "e")), *WINDOW)
         assert skipped == 1
         assert len(eps) == 1
         assert eps[0].label == "e"
 
     def test_baseline_invariance(self):
         rec = make_recording(3, 300, fs=100.0, seed=9)
-        eps1, _ = extract_epochs(rec, events_of((1.0, 1.1, "a")))
+        eps1, _ = extract_epochs(rec, events_of((1.0, 1.1, "a")), *WINDOW)
         offsets = np.array([[10.0], [-4.0], [100.0]])
         shifted = rec.with_data(rec.data + offsets)
-        eps2, _ = extract_epochs(shifted, events_of((1.0, 1.1, "a")))
+        eps2, _ = extract_epochs(shifted, events_of((1.0, 1.1, "a")), *WINDOW)
         assert np.allclose(eps1[0].data, eps2[0].data, atol=1e-10)
 
     def test_invalid_window(self):
@@ -65,26 +70,12 @@ class TestExtractEpochs:
             extract_epochs(rec, EventTable(()), tmin=0.2, tmax=0.1)
 
 
-class TestFlatten:
-    def test_bijective(self):
-        rng = np.random.default_rng(0)
-        for shape in [(1, 5), (3, 31), (204, 31)]:
-            e = rng.standard_normal(shape)
-            assert np.array_equal(unflatten_epoch(flatten_epoch(e), *shape), e)
-
-    def test_channel_major_order(self):
-        e = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(flatten_epoch(e), [1.0, 2.0, 3.0, 4.0])
-
-
 def _fake_epochs(counts, n_channels=2, n_times=4, seed=0):
-    from phonepair.epochs import Epoch
     rng = np.random.default_rng(seed)
     eps = []
     for label, count in counts.items():
-        for i in range(count):
-            eps.append(Epoch(rng.standard_normal((n_channels, n_times)),
-                             label, onset=0.1 * i))
+        for _ in range(count):
+            eps.append(Epoch(rng.standard_normal((n_channels, n_times)), label))
     return eps
 
 
@@ -116,3 +107,33 @@ class TestBuildPairDataset:
         eps = _fake_epochs({"a": 5})
         with pytest.raises(EpochError, match="'e'"):
             build_pair_dataset(eps, "a", "e", seed=0)
+
+    def test_rows_are_channel_major_epochs(self):
+        eps = [Epoch(np.array([[1.0, 2.0], [3.0, 4.0]]), "a"),
+               Epoch(np.array([[5.0, 6.0], [7.0, 8.0]]), "e")]
+        ds = build_pair_dataset(eps, "a", "e", seed=0)
+        assert (ds.n_channels, ds.n_times) == (2, 2)
+        by_label = {0: [1.0, 2.0, 3.0, 4.0], 1: [5.0, 6.0, 7.0, 8.0]}
+        for row, label in zip(ds.X, ds.y):
+            assert row.tolist() == by_label[label]
+
+    @pytest.mark.parametrize("counts", [{"a": 80, "e": 50}, {"a": 7, "e": 12},
+                                        {"a": 9, "e": 9}])
+    def test_rows_follow_the_seeded_draws(self, counts):
+        # down-sample each class in label order, then shuffle all rows, with
+        # one generator
+        eps = _fake_epochs(counts)
+        ds = build_pair_dataset(eps, "e", "a", seed=4)
+        rng = np.random.default_rng(4)
+        m = min(counts.values())
+        rows, labels = [], []
+        for label, phone in enumerate(("a", "e")):
+            group = [e.data.reshape(-1) for e in eps if e.label == phone]
+            if len(group) > m:
+                group = [group[i] for i in
+                         sorted(rng.choice(len(group), size=m, replace=False))]
+            rows += group
+            labels += [label] * m
+        order = rng.permutation(2 * m)
+        assert np.array_equal(ds.X, np.array(rows)[order])
+        assert np.array_equal(ds.y, np.array(labels)[order])

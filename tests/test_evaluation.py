@@ -19,16 +19,16 @@ from phonepair.models import ModelSpec
 class TestKfold:
     def test_sizes_balanced(self):
         y = np.array([0] * 23 + [1] * 27)
-        split = kfold(y, k=5, seed=0)
-        sizes = np.bincount(split.assignments, minlength=5)
+        folds = kfold(y, k=5, seed=0)
+        sizes = np.bincount(folds, minlength=5)
         assert sizes.sum() == 50
         assert sizes.max() - sizes.min() <= 1
 
     def test_stratified(self):
         y = np.array([0] * 25 + [1] * 25)
-        split = kfold(y, k=5, seed=3)
+        folds = kfold(y, k=5, seed=3)
         for fold in range(5):
-            fold_y = y[split.assignments == fold]
+            fold_y = y[folds == fold]
             assert np.sum(fold_y == 0) == 5
             assert np.sum(fold_y == 1) == 5
 
@@ -36,13 +36,13 @@ class TestKfold:
         y = np.array([0, 1] * 20)
         s1 = kfold(y, k=4, seed=7)
         s2 = kfold(y, k=4, seed=7)
-        assert np.array_equal(s1.assignments, s2.assignments)
+        assert np.array_equal(s1, s2)
         s3 = kfold(y, k=4, seed=8)
-        assert not np.array_equal(s1.assignments, s3.assignments)
+        assert not np.array_equal(s1, s3)
 
     def test_too_few_rows(self):
         with pytest.raises(EvalError, match="folds"):
-            kfold(np.array([0, 1]), k=5)
+            kfold(np.array([0, 1]), k=5, seed=0)
 
 
 class TestAuc:
@@ -86,15 +86,15 @@ class TestMetrics:
     def test_perfect(self):
         y = np.array([0, 0, 1, 1])
         m = metrics(y, np.array([0.1, 0.2, 0.8, 0.9]))
-        assert (m.accuracy, m.f1, m.auc) == (1.0, 1.0, 1.0)
+        assert m == {"accuracy": 1.0, "f1": 1.0, "auc": 1.0}
 
     def test_macro_f1(self):
         y = np.array([0, 0, 0, 1])
         s = np.array([0.1, 0.1, 0.9, 0.9])
         m = metrics(y, s)
         # class 0: tp 2 fp 0 fn 1 -> 0.8; class 1: tp 1 fp 1 fn 0 -> 2/3
-        assert m.f1 == pytest.approx(0.5 * (0.8 + 2.0 / 3.0))
-        assert m.accuracy == pytest.approx(0.75)
+        assert m["f1"] == pytest.approx(0.5 * (0.8 + 2.0 / 3.0))
+        assert m["accuracy"] == pytest.approx(0.75)
 
     def test_length_mismatch(self):
         with pytest.raises(EvalError, match="mismatch"):
@@ -177,43 +177,43 @@ class TestWilcoxon:
             wilcoxon(np.ones(3), np.ones(4))
 
 
-def planted_dataset(rng, n_per=60, p=12, sep=2.0, pair=("a", "e"), seed=0):
+def planted_dataset(rng, n_per=60, p=12, sep=2.0, pair=("a", "e")):
     X0 = rng.standard_normal((n_per, p))
     X1 = rng.standard_normal((n_per, p))
     X1[:, :3] += sep
     X = np.vstack([X0, X1])
     y = np.r_[np.zeros(n_per, int), np.ones(n_per, int)]
-    return PairDataset(X=X, y=y, pair=pair, seed=seed, n_channels=p, n_times=1)
+    return PairDataset(X=X, y=y, pair=pair, n_channels=p, n_times=1)
 
 
 class TestEvaluate:
     def test_planted_signal_decodes(self, rng):
         ds = planted_dataset(rng)
-        split = kfold(ds.y, k=5, seed=0)
-        per_fold = evaluate(ModelSpec("elastic_net"), ds, split)
+        folds = kfold(ds.y, k=5, seed=0)
+        per_fold = evaluate(ModelSpec("elastic_net"), ds, folds)
         assert len(per_fold) == 5
-        assert np.mean([m.accuracy for m in per_fold]) >= 0.9
-        assert np.mean([m.auc for m in per_fold]) >= 0.9
+        assert np.mean([m["accuracy"] for m in per_fold]) >= 0.9
+        assert np.mean([m["auc"] for m in per_fold]) >= 0.9
 
     def test_shuffled_labels_near_chance(self, rng):
         ds = planted_dataset(rng)
         y = ds.y.copy()
         np.random.default_rng(1).shuffle(y)
-        ds_null = PairDataset(X=ds.X, y=y, pair=ds.pair, seed=0,
+        ds_null = PairDataset(X=ds.X, y=y, pair=ds.pair,
                               n_channels=ds.n_channels, n_times=ds.n_times)
-        split = kfold(ds_null.y, k=5, seed=0)
-        per_fold = evaluate(ModelSpec("elastic_net"), ds_null, split)
-        assert abs(np.mean([m.accuracy for m in per_fold]) - 0.5) < 0.15
+        folds = kfold(ds_null.y, k=5, seed=0)
+        per_fold = evaluate(ModelSpec("elastic_net"), ds_null, folds)
+        assert abs(np.mean([m["accuracy"] for m in per_fold]) - 0.5) < 0.15
 
     def test_deterministic(self, rng):
         ds = planted_dataset(rng)
-        split = kfold(ds.y, k=5, seed=2)
-        r1 = evaluate(ModelSpec("lda"), ds, split)
-        r2 = evaluate(ModelSpec("lda"), ds, split)
+        folds = kfold(ds.y, k=5, seed=2)
+        r1 = evaluate(ModelSpec("lda"), ds, folds)
+        r2 = evaluate(ModelSpec("lda"), ds, folds)
         assert r1 == r2
 
     def test_split_size_mismatch(self, rng):
         ds = planted_dataset(rng)
-        split = kfold(np.r_[ds.y, 0], k=5, seed=0)
+        folds = kfold(np.r_[ds.y, 0], k=5, seed=0)
         with pytest.raises(EvalError, match="size"):
-            evaluate(ModelSpec("lda"), ds, split)
+            evaluate(ModelSpec("lda"), ds, folds)

@@ -137,9 +137,7 @@ class TestRowHelpers:
         assert compare_rows(rows, list(rows)) is None
 
     def test_resolve_pairs(self):
-        class Inv:
-            selected = ("e", "a", "i")
-        assert resolve_pairs("auto", Inv()) == [
+        assert resolve_pairs("auto", ("e", "a", "i")) == [
             ("a", "e"), ("a", "i"), ("e", "i")]
         assert resolve_pairs([("e", "a")], None) == [("a", "e")]
         with pytest.raises(PipelineError, match="pair"):
@@ -154,7 +152,7 @@ class TestEvaluateRecording:
         rows = evaluate_recording(
             preprocess(rec, PreprocessingToggles()), events,
             subject=man.subject_id, task=man.task, runs=EN_RUNS, cv=FAST_CV,
-            min_count=20,
+            phone_pairs="auto", min_count=20, window=EpochWindow(),
         )
         assert len(rows) == 3  # one pair, three folds
         assert {r["fold"] for r in rows} == {0, 1, 2}
@@ -169,7 +167,7 @@ class TestEvaluateRecording:
             evaluate_recording(
                 preprocess(rec, PreprocessingToggles()), events,
                 subject="s", task="t", runs=EN_RUNS, cv=FAST_CV,
-                min_count=1000,
+                phone_pairs="auto", min_count=1000, window=EpochWindow(),
             )
 
 
