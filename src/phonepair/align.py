@@ -81,8 +81,6 @@ def align(misc: np.ndarray, audio: np.ndarray, fs: float, window: float) -> Alig
     """
     misc = np.asarray(misc, dtype=float)
     audio = np.asarray(audio, dtype=float)
-    if window <= 0:
-        raise AlignError("window must be positive")
     n = min(len(misc), len(audio))
     w0 = int(round(window * fs))
     if w0 > n // 2:

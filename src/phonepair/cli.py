@@ -11,13 +11,12 @@ import argparse
 import os
 import sys
 from collections import Counter
-from numbers import Real
 
 from . import dataio, synth as synthmod
 from .align import AlignError, align
 from .config import (ConfigError, load_json, nonempty_list, parse_experiment,
                      write_echo)
-from .dataio import DataError, _is_a
+from .dataio import DataError, check_field
 from .dsp import DspError
 from .epochs import EpochError
 from .evaluation import EvalError
@@ -60,6 +59,8 @@ def _cmd_synth(args) -> int:
             rdoc = dict(rdoc)
             subject = rdoc.pop("subject_id", f"s{i + 1:02d}")
             task = rdoc.pop("task", "production")
+            check_field("task", task, "str", {"choices": dataio.TASKS},
+                        ConfigError)
             if args.seed is not None:
                 rdoc["seed"] = args.seed + i
             try:
@@ -75,11 +76,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_align(args) -> int:
     doc = load_json(args.config)
-    window = doc.get("window", 2.0) if isinstance(doc, dict) else None
-    if not (_is_a(window, Real) and isinstance(doc.get("misc"), str)
+    if not (isinstance(doc, dict) and isinstance(doc.get("misc"), str)
             and isinstance(doc.get("audio"), str)):
-        raise ConfigError("align config needs 'misc' and 'audio' paths and "
-                          "a numeric 'window'")
+        raise ConfigError("align config needs 'misc' and 'audio' paths")
+    window = doc.get("window", 2.0)
+    check_field("window", window, "float", {"gt": 0}, ConfigError)
     misc, audio = (dataio.load_recording(doc[k]) for k in ("misc", "audio"))
     if misc.sample_rate != audio.sample_rate:
         raise DataError("misc and audio must share a sampling rate")

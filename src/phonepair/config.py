@@ -51,6 +51,10 @@ def parse_experiment(doc: dict, base_dir: str = ".", seed: int | None = None,
                      jobs: int = 1) -> ExperimentConfig:
     manifests = tuple(os.path.join(base_dir, p)
                       for p in nonempty_list(doc, "manifests", str, "paths"))
+    # a study config has the keys of its echo and no others
+    unknown = set(doc) - set(echo_experiment(ExperimentConfig((), ())))
+    if unknown:
+        raise ConfigError(f"unknown study keys {sorted(unknown)}")
     try:
         models = tuple(parse_model(m) for m in doc.get(
             "models", [{"variant": "elastic_net"}]))

@@ -9,9 +9,11 @@ the sample rate and channel list.  Events are UTF-8 TSV files with an
 from __future__ import annotations
 
 import json
-import math
+import operator
 import os
-from dataclasses import dataclass, fields
+import resource
+import sys
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -25,27 +27,59 @@ class DataError(ValueError):
     """Raised for malformed or inconsistent on-disk data."""
 
 
-def _is_a(x, kind) -> bool:
-    """isinstance that does not count a bool, NaN or an infinity (JSON
-    parsing accepts both) as a number.  Comparing, unlike math.isfinite,
-    takes an int of any size."""
-    return (isinstance(x, kind) and not isinstance(x, bool)
-            and x == x and x not in (math.inf, -math.inf))
-
-
 _NUMBER_FIELDS = {"int": (Integral, "an integer"),
                   "float": (Real, "a finite number"),
-                  "float | None": ((Real, type(None)), "null or a finite number")}
+                  "float | None": (Real, "null or a finite number")}
+
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+           "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
+
+
+def check_field(name: str, value, annotation: str, bounds, error) -> None:
+    """Raise ``error`` unless ``value`` is what ``annotation`` (a string, as
+    the modules postpone annotations) names, within ``bounds``: ``choices``
+    for a string or each item of a tuple, else the keys of ``_BOUNDS``.
+    A number is no bool and has a finite float value (JSON parsing accepts
+    NaN, infinities and ints of any size; comparing takes them all)."""
+    if "choices" in bounds:
+        choices, listed = bounds["choices"], annotation == "tuple"
+        items = value if listed else [value]
+        ok = (isinstance(items, (list, tuple)) and len(items) > 0
+              and all(x in choices for x in items))
+        what = f"{'a nonempty list of' if listed else 'one of'} {choices}"
+    elif annotation == "bool":
+        ok, what = isinstance(value, bool), "true or false"
+    elif annotation in _NUMBER_FIELDS:
+        kind, what = _NUMBER_FIELDS[annotation]
+        ok = (value is None and annotation == "float | None") or (
+            isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and all(_BOUNDS[k][0](value, limit) for k, limit in bounds.items()))
+        what = " and ".join([what] + [f"{_BOUNDS[k][1]} {limit}"
+                                      for k, limit in bounds.items()])
+    else:
+        return
+    if not ok:
+        raise error(f"{name} must be {what}")
 
 
 def check_numbers(obj, error) -> None:
-    """Raise ``error`` unless each field of the dataclass ``obj`` holds what
-    its annotation (a string, as the modules postpone annotations) names."""
+    """:func:`check_field` on each field of the dataclass ``obj``, with the
+    bounds its ``dataclasses.field`` metadata declares."""
     for f in fields(obj):
-        if f.type in _NUMBER_FIELDS:
-            kind, what = _NUMBER_FIELDS[f.type]
-            if not _is_a(getattr(obj, f.name), kind):
-                raise error(f"{f.name} must be {what}")
+        check_field(f.name, getattr(obj, f.name), f.type, f.metadata, error)
+
+
+def check_size(rows: int, cols, what: str, error) -> None:
+    """Raise ``error`` unless ``rows`` x ``cols`` float64 values fit in
+    physical memory, capped by the soft ``RLIMIT_AS`` when one is set.
+    Nothing is multiplied, so no count overflows; ``cols`` may be inf."""
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    if rows > limit / 8 / cols:
+        raise error(f"{what} would not fit in {limit / 2**30:.1f} GiB of memory")
 
 
 def json_text(doc) -> str:
@@ -61,27 +95,25 @@ def write_json(path: str, doc) -> None:
 @dataclass(frozen=True)
 class ChannelInfo:
     name: str
-    kind: str
+    kind: str = field(metadata={"choices": CHANNEL_KINDS})
     unit: str = ""
 
     def __post_init__(self):
         if not self.name:
             raise DataError("channel name must be nonempty")
-        if self.kind not in CHANNEL_KINDS:
-            raise DataError(f"unknown channel kind {self.kind!r}")
+        check_numbers(self, DataError)
 
 
 @dataclass(frozen=True)
 class Recording:
     """Multichannel time series with per-channel metadata."""
 
-    sample_rate: float
+    sample_rate: float = field(metadata={"gt": 0})
     channels: tuple[ChannelInfo, ...]
     data: np.ndarray  # [n_channels, n_samples]
 
     def __post_init__(self):
-        if not 0 < self.sample_rate < np.inf:
-            raise DataError("sample_rate must be positive and finite")
+        check_numbers(self, DataError)
         object.__setattr__(self, "channels", tuple(self.channels))
         names = [c.name for c in self.channels]
         if len(set(names)) != len(names):
@@ -152,14 +184,13 @@ class EventTable:
 @dataclass(frozen=True)
 class Manifest:
     subject_id: str
-    task: str
+    task: str = field(metadata={"choices": TASKS})
     recording_path: str
     events_path: str
     sample_rate: float
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise DataError(f"unknown task {self.task!r}")
+        check_numbers(self, DataError)
 
 
 def save_recording(rec: Recording, path: str) -> None:

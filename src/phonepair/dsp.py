@@ -28,12 +28,6 @@ BANDS = {
 BAND_ORDER = ("Delta", "Theta", "Alpha", "Beta", "Gamma", "HGA")
 
 
-def band_spec(name: str) -> tuple[float, float]:
-    if name not in BANDS:
-        raise DspError(f"unknown band {name!r}; expected one of {BAND_ORDER}")
-    return BANDS[name]
-
-
 # ---------------------------------------------------------------------------
 # FIR design and zero-phase application
 # ---------------------------------------------------------------------------
@@ -149,17 +143,16 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
 
 def decimate(rec: Recording, factor: int = 10) -> Recording:
     """Antialias low-pass (cutoff fs/2/factor) then keep every factor-th sample."""
-    if factor < 1 or int(factor) != factor:
-        raise DspError("decimation factor must be a positive integer")
     if factor == 1:
         return rec
+    # before the filter design, whose length grows with the factor
+    if -(-rec.n_samples // factor) < 2:
+        raise DspError("decimated recording would have fewer than 2 samples")
     cutoff = 0.5 * rec.sample_rate / factor
     filt = design_fir(None, cutoff, rec.sample_rate)
     filtered = apply_zero_phase(filt, rec.data)
-    out = filtered[:, ::factor]
-    if out.shape[1] < 2:
-        raise DspError("decimated recording would have fewer than 2 samples")
-    return rec.with_data(out, sample_rate=rec.sample_rate / factor)
+    return rec.with_data(filtered[:, ::factor],
+                         sample_rate=rec.sample_rate / factor)
 
 
 # ---------------------------------------------------------------------------

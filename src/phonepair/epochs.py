@@ -51,10 +51,6 @@ def extract_epochs(
     The baseline segment is [tmin, 0), excluding the onset sample.
     """
     fs = rec.sample_rate
-    if fs <= 0:
-        raise EpochError("sample rate must be positive")
-    if tmin >= tmax:
-        raise EpochError("tmin must be below tmax")
     n_times = int(round((tmax - tmin) * fs)) + 1
     n_baseline = int(round(-tmin * fs))  # samples strictly before the onset
     epochs = []

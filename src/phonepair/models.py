@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize
 from scipy.special import expit
 
-from .dataio import check_numbers
+from .dataio import check_numbers, check_size
 
 
 class ModelError(ValueError):
@@ -33,60 +33,46 @@ ALLOWED_HIDDEN_SIZES = ((), (1024,), (2048, 1024))
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-4
-    weight_decay: float = 1e-3
-    max_epochs: int = 500
-    patience: int = 10
-    val_fraction: float = 0.1
-    seed: int = 0
+    learning_rate: float = field(default=1e-4, metadata={"gt": 0})
+    weight_decay: float = field(default=1e-3, metadata={"ge": 0})
+    max_epochs: int = field(default=500, metadata={"ge": 1})
+    patience: int = field(default=10, metadata={"ge": 1})
+    val_fraction: float = field(default=0.1, metadata={"gt": 0, "lt": 1})
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
         check_numbers(self, ModelError)
-        if not (self.learning_rate > 0 and self.weight_decay >= 0
-                and self.max_epochs >= 1 and self.patience >= 1
-                and 0 < self.val_fraction < 1):
-            raise ModelError("need learning_rate > 0, weight_decay >= 0, "
-                             "max_epochs, patience >= 1, val_fraction in (0, 1)")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     variant: str
     # elastic net
-    alpha: float = 1e-2
-    l1_ratio: float = 0.5
+    alpha: float = field(default=1e-2, metadata={"gt": 0})
+    l1_ratio: float = field(default=0.5, metadata={"ge": 0, "le": 1})
     # svm_rbf
-    C: float = 1.0
-    gamma: float | None = None  # None = 1 / (p * var(X))
+    C: float = field(default=1.0, metadata={"gt": 0})
+    # None = 1 / (p * var(X))
+    gamma: float | None = field(default=None, metadata={"gt": 0})
     # lda
-    shrinkage: float = 0.5
+    shrinkage: float = field(default=0.5, metadata={"ge": 0, "le": 1})
     # ffn
     hidden_sizes: tuple = ()
     # cnn
-    kernel: int = 10
-    stride: int = 10
-    filters_per_channel: int = 8
+    kernel: int = field(default=10, metadata={"ge": 1})
+    stride: int = field(default=10, metadata={"ge": 1})
+    filters_per_channel: int = field(default=8, metadata={"ge": 1})
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.variant not in _PREDICTORS:
             raise ModelError(f"unknown model variant {self.variant!r}")
         check_numbers(self, ModelError)
-        if min(self.kernel, self.stride, self.filters_per_channel) < 1:
-            raise ModelError("kernel, stride and filters_per_channel must be >= 1")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if self.variant == "ffn" and self.hidden_sizes not in ALLOWED_HIDDEN_SIZES:
             raise ModelError(
                 f"ffn hidden_sizes must be one of {ALLOWED_HIDDEN_SIZES}"
             )
-        if self.variant == "elastic_net":
-            if self.alpha <= 0 or not (0 <= self.l1_ratio <= 1):
-                raise ModelError("need alpha > 0 and l1_ratio in [0, 1]")
-        if self.variant == "svm_rbf" and not (
-                self.C > 0 and (self.gamma is None or self.gamma > 0)):
-            raise ModelError("need C > 0 and gamma null or > 0")
-        if self.variant == "lda" and not (0 <= self.shrinkage <= 1):
-            raise ModelError("shrinkage must be in [0, 1]")
 
 
 @dataclass
@@ -480,6 +466,8 @@ class CnnNet:
         self.C, self.T = n_channels, n_times
         self.k, self.s, self.F = kernel, stride, filters
         self.P = (n_times - kernel) // stride + 1
+        check_size(self.C * self.P * self.F, 2, "the cnn linear layer",
+                   ModelError)
 
     def init_params(self, rng: np.random.Generator) -> dict:
         return {

@@ -3,7 +3,7 @@ recording plus (configuration, model) runs give per-fold metric rows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -20,36 +20,25 @@ class PipelineError(ValueError):
 
 @dataclass(frozen=True)
 class PreprocessingToggles:
-    sensor_kinds: tuple = ("gradiometer",)
+    sensor_kinds: tuple = field(default=("gradiometer",),
+                                metadata={"choices": dataio.CHANNEL_KINDS})
     wavelet: bool = True
-    decimation_factor: int = 10
-    band_limit: float | None = 31.0  # band-pass 0.2..band_limit Hz, or None
+    decimation_factor: int = field(default=10, metadata={"ge": 1})
+    # band-pass 0.2..band_limit Hz, or None
+    band_limit: float | None = field(default=31.0, metadata={"gt": 0})
 
     def __post_init__(self):
-        kinds = self.sensor_kinds
-        if not (isinstance(kinds, (list, tuple)) and kinds
-                and all(k in dataio.CHANNEL_KINDS for k in kinds)):
-            raise PipelineError(f"sensor_kinds must be a nonempty list of "
-                                f"{dataio.CHANNEL_KINDS}")
-        object.__setattr__(self, "sensor_kinds", tuple(kinds))
-        if not isinstance(self.wavelet, bool):
-            raise PipelineError("wavelet must be true or false")
         dataio.check_numbers(self, PipelineError)
-        if self.decimation_factor < 1:
-            raise PipelineError("decimation_factor must be >= 1")
-        if self.band_limit is not None and self.band_limit <= 0:
-            raise PipelineError("band_limit must be null or positive")
+        object.__setattr__(self, "sensor_kinds", tuple(self.sensor_kinds))
 
 
 @dataclass(frozen=True)
 class CvConfig:
-    k: int = 5
-    seed: int = 0
+    k: int = field(default=5, metadata={"ge": 2})
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
         dataio.check_numbers(self, PipelineError)
-        if self.k < 2:
-            raise PipelineError("cv k must be >= 2")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from . import dataio, dsp, pipeline
@@ -27,7 +27,7 @@ class ExperimentConfig:
     cv: CvConfig = CvConfig()
     min_count: int = 50
     window: EpochWindow = EpochWindow()
-    jobs: int = 1
+    jobs: int = field(default=1, metadata={"ge": 1})
 
     def __post_init__(self):
         dataio.check_numbers(self, PipelineError)

@@ -4,14 +4,13 @@ for end-to-end pipeline tests."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from numbers import Integral
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dsp
-from .dataio import (ChannelInfo, Event, EventTable, Recording, _is_a,
-                     check_numbers)
+from .dataio import (ChannelInfo, Event, EventTable, Recording, check_field,
+                     check_numbers, check_size)
 
 
 class SynthError(ValueError):
@@ -21,45 +20,44 @@ class SynthError(ValueError):
 TEMPLATE_SPAN = 0.2     # seconds of planted activity after each onset
 MIN_GAP = 0.05          # seconds between consecutive events
 HEAD_MARGIN = 0.15      # silence before the first onset (covers epoch tmin)
+EVENT_LENGTH = 0.08     # seconds, mean event duration
+EVENT_JITTER = 0.02     # seconds, largest deviation from EVENT_LENGTH
 PATTERN_MAX_COSINE = 0.9
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    duration: float
+    duration: float = field(metadata={"gt": 0})
     phones: tuple = (("a", 60), ("e", 60))
-    n_channels: int = 204
-    n_magnetometers: int = 0
-    fs: float = 1000.0
-    snr: float = 2.0
-    band: str = "Theta"
-    active_fraction: float = 0.1
+    n_channels: int = field(default=204, metadata={"ge": 1})
+    n_magnetometers: int = field(default=0, metadata={"ge": 0})
+    fs: float = field(default=1000.0, metadata={"gt": 0})
+    snr: float = field(default=2.0, metadata={"ge": 0})
+    band: str = field(default="Theta", metadata={"choices": dsp.BAND_ORDER})
+    active_fraction: float = field(default=0.1, metadata={"gt": 0, "le": 1})
     mag_signal_scale: float = 0.3
-    seed: int = 0
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
         check_numbers(self, SynthError)
-        if not (0 < self.duration < np.inf and 0 < self.fs < np.inf
-                and self.n_channels >= 1 and self.n_magnetometers >= 0):
-            raise SynthError("need finite duration and fs > 0, n_channels "
-                             ">= 1 and n_magnetometers >= 0")
         try:
             phones = tuple((str(l), c) for l, c in self.phones)
         except (TypeError, ValueError) as exc:
             raise SynthError(f"phones must be [label, count] pairs: {exc}") from exc
-        if not all(_is_a(c, Integral) and c >= 1 for _, c in phones):
-            raise SynthError("phone counts must be integers >= 1")
+        if not phones:
+            raise SynthError("phones must name at least one phone")
+        for _, count in phones:
+            check_field("a phone count", count, "int", {"ge": 1}, SynthError)
         object.__setattr__(self, "phones", phones)
-        try:
-            hi = dsp.band_spec(self.band)[1]
-        except dsp.DspError as exc:
-            raise SynthError(str(exc)) from exc
-        if hi >= self.fs / 2:
+        if dsp.BANDS[self.band][1] >= self.fs / 2:
             raise SynthError(f"band {self.band} exceeds Nyquist for fs={self.fs}")
-        if self.snr < 0:
-            raise SynthError("snr must be >= 0")
-        if not (0 < self.active_fraction <= 1):
-            raise SynthError("active_fraction must be in (0, 1]")
+        # before anything is built: an event and the gap after it last at
+        # least this long, a lower bound for the exact check in _plan_events
+        shortest = EVENT_LENGTH - EVENT_JITTER + MIN_GAP
+        if sum(c for _, c in phones) - 1 > self.duration / shortest:
+            raise SynthError(f"the events outlast duration {self.duration}s")
+        check_size(self.n_channels + self.n_magnetometers,
+                   self.duration * self.fs, "the recording", SynthError)
 
 
 def _one_over_f_noise(rng: np.random.Generator, n: int, fs: float) -> np.ndarray:
@@ -76,7 +74,7 @@ def _one_over_f_noise(rng: np.random.Generator, n: int, fs: float) -> np.ndarray
 
 def _band_template(rng: np.random.Generator, band: str, fs: float) -> np.ndarray:
     """Unit-RMS Hann-tapered burst of sinusoids inside the requested band."""
-    lo, hi = dsp.band_spec(band)
+    lo, hi = dsp.BANDS[band]
     n = int(round(TEMPLATE_SPAN * fs))
     t = np.arange(n) / fs
     template = np.zeros(n)
@@ -119,7 +117,7 @@ def _plan_events(rng: np.random.Generator, spec: SynthSpec) -> list[Event]:
     events = []
     t = HEAD_MARGIN + rng.uniform(0, 0.05)
     for lab in labels:
-        dur = 0.08 + rng.uniform(-0.02, 0.02)
+        dur = EVENT_LENGTH + rng.uniform(-EVENT_JITTER, EVENT_JITTER)
         events.append(Event(round(t, 4), round(t + dur, 4), lab))
         t += dur + MIN_GAP + rng.uniform(0, 0.1)
     tail = events[-1].onset + TEMPLATE_SPAN + 0.1

@@ -346,7 +346,14 @@ class TestExitCodes:
         # checked before any recording is preprocessed, not truncated
         ("min_count", 24.9), ("min_count", True),
         ("phone_pairs", "ae"), ("phone_pairs", [["a", 5]]),
-        ("phone_pairs", [["a", "a"]]), ("phone_pairs", [["a", "e", "i"]])])
+        ("phone_pairs", [["a", "a"]]), ("phone_pairs", [["a", "e", "i"]]),
+        # bounds that hold for every variant, not only the one that reads them
+        ("models", [{"variant": "lda", "alpha": 0}]),
+        ("models", [{"variant": "elastic_net", "shrinkage": 2}]),
+        # a misspelt key is not ignored
+        ("min_cout", 1),
+        ("cv", {"seed": -1}),
+        ("models", [{"variant": "ffn", "train": {"seed": -1}}])])
     def test_malformed_study_config(self, cli_corpus, tmp_path, capsys, key,
                                     value):
         _, manifests = cli_corpus
@@ -362,6 +369,32 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == EXIT_CONFIG, command
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, cli_corpus, tmp_path, capsys, jobs):
+        _, manifests = cli_corpus
+        cfg = write_json(tmp_path / "run.json", run_config(manifests))
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--jobs", jobs]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "jobs must be an integer and >= 1" in err
+
+    # too large for the recordings, which only the data can tell
+    @pytest.mark.parametrize("command,key,value", [
+        ("preprocess", "preprocessing", {"decimation_factor": 10**30}),
+        ("run-models", "models",
+         [{"variant": "cnn", "filters_per_channel": 10**30}])])
+    def test_sizes_beyond_the_data(self, cli_corpus, tmp_path, capsys,
+                                   command, key, value):
+        _, manifests = cli_corpus
+        doc = run_config(manifests[:1])
+        doc[key] = value
+        cfg = write_json(tmp_path / "bad.json", doc)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("doc", [
         [], {"recordings": [5]},
@@ -382,7 +415,19 @@ class TestExitCodes:
         # too short for the planted events
         {"recordings": [{"duration": 1, "n_channels": 4}]},
         {"recordings": [{"duration": 30, "n_channels": 4,
-                         "snr": float("nan")}]}])
+                         "snr": float("nan")}]},
+        {"recordings": [{"duration": 30, "n_channels": 4, "seed": -1}]},
+        {"recordings": [{"duration": 30, "n_channels": 4, "task": "sleep"}]},
+        # sizes checked before anything is allocated
+        {"recordings": [{"duration": 30, "n_channels": 4,
+                         "phones": [["a", 10**30]]}]},
+        {"recordings": [{"duration": 30, "n_channels": 10**30}]},
+        {"recordings": [{"duration": 30, "n_channels": 4,
+                         "n_magnetometers": 10**30}]},
+        {"recordings": [{"duration": 1e30, "n_channels": 4}]},
+        {"recordings": [{"duration": 30, "n_channels": 4, "fs": 1e30}]},
+        {"recordings": [{"duration": 1e9, "n_channels": 4}]},
+        {"recordings": [{"duration": 30, "n_channels": 10**8}]}])
     def test_malformed_synth_config(self, tmp_path, capsys, doc):
         cfg = write_json(tmp_path / "bad.json", doc)
         assert main(["synth", "--config", cfg,
@@ -392,7 +437,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("change", [
         None, {"window": "x"}, {"window": None}, {"window": True},
-        {"misc": 5}, {"window": float("nan")}, {"window": float("inf")}])
+        {"misc": 5}, {"window": float("nan")}, {"window": float("inf")},
+        {"window": 0}, {"window": -1.5}])
     def test_malformed_align_config(self, cli_corpus, tmp_path, capsys,
                                     change):
         _, manifests = cli_corpus

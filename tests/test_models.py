@@ -413,6 +413,12 @@ class TestNeuralTraining:
         with pytest.raises(ModelError, match="kernel"):
             CnnNet(n_channels=4, n_times=8, kernel=10, stride=10, filters=2)
 
+    def test_cnn_rejects_a_linear_layer_beyond_memory(self):
+        # checked before init_params, which numpy could not allocate
+        with pytest.raises(ModelError, match="linear layer"):
+            CnnNet(n_channels=4, n_times=30, kernel=10, stride=10,
+                   filters=10**30)
+
     def test_ffn_hidden_size_whitelist(self):
         ModelSpec("ffn", hidden_sizes=())
         ModelSpec("ffn", hidden_sizes=(1024,))
