@@ -8,10 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-
-
-class AlignError(ValueError):
-    pass
+from .dataio import DataError
 
 
 # Low-pass cutoffs (Hz) for the four envelope-correlation stages.
@@ -32,7 +29,7 @@ def _envelope(x: np.ndarray, cutoff: float, fs: float) -> np.ndarray:
     cutoff = min(cutoff, 0.4 * fs)
     filt = dsp.design_fir(None, cutoff, fs)
     if len(x) <= len(filt):
-        raise AlignError("signal too short for the alignment envelope filter")
+        raise DataError("signal too short for the alignment envelope filter")
     return dsp.apply_zero_phase(filt, np.abs(x))
 
 
@@ -47,12 +44,12 @@ def _ncc_peak(misc: np.ndarray, audio: np.ndarray, lags: np.ndarray):
     t0 = max(0, -lo)
     t1 = n - max(0, hi)
     if t1 - t0 < 16:
-        raise AlignError("alignment window exceeds half the shorter signal")
+        raise DataError("alignment window exceeds half the shorter signal")
     seg = misc[t0:t1]
     seg = seg - seg.mean()
     seg_norm = np.linalg.norm(seg)
     if seg_norm == 0:
-        raise AlignError("misc signal has zero variance in an analysis band")
+        raise DataError("misc signal has zero variance in an analysis band")
     m = len(seg)
     best_corr, best_lag = -2.0, lags[0]
     # sliding sums over audio windows of length m
@@ -64,7 +61,7 @@ def _ncc_peak(misc: np.ndarray, audio: np.ndarray, lags: np.ndarray):
         s2 = c2[t0 + d + m] - c2[t0 + d]
         var = s2 - s1 * s1 / m
         if var <= 0:
-            raise AlignError("audio signal has zero variance in an analysis band")
+            raise DataError("audio signal has zero variance in an analysis band")
         corr = (seg @ a - seg.sum() * s1 / m) / (seg_norm * np.sqrt(var))
         if corr > best_corr:
             best_corr, best_lag = corr, int(d)
@@ -84,7 +81,7 @@ def align(misc: np.ndarray, audio: np.ndarray, fs: float, window: float) -> Alig
     n = min(len(misc), len(audio))
     w0 = int(round(window * fs))
     if w0 > n // 2:
-        raise AlignError("alignment window exceeds half the shorter signal")
+        raise DataError("alignment window exceeds half the shorter signal")
 
     estimate = 0
     trace = []

@@ -1,8 +1,12 @@
 """Command-line orchestration.
 
 Subcommands: synth, align, preprocess, run-models, run-tasks, sweep-bands,
-ablate, report.  Exit codes: 0 success, 2 config error, 3 data error,
-4 numeric failure.
+ablate, report.  An error's class is its exit code, and its message is one
+line on stderr: 2 for ``dataio.ConfigError``, a malformed config (argparse
+also exits 2 on a flag the subcommand does not take); 3 for
+``dataio.DataError`` or ``OSError``, malformed recordings, events or
+manifests or anything computed from them; 4 for ``models.ConvergenceError``
+or ``FloatingPointError``, a solver that did not converge.
 """
 
 from __future__ import annotations
@@ -13,16 +17,12 @@ import sys
 from collections import Counter
 
 from . import dataio, synth as synthmod
-from .align import AlignError, align
-from .config import (ConfigError, load_json, nonempty_list, parse_experiment,
-                     write_echo)
-from .dataio import DataError, check_field
-from .dsp import DspError
-from .epochs import EpochError
-from .evaluation import EvalError
-from .models import ConvergenceError, ModelError
-from .pipeline import PipelineError, PreprocessingToggles, preprocess
-from .report import (ReportError, write_inventory_csv, write_reports)
+from .align import align
+from .config import load_json, nonempty_list, parse_experiment, write_echo
+from .dataio import ConfigError, DataError, check_field
+from .models import ConvergenceError
+from .pipeline import PreprocessingToggles, preprocess
+from .report import write_inventory_csv, write_reports
 from .studies import (run_ablation, run_band_sweep, run_model_comparison,
                       run_task_comparison)
 
@@ -65,7 +65,7 @@ def _cmd_synth(args) -> int:
                 rdoc["seed"] = args.seed + i
             try:
                 rec, events = synthmod.generate(synthmod.SynthSpec(**rdoc))
-            except (TypeError, synthmod.SynthError) as exc:
+            except (TypeError, ConfigError) as exc:
                 raise ConfigError(f"bad synth spec #{i}: {exc}") from exc
             yield subject, task, rec, events
 
@@ -107,7 +107,7 @@ def _cmd_preprocess(args) -> int:
     manifests = nonempty_list(doc, "manifests", str, "paths")
     try:
         toggles = PreprocessingToggles(**doc.get("preprocessing", {}))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"invalid preprocess config: {exc}") from exc
     # no name holds a raw recording while its output is written
     sessions = ((man.subject_id, man.task,
@@ -139,7 +139,7 @@ def _cmd_report(args) -> int:
         man = dataio.load_manifest(path)
         totals.update(dataio.load_events(man.events_path).labels())
     if not totals:
-        raise ReportError("no events found; refusing to write an empty report")
+        raise DataError("no events found; refusing to write an empty report")
     counts = {lab: c / len(manifests) for lab, c in totals.items()}
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "phone_counts.csv")
@@ -190,8 +190,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, PipelineError, EpochError, AlignError, DspError,
-            EvalError, ModelError, ReportError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ConvergenceError, FloatingPointError) as exc:

@@ -6,14 +6,10 @@ import json
 import os
 from dataclasses import asdict, replace
 
-from .dataio import write_json
+from .dataio import ConfigError, write_json
 from .models import ModelSpec, TrainConfig
 from .pipeline import CvConfig, EpochWindow, PreprocessingToggles
 from .studies import ExperimentConfig
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _model_name(doc: dict) -> str:
@@ -100,7 +96,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

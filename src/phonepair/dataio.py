@@ -23,8 +23,13 @@ CHANNEL_KINDS = ("gradiometer", "magnetometer", "misc", "audio")
 TASKS = ("production", "listening", "playback")
 
 
+class ConfigError(ValueError):
+    """A malformed config or config value: exit code 2."""
+
+
 class DataError(ValueError):
-    """Raised for malformed or inconsistent on-disk data."""
+    """Malformed or inconsistent recordings, events or manifests, or
+    anything computed from them that cannot go on: exit code 3."""
 
 
 _NUMBER_FIELDS = {"int": (Integral, "an integer"),
@@ -115,6 +120,8 @@ class Recording:
     def __post_init__(self):
         check_numbers(self, DataError)
         object.__setattr__(self, "channels", tuple(self.channels))
+        if not self.channels:
+            raise DataError("recording must have at least one channel")
         names = [c.name for c in self.channels]
         if len(set(names)) != len(names):
             raise DataError("channel names must be unique")
@@ -195,6 +202,11 @@ class Manifest:
 
 def save_recording(rec: Recording, path: str) -> None:
     """Write ``path`` (raw f32 LE, channel-major) plus its JSON sidecar."""
+    # before the cast, which turns a larger sample into inf; max and min
+    # copy nothing
+    limit = np.finfo("<f4").max
+    if rec.data.max() > limit or rec.data.min() < -limit:
+        raise DataError(f"{path}: a sample exceeds the float32 range")
     payload = np.ascontiguousarray(rec.data, dtype="<f4")
     header = {
         "sample_rate": rec.sample_rate,

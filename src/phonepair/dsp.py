@@ -8,11 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Recording
-
-
-class DspError(ValueError):
-    pass
+from .dataio import DataError, Recording
 
 
 # Canonical oscillation bands (Hz).
@@ -67,17 +63,17 @@ def design_fir(lo: float | None, hi: float, fs: float) -> FirFilter:
     """
     nyq = fs / 2.0
     if hi is None:
-        raise DspError("high edge is required (low-pass or band-pass only)")
+        raise DataError("high edge is required (low-pass or band-pass only)")
     if hi >= nyq:
-        raise DspError(f"high edge {hi} Hz must be below Nyquist {nyq} Hz")
+        raise DataError(f"high edge {hi} Hz must be below Nyquist {nyq} Hz")
     tbw_hi = _transition_bandwidth(hi)
     if hi + tbw_hi / 2.0 >= nyq:
-        raise DspError(f"transition band of edge {hi} Hz exceeds Nyquist {nyq} Hz")
+        raise DataError(f"transition band of edge {hi} Hz exceeds Nyquist {nyq} Hz")
     if lo is not None:
         if lo <= 0:
-            raise DspError("low edge must be positive for a band-pass design")
+            raise DataError("low edge must be positive for a band-pass design")
         if lo >= hi:
-            raise DspError(f"low edge {lo} must be below high edge {hi}")
+            raise DataError(f"low edge {lo} must be below high edge {hi}")
         tbw_lo = _transition_bandwidth(lo)
         min_tbw = min(tbw_lo, tbw_hi)
     else:
@@ -128,7 +124,7 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     n = x.shape[1]
     m = len(h)
     if n <= m:
-        raise DspError(f"signal length {n} must exceed filter length {m}")
+        raise DataError(f"signal length {n} must exceed filter length {m}")
     pad = (m - 1) // 2
     padded = np.pad(x, ((0, 0), (pad, pad)), mode="reflect")
     if m > 64:
@@ -147,7 +143,7 @@ def decimate(rec: Recording, factor: int = 10) -> Recording:
         return rec
     # before the filter design, whose length grows with the factor
     if -(-rec.n_samples // factor) < 2:
-        raise DspError("decimated recording would have fewer than 2 samples")
+        raise DataError("decimated recording would have fewer than 2 samples")
     cutoff = 0.5 * rec.sample_rate / factor
     filt = design_fir(None, cutoff, rec.sample_rate)
     filtered = apply_zero_phase(filt, rec.data)
@@ -198,9 +194,9 @@ def _synthesis(c: np.ndarray, taps: np.ndarray, n_out: int) -> np.ndarray:
 def _check_signal(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise DspError("the wavelet transform expects a 1-D signal")
+        raise DataError("the wavelet transform expects a 1-D signal")
     if len(x) < _FILT_LEN:
-        raise DspError(f"signal length {len(x)} is below the filter length {_FILT_LEN}")
+        raise DataError(f"signal length {len(x)} is below the filter length {_FILT_LEN}")
     return x
 
 
@@ -257,7 +253,7 @@ def compute_zscore_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column (mean, std), the std floored at ``STD_FLOOR``."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
-        raise DspError("need a 2-D matrix with at least 2 rows for z-score stats")
+        raise DataError("need a 2-D matrix with at least 2 rows for z-score stats")
     return X.mean(axis=0), np.maximum(X.std(axis=0), STD_FLOOR)
 
 
@@ -266,7 +262,7 @@ def apply_zscore(X: np.ndarray, stats: tuple) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     mean, std = stats
     if X.shape[1] != len(mean):
-        raise DspError(
+        raise DataError(
             f"feature dimension {X.shape[1]} does not match stats {len(mean)}"
         )
     return (X - mean) / std

@@ -8,11 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EventTable, Recording
-
-
-class EpochError(ValueError):
-    pass
+from .dataio import DataError, EventTable, Recording
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int) -> PairDat
     groups = [[e for e in epochs if e.label == phone] for phone in pair]
     for phone, group in zip(pair, groups):
         if not group:
-            raise EpochError(f"no epochs for phone {phone!r}")
+            raise DataError(f"no epochs for phone {phone!r}")
     rng = np.random.default_rng(seed)
     m = min(map(len, groups))
     kept = []  # m epochs of label 0, then m of label 1
@@ -90,7 +86,7 @@ def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int) -> PairDat
     order = rng.permutation(2 * m)
     X = np.stack([kept[i].data.reshape(-1) for i in order])
     if not np.all(np.isfinite(X)):
-        raise EpochError("pair dataset contains non-finite values")
+        raise DataError("pair dataset contains non-finite values")
     n_channels, n_times = kept[0].data.shape
     return PairDataset(X=X, y=(order >= m).astype(int), pair=pair,
                        n_channels=n_channels, n_times=n_times)

@@ -10,11 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp, models
+from .dataio import DataError
 from .epochs import PairDataset
-
-
-class EvalError(ValueError):
-    pass
 
 
 EXACT_WILCOXON_MAX_N = 25
@@ -38,7 +35,7 @@ def kfold(y, k: int, seed: int) -> np.ndarray:
     y = np.asarray(y)
     n = len(y)
     if n < k:
-        raise EvalError(f"cannot split {n} rows into {k} folds")
+        raise DataError(f"cannot split {n} rows into {k} folds")
     rng = np.random.default_rng(seed)
     assignments = np.empty(n, dtype=int)
     counter = 0
@@ -73,7 +70,7 @@ def auc_score(y_true: np.ndarray, scores: np.ndarray) -> float:
     n_pos = int(np.sum(y_true == 1))
     n_neg = int(np.sum(y_true == 0))
     if n_pos == 0 or n_neg == 0:
-        raise EvalError("AUC is undefined for single-class y_true")
+        raise DataError("AUC is undefined for single-class y_true")
     ranks = _rankdata(scores)
     r_pos = ranks[y_true == 1].sum()
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -94,7 +91,7 @@ def metrics(y_true, scores, threshold: float = 0.5) -> dict:
     y_true = np.asarray(y_true)
     scores = np.asarray(scores, dtype=float)
     if len(y_true) != len(scores):
-        raise EvalError("y_true and scores length mismatch")
+        raise DataError("y_true and scores length mismatch")
     y_pred = (scores >= threshold).astype(int)
     accuracy = float(np.mean(y_pred == y_true))
     f1 = 0.5 * (_binary_f1(y_true, y_pred, 0) + _binary_f1(y_true, y_pred, 1))
@@ -135,12 +132,12 @@ def wilcoxon(a, b) -> TestResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
-        raise EvalError("wilcoxon needs two equal-length 1-D samples")
+        raise DataError("wilcoxon needs two equal-length 1-D samples")
     d = a - b
     d = d[d != 0]
     n = len(d)
     if n == 0:
-        raise EvalError("no nonzero differences")
+        raise DataError("no nonzero differences")
     ranks = _rankdata(np.abs(d))
     r_pos = ranks[d > 0].sum()
     r_neg = ranks[d < 0].sum()
@@ -154,7 +151,7 @@ def wilcoxon(a, b) -> TestResult:
     _, tie_counts = np.unique(ranks, return_counts=True)
     var -= np.sum(tie_counts ** 3 - tie_counts) / 48.0
     if var <= 0:
-        raise EvalError("zero variance in signed-rank distribution")
+        raise DataError("zero variance in signed-rank distribution")
     z = (W - mean + 0.5) / math.sqrt(var)
     p = min(1.0, 2.0 * 0.5 * math.erfc(-z / math.sqrt(2.0)))
     return TestResult(W=float(W), p=p, n_effective=n, method="normal_approx")
@@ -165,7 +162,7 @@ def evaluate(spec: models.ModelSpec, ds: PairDataset,
     """One :func:`metrics` dict per fold of the per-row fold indices
     ``folds``, with fold-local z-scoring (no test-row leakage)."""
     if len(folds) != len(ds.y):
-        raise EvalError("fold split does not match dataset size")
+        raise DataError("fold split does not match dataset size")
     per_fold = []
     for fold in range(folds.max() + 1):
         test_mask = folds == fold
@@ -181,9 +178,7 @@ def evaluate(spec: models.ModelSpec, ds: PairDataset,
                 n_channels=ds.n_channels, n_times=ds.n_times,
             )
             scores = model.predict_proba(X_test)[:, 1]
-        except models.ModelError as exc:
-            raise EvalError(f"fold {fold}: {exc}") from exc
-        except models.ConvergenceError as exc:
-            raise models.ConvergenceError(f"fold {fold}: {exc}") from exc
+        except (DataError, models.ConvergenceError) as exc:
+            raise type(exc)(f"fold {fold}: {exc}") from exc
         per_fold.append(metrics(y_test, scores))
     return per_fold

@@ -17,15 +17,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize
 from scipy.special import expit
 
-from .dataio import check_numbers, check_size
-
-
-class ModelError(ValueError):
-    pass
+from .dataio import ConfigError, DataError, check_numbers, check_size
 
 
 class ConvergenceError(RuntimeError):
-    pass
+    """A numeric solver that did not converge: exit code 4."""
 
 
 ALLOWED_HIDDEN_SIZES = ((), (1024,), (2048, 1024))
@@ -41,7 +37,7 @@ class TrainConfig:
     seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
-        check_numbers(self, ModelError)
+        check_numbers(self, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -66,11 +62,11 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.variant not in _PREDICTORS:
-            raise ModelError(f"unknown model variant {self.variant!r}")
-        check_numbers(self, ModelError)
+            raise ConfigError(f"unknown model variant {self.variant!r}")
+        check_numbers(self, ConfigError)
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if self.variant == "ffn" and self.hidden_sizes not in ALLOWED_HIDDEN_SIZES:
-            raise ModelError(
+            raise ConfigError(
                 f"ffn hidden_sizes must be one of {ALLOWED_HIDDEN_SIZES}"
             )
 
@@ -89,7 +85,7 @@ class TrainedModel:
         X = np.asarray(X, dtype=float)
         p = self.meta.get("n_features")
         if p is not None and X.shape[1] != p:
-            raise ModelError(f"feature dimension {X.shape[1]} != trained {p}")
+            raise DataError(f"feature dimension {X.shape[1]} != trained {p}")
         return _PREDICTORS[self.variant](self, X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -100,11 +96,11 @@ def _check_xy(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
-        raise ModelError("X must be a nonempty 2-D matrix")
+        raise DataError("X must be a nonempty 2-D matrix")
     if len(y) != X.shape[0]:
-        raise ModelError("X and y length mismatch")
+        raise DataError("X and y length mismatch")
     if not set(np.unique(y)) <= {0, 1}:
-        raise ModelError("labels must be binary 0/1")
+        raise DataError("labels must be binary 0/1")
     return X, y.astype(int)
 
 
@@ -215,7 +211,7 @@ def train_lda(X, y, spec: ModelSpec) -> TrainedModel:
     n, p = X.shape
     n0, n1 = int(np.sum(y == 0)), int(np.sum(y == 1))
     if n0 < 2 or n1 < 2:
-        raise ModelError("each class needs at least 2 samples for LDA")
+        raise DataError("each class needs at least 2 samples for LDA")
     s = spec.shrinkage
     mu0 = X[y == 0].mean(axis=0)
     mu1 = X[y == 1].mean(axis=0)
@@ -227,14 +223,14 @@ def train_lda(X, y, spec: ModelSpec) -> TrainedModel:
     diff = mu1 - mu0
     if s == 0:
         if p > dof:
-            raise ModelError(
+            raise DataError(
                 "pooled covariance is singular (p > n - 2); use shrinkage > 0"
             )
         cov = Xc.T @ Xc / dof
         try:
             w = np.linalg.solve(cov, diff)
         except np.linalg.LinAlgError as exc:
-            raise ModelError(
+            raise DataError(
                 f"singular pooled covariance ({exc}); use shrinkage > 0"
             ) from exc
     elif s == 1:
@@ -462,12 +458,12 @@ class CnnNet:
 
     def __init__(self, n_channels, n_times, kernel=10, stride=10, filters=8):
         if n_times < kernel:
-            raise ModelError(f"epoch length {n_times} is below kernel {kernel}")
+            raise DataError(f"epoch length {n_times} is below kernel {kernel}")
         self.C, self.T = n_channels, n_times
         self.k, self.s, self.F = kernel, stride, filters
         self.P = (n_times - kernel) // stride + 1
         check_size(self.C * self.P * self.F, 2, "the cnn linear layer",
-                   ModelError)
+                   DataError)
 
     def init_params(self, rng: np.random.Generator) -> dict:
         return {
@@ -582,7 +578,7 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
     the moments, two scratch blocks for ``_adamw_step`` and the best
     parameters (refreshed with ``np.copyto``) are allocated once."""
     if len(y) < 10:
-        raise ModelError("need at least 10 samples to hold out a validation set")
+        raise DataError("need at least 10 samples to hold out a validation set")
     rng = np.random.default_rng(cfg.seed)
     params = net.init_params(rng)
     train_mask, val_mask = _stratified_holdout(y, cfg.val_fraction, rng)
@@ -640,7 +636,7 @@ def train_ffn(X, y, spec: ModelSpec) -> TrainedModel:
 def train_cnn(X, y, spec: ModelSpec, n_channels=None,
               n_times=None) -> TrainedModel:
     if None in (n_channels, n_times) or n_channels * n_times != X.shape[1]:
-        raise ModelError(f"cnn needs X width {X.shape[1]} = n_channels*n_times"
+        raise DataError(f"cnn needs X width {X.shape[1]} = n_channels*n_times"
                          f", got {n_channels}*{n_times}")
     net = CnnNet(n_channels, n_times, spec.kernel, spec.stride,
                  spec.filters_per_channel)

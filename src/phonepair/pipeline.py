@@ -9,13 +9,10 @@ from itertools import combinations
 import numpy as np
 
 from . import dataio, dsp, evaluation
+from .dataio import ConfigError, DataError
 from .epochs import build_pair_dataset, count_phones, extract_epochs
 
 BAND_PASS_LO = 0.2  # Hz, low edge used whenever a band limit is set
-
-
-class PipelineError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -28,7 +25,7 @@ class PreprocessingToggles:
     band_limit: float | None = field(default=31.0, metadata={"gt": 0})
 
     def __post_init__(self):
-        dataio.check_numbers(self, PipelineError)
+        dataio.check_numbers(self, ConfigError)
         object.__setattr__(self, "sensor_kinds", tuple(self.sensor_kinds))
 
 
@@ -38,7 +35,7 @@ class CvConfig:
     seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
-        dataio.check_numbers(self, PipelineError)
+        dataio.check_numbers(self, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -47,9 +44,9 @@ class EpochWindow:
     tmax: float = 0.2
 
     def __post_init__(self):
-        dataio.check_numbers(self, PipelineError)
+        dataio.check_numbers(self, ConfigError)
         if not self.tmin < self.tmax:
-            raise PipelineError("epoch_window needs tmin < tmax")
+            raise ConfigError("epoch_window needs tmin < tmax")
 
 
 def preprocess(rec: dataio.Recording, toggles: PreprocessingToggles) -> dataio.Recording:
@@ -72,12 +69,12 @@ def resolve_pairs(phone_pairs, selected) -> list[tuple[str, str]]:
     if phone_pairs == "auto":
         return list(combinations(sorted(selected), 2))
     if not isinstance(phone_pairs, (list, tuple)):
-        raise PipelineError('phone_pairs must be "auto" or a list of pairs')
+        raise ConfigError('phone_pairs must be "auto" or a list of pairs')
     pairs = []
     for p in phone_pairs:
         if not (isinstance(p, (list, tuple)) and len(p) == 2
                 and all(isinstance(x, str) for x in p) and p[0] != p[1]):
-            raise PipelineError(f"invalid phone pair {p!r}")
+            raise ConfigError(f"invalid phone pair {p!r}")
         pairs.append(tuple(sorted(p)))
     return pairs
 
@@ -98,7 +95,7 @@ def evaluate_recording(
     eps, _skipped = extract_epochs(prec, events, window.tmin, window.tmax)
     pairs = resolve_pairs(phone_pairs, count_phones(events, min_count))
     if not pairs:
-        raise PipelineError("no phone pairs to evaluate (inventory too small?)")
+        raise DataError("no phone pairs to evaluate (inventory too small?)")
     rows = []
     for pair in pairs:
         ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed)
@@ -154,7 +151,7 @@ def paired_metric_vectors(rows_a: list[dict], rows_b: list[dict],
     ia, ib = _index(rows_a), _index(rows_b)
     keys = sorted(set(ia) & set(ib))
     if not keys:
-        raise PipelineError("no common observations to pair")
+        raise DataError("no common observations to pair")
     return (np.array([ia[k] for k in keys]), np.array([ib[k] for k in keys]))
 
 
@@ -163,5 +160,5 @@ def compare_rows(rows_a, rows_b, metric="accuracy", key=PAIRING_KEY):
     a, b = paired_metric_vectors(rows_a, rows_b, metric, key)
     try:
         return evaluation.wilcoxon(a, b)
-    except evaluation.EvalError:
+    except DataError:
         return None

@@ -8,9 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class ReportError(ValueError):
-    pass
+from .dataio import DataError
 
 
 @dataclass
@@ -44,7 +42,7 @@ def _cell(row, col):
 def _write_csv(path: str, header, rows: list) -> None:
     """The one CSV writer: a header line, then one line per row."""
     if not rows:
-        raise ReportError(f"refusing to write an empty table to {path}")
+        raise DataError(f"refusing to write an empty table to {path}")
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -58,7 +56,7 @@ def write_table_csv(table: ResultTable, path: str) -> None:
 
 def write_table_markdown(table: ResultTable, path: str) -> None:
     if not table.rows:
-        raise ReportError(f"refusing to write empty table {table.title!r}")
+        raise DataError(f"refusing to write empty table {table.title!r}")
     lines = [f"# {table.title}", ""]
     header = ["Modality", "Model", "Configuration", "Accuracy (%)", "F-1 (%)",
               "AUC (%)", "n"]

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from . import dataio, dsp, pipeline
+from .dataio import ConfigError, DataError
 from .models import ModelSpec
-from .pipeline import (PAIRING_KEY, CvConfig, EpochWindow, PipelineError,
+from .pipeline import (PAIRING_KEY, CvConfig, EpochWindow,
                        PreprocessingToggles, compare_rows, sort_rows,
                        summarize)
 from .report import ResultTable
@@ -30,7 +31,7 @@ class ExperimentConfig:
     jobs: int = field(default=1, metadata={"ge": 1})
 
     def __post_init__(self):
-        dataio.check_numbers(self, PipelineError)
+        dataio.check_numbers(self, ConfigError)
         if self.phone_pairs != "auto":
             # raises unless each entry is two distinct labels
             pipeline.resolve_pairs(self.phone_pairs, ())
@@ -127,7 +128,7 @@ def run_model_comparison(cfg: ExperimentConfig):
     by_task = _manifests_by_task(cfg)
     prod = by_task.get("production")
     if not prod:
-        raise PipelineError("model comparison requires production-task manifests")
+        raise DataError("model comparison requires production-task manifests")
     rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", *model)
                            for m in prod for model in cfg.models])
     groups = _groups(rows, [("production", "baseline", name)
@@ -148,7 +149,7 @@ def run_task_comparison(cfg: ExperimentConfig):
     between modalities and against chance."""
     by_task = _manifests_by_task(cfg)
     if len(by_task) < 2:
-        raise PipelineError("need two modalities to compare")
+        raise DataError("need two modalities to compare")
     model = _primary_model(cfg)
     tasks = sorted(by_task)
     rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", *model)
@@ -188,7 +189,7 @@ def run_band_sweep(cfg: ExperimentConfig):
                 # skip bands whose upper transition exceeds Nyquist
                 try:
                     dsp.design_fir(band_pass[0], band_pass[1], fs)
-                except dsp.DspError as exc:
+                except DataError as exc:
                     print(f"warning: skipping band {conf_name} for task "
                           f"{task}: {exc}", file=sys.stderr)
                     continue
@@ -225,7 +226,7 @@ def run_ablation(cfg: ExperimentConfig):
     by_task = _manifests_by_task(cfg)
     prod = by_task.get("production")
     if not prod:
-        raise PipelineError("ablation requires production-task manifests")
+        raise DataError("ablation requires production-task manifests")
     name, spec = _primary_model(cfg)
     configs = ablation_configurations(cfg.preprocessing, spec)
     rows = _run_plan(cfg, [(m, toggles, None, conf_name, name, conf_spec)

@@ -9,12 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsp
-from .dataio import (ChannelInfo, Event, EventTable, Recording, check_field,
-                     check_numbers, check_size)
-
-
-class SynthError(ValueError):
-    pass
+from .dataio import (ChannelInfo, ConfigError, Event, EventTable, Recording,
+                     check_field, check_numbers, check_size)
 
 
 TEMPLATE_SPAN = 0.2     # seconds of planted activity after each onset
@@ -39,25 +35,25 @@ class SynthSpec:
     seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
-        check_numbers(self, SynthError)
+        check_numbers(self, ConfigError)
         try:
             phones = tuple((str(l), c) for l, c in self.phones)
         except (TypeError, ValueError) as exc:
-            raise SynthError(f"phones must be [label, count] pairs: {exc}") from exc
+            raise ConfigError(f"phones must be [label, count] pairs: {exc}") from exc
         if not phones:
-            raise SynthError("phones must name at least one phone")
+            raise ConfigError("phones must name at least one phone")
         for _, count in phones:
-            check_field("a phone count", count, "int", {"ge": 1}, SynthError)
+            check_field("a phone count", count, "int", {"ge": 1}, ConfigError)
         object.__setattr__(self, "phones", phones)
         if dsp.BANDS[self.band][1] >= self.fs / 2:
-            raise SynthError(f"band {self.band} exceeds Nyquist for fs={self.fs}")
+            raise ConfigError(f"band {self.band} exceeds Nyquist for fs={self.fs}")
         # before anything is built: an event and the gap after it last at
         # least this long, a lower bound for the exact check in _plan_events
         shortest = EVENT_LENGTH - EVENT_JITTER + MIN_GAP
         if sum(c for _, c in phones) - 1 > self.duration / shortest:
-            raise SynthError(f"the events outlast duration {self.duration}s")
+            raise ConfigError(f"the events outlast duration {self.duration}s")
         check_size(self.n_channels + self.n_magnetometers,
-                   self.duration * self.fs, "the recording", SynthError)
+                   self.duration * self.fs, "the recording", ConfigError)
 
 
 def _one_over_f_noise(rng: np.random.Generator, n: int, fs: float) -> np.ndarray:
@@ -92,7 +88,7 @@ def _sign_patterns(rng: np.random.Generator, n_labels: int, n_active: int) -> np
     fall back to requiring the patterns merely be pairwise different.
     """
     if 2 ** n_active < n_labels:
-        raise SynthError(
+        raise ConfigError(
             f"cannot draw {n_labels} distinct patterns over {n_active} channels"
         )
     patterns = []
@@ -122,7 +118,7 @@ def _plan_events(rng: np.random.Generator, spec: SynthSpec) -> list[Event]:
         t += dur + MIN_GAP + rng.uniform(0, 0.1)
     tail = events[-1].onset + TEMPLATE_SPAN + 0.1
     if tail > spec.duration:
-        raise SynthError(
+        raise ConfigError(
             f"events span {tail:.2f}s but duration is only {spec.duration}s"
         )
     return events

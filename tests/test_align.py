@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from phonepair.align import AlignError, align
+from phonepair.align import align
+from phonepair.dataio import DataError
 
 FS = 250.0
 
@@ -74,11 +75,11 @@ class TestAlign:
     def test_window_too_large(self):
         rng = np.random.default_rng(4)
         x = speech_like(rng, 2000)
-        with pytest.raises(AlignError, match="window"):
+        with pytest.raises(DataError, match="window"):
             align(x, x, FS, window=6.0)
 
     def test_zero_variance_errors(self):
         x = np.zeros(6000)
         y = np.ones(6000)
-        with pytest.raises(AlignError, match="variance"):
+        with pytest.raises(DataError, match="variance"):
             align(x, y, FS, window=1.0)

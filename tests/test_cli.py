@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,8 @@ class TestMalformedRecordingsAndEvents:
     @pytest.mark.parametrize("command,breakage", [
         *[(c, b) for b in [*HEADER_BREAKAGES, "sidecar_not_utf8"]
           for c in ("align", "report")],
+        # no channels and an empty payload: consistent, but nothing to align
+        ("align", "no_channels"),
         *[("report", b) for b in [*BAD_EVENT_ROWS, "events_not_utf8"]],
     ])
     def test_exits_data_error(self, cli_corpus, tmp_path, capsys, command,
@@ -163,6 +166,10 @@ class TestMalformedRecordingsAndEvents:
         if breakage == "sidecar_not_utf8":
             with open(rec_path + ".json", "r+b") as f:
                 f.write(b"\xff")
+        elif breakage == "no_channels":
+            write_json(rec_path + ".json",
+                       dict(header, channels=[], n_samples=100))
+            open(rec_path, "wb").close()
         elif breakage == "events_not_utf8":
             with open(ev_path, "ab") as f:
                 f.write(b"1.0\t1.1\t\xe9\n")
@@ -261,11 +268,17 @@ class TestExitCodes:
         assert main(["run-models", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    def test_malformed_json(self, tmp_path):
+    def test_malformed_json(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
-        p.write_text("{not json")
-        assert main(["run-models", "--config", str(p),
-                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        # not JSON, and JSON that is not UTF-8
+        for payload in (b"{not json", b'{"x": "\xff"}'):
+            p.write_bytes(payload)
+            for command in ("synth", "align", "preprocess", "run-models",
+                            "report"):
+                assert main([command, "--config", str(p),
+                             "--out", str(tmp_path)]) == EXIT_CONFIG, command
+                err = capsys.readouterr().err
+                assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_bad_model_variant(self, cli_corpus, tmp_path):
         _, manifests = cli_corpus
@@ -434,6 +447,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_samples_beyond_float32(self, tmp_path, capsys):
+        # valid for the generator, but not storable as float32
+        doc = {"recordings": [{"duration": 5, "n_channels": 2,
+                                "phones": [["a", 5], ["e", 5]], "snr": 1e39}]}
+        cfg = write_json(tmp_path / "big.json", doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["synth", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "float32 range" in err
 
     @pytest.mark.parametrize("change", [
         None, {"window": "x"}, {"window": None}, {"window": True},

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,16 @@ class TestRecordingRoundTrip:
                 channels=(ChannelInfo("A", "gradiometer"),),
                 data=np.zeros((2, 5)),
             )
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_samples_beyond_float32_not_written(self, tmp_path, sign):
+        # checked before the cast, which would write inf
+        rec = make_recording(2, 50)
+        rec = rec.with_data(rec.data * np.r_[1.0, sign * 1e39][:, None])
+        path = str(tmp_path / "big.nrd")
+        with pytest.raises(DataError, match="float32 range"):
+            save_recording(rec, path)
+        assert not os.path.exists(path)
 
 
 class TestEvents:

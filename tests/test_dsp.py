@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from phonepair import dsp
-from phonepair.dsp import (BANDS, DspError, apply_zero_phase,
+from phonepair.dataio import DataError
+from phonepair.dsp import (BANDS, apply_zero_phase,
                            compute_zscore_stats, apply_zscore, decimate,
                            design_fir, wavelet_decompose, wavelet_denoise)
 
@@ -52,11 +53,11 @@ class TestFirDesign:
                 assert 20 * np.log10(np.max(np.abs(H[stop_lo]))) <= -40
 
     def test_error_cases(self):
-        with pytest.raises(DspError):
+        with pytest.raises(DataError, match="below Nyquist"):
             design_fir(None, 500, 1000)  # at Nyquist
-        with pytest.raises(DspError):
+        with pytest.raises(DataError, match="must be positive"):
             design_fir(0, 31, 100)
-        with pytest.raises(DspError):
+        with pytest.raises(DataError, match="below high edge"):
             design_fir(31, 0.2, 100)
 
 
@@ -101,7 +102,7 @@ class TestZeroPhase:
 
     def test_too_short_signal(self):
         f = design_fir(None, 50, 1000)
-        with pytest.raises(DspError, match="length"):
+        with pytest.raises(DataError, match="length"):
             apply_zero_phase(f, np.zeros(10))
 
 
@@ -181,14 +182,14 @@ class TestDecimate:
 
     def test_too_short(self):
         rec = make_recording(1, 300, fs=1000.0)
-        with pytest.raises(DspError):
+        with pytest.raises(DataError, match="must exceed filter length"):
             decimate(rec, 200)
 
     def test_factor_beyond_the_recording(self):
         # checked before the filter design, whose taps at this factor
         # numpy could not allocate
         rec = make_recording(1, 300, fs=1000.0)
-        with pytest.raises(DspError, match="fewer than 2 samples"):
+        with pytest.raises(DataError, match="fewer than 2 samples"):
             decimate(rec, 10**30)
 
 
@@ -221,11 +222,11 @@ class TestWavelet:
         assert np.sqrt(np.mean(y ** 2)) <= 0.15 * np.sqrt(np.mean(x ** 2))
 
     def test_too_short(self):
-        with pytest.raises(DspError):
+        with pytest.raises(DataError, match="below the filter length"):
             wavelet_denoise(np.zeros(7))
 
     def test_two_d_input(self):
-        with pytest.raises(DspError, match="1-D"):
+        with pytest.raises(DataError, match="1-D"):
             wavelet_denoise(np.zeros((2, 100)))
 
     def test_denoise_equals_decomposition_a2(self):
@@ -279,7 +280,7 @@ class TestZScore:
         assert np.all(Z[:, 0] == 0)
 
     def test_single_row_errors(self):
-        with pytest.raises(DspError):
+        with pytest.raises(DataError, match="at least 2 rows"):
             compute_zscore_stats(np.ones((1, 3)))
 
     def test_restandardization_idempotent(self):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from phonepair.dataio import Event, EventTable
-from phonepair.epochs import (Epoch, EpochError, build_pair_dataset,
+from phonepair.dataio import DataError
+from phonepair.epochs import (Epoch, build_pair_dataset,
                               count_phones, extract_epochs)
 
 from helpers import make_recording
@@ -100,7 +101,7 @@ class TestBuildPairDataset:
 
     def test_missing_class_errors(self):
         eps = _fake_epochs({"a": 5})
-        with pytest.raises(EpochError, match="'e'"):
+        with pytest.raises(DataError, match="'e'"):
             build_pair_dataset(eps, "a", "e", seed=0)
 
     def test_rows_are_channel_major_epochs(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from phonepair import evaluation
+from phonepair.dataio import DataError
 from phonepair.epochs import PairDataset
 from phonepair.evaluation import (
-    EvalError,
     auc_score,
     evaluate,
     kfold,
@@ -41,7 +41,7 @@ class TestKfold:
         assert not np.array_equal(s1, s3)
 
     def test_too_few_rows(self):
-        with pytest.raises(EvalError, match="folds"):
+        with pytest.raises(DataError, match="folds"):
             kfold(np.array([0, 1]), k=5, seed=0)
 
 
@@ -78,7 +78,7 @@ class TestAuc:
         assert auc_score(y, s) == pytest.approx(wins / (len(pos) * len(neg)))
 
     def test_single_class_raises(self):
-        with pytest.raises(EvalError, match="single-class"):
+        with pytest.raises(DataError, match="single-class"):
             auc_score(np.ones(4), np.random.rand(4))
 
 
@@ -97,7 +97,7 @@ class TestMetrics:
         assert m["accuracy"] == pytest.approx(0.75)
 
     def test_length_mismatch(self):
-        with pytest.raises(EvalError, match="mismatch"):
+        with pytest.raises(DataError, match="mismatch"):
             metrics(np.array([0, 1]), np.array([0.5]))
 
 
@@ -131,7 +131,7 @@ class TestWilcoxon:
         assert res.n_effective == 3
 
     def test_all_equal_raises(self):
-        with pytest.raises(EvalError, match="nonzero"):
+        with pytest.raises(DataError, match="nonzero"):
             wilcoxon(np.ones(5), np.ones(5))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -173,7 +173,7 @@ class TestWilcoxon:
         assert abs(exact.p - p_norm) <= 0.01
 
     def test_shape_validation(self):
-        with pytest.raises(EvalError, match="equal-length"):
+        with pytest.raises(DataError, match="equal-length"):
             wilcoxon(np.ones(3), np.ones(4))
 
 
@@ -215,5 +215,5 @@ class TestEvaluate:
     def test_split_size_mismatch(self, rng):
         ds = planted_dataset(rng)
         folds = kfold(np.r_[ds.y, 0], k=5, seed=0)
-        with pytest.raises(EvalError, match="size"):
+        with pytest.raises(DataError, match="size"):
             evaluate(ModelSpec("lda"), ds, folds)

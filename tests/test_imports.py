@@ -115,3 +115,78 @@ def test_no_dead_definitions():
               for folder in ("tests", "perfbench")
               for p in sorted((ROOT / folder).rglob("*.py"))]
     assert dead_definitions(modules, others) == []
+
+
+ERRORS = ("ConfigError", "DataError", "ConvergenceError")
+
+
+def _last_name(node):
+    """``x`` of ``x`` or of ``a.b.x``; None for any other expression."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def stray_errors(sources: list) -> list[str]:
+    """Exception classes other than ``ERRORS`` defined in ``sources``, and
+    ``raise`` statements that name none of them.  A raise may also re-raise
+    what an ``except ... as name`` caught (``raise name``,
+    ``raise type(name)(...)``) or raise the class a function takes as its
+    ``error`` argument, when every call passes one of ``ERRORS`` there or
+    forwards its own ``error``."""
+    trees = [ast.parse(s) for s in sources]
+    nodes = [n for tree in trees for n in ast.walk(tree)]
+    takes_error = {n.name: [a.arg for a in n.args.args].index("error")
+                   for n in nodes if isinstance(n, ast.FunctionDef)
+                   and "error" in [a.arg for a in n.args.args]}
+    caught = {n.name for n in nodes if isinstance(n, ast.ExceptHandler)}
+    found = []
+    for n in nodes:
+        if isinstance(n, ast.ClassDef) and n.name not in ERRORS and any(
+                (_last_name(b) or "").endswith(("Error", "Exception"))
+                for b in n.bases):
+            found.append(f"class {n.name} (line {n.lineno})")
+        elif isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            if (isinstance(exc, ast.Call) and _last_name(exc.func) == "type"
+                    and exc.args):
+                exc = exc.args[0]
+            if _last_name(exc) not in (*ERRORS, *caught, "error"):
+                found.append(f"raise {ast.unparse(n.exc)} (line {n.lineno})")
+        elif isinstance(n, ast.Call) and _last_name(n.func) in takes_error:
+            index = takes_error[_last_name(n.func)]
+            passed = ([k.value for k in n.keywords if k.arg == "error"]
+                      or n.args[index:index + 1])
+            if not passed or _last_name(passed[0]) not in (*ERRORS, "error"):
+                found.append(f"{ast.unparse(n)} (line {n.lineno})")
+    return found
+
+
+def test_checker_finds_stray_errors():
+    lib = ("class ConfigError(ValueError):\n"
+           "    pass\n"
+           "class LoadError(ValueError):\n"
+           "    pass\n"
+           "def check(x, error):\n"
+           "    if x:\n"
+           "        raise error('x')\n"
+           "def run():\n"
+           "    check(1, ConfigError)\n"
+           "    check(1, error=KeyError)\n"
+           "    try:\n"
+           "        raise ValueError('y')\n"
+           "    except ConfigError as exc:\n"
+           "        raise type(exc)(f'z: {exc}') from exc\n"
+           "    except KeyError:\n"
+           "        raise\n")
+    assert stray_errors([lib]) == [
+        "class LoadError (line 3)", "check(1, error=KeyError) (line 10)",
+        "raise ValueError('y') (line 12)"]
+
+
+def test_one_error_class_per_exit_code():
+    """An error's class is its exit code, so ``cli.main`` catches every
+    error a subcommand raises on purpose."""
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert stray_errors(sources) == []
+    defined = [n.name for s in sources for n in ast.walk(ast.parse(s))
+               if isinstance(n, ast.ClassDef) and n.name in ERRORS]
+    assert sorted(defined) == sorted(ERRORS)

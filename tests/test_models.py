@@ -5,13 +5,13 @@ import pytest
 from scipy import optimize
 
 from phonepair import models
+from phonepair.dataio import ConfigError, DataError
 from phonepair.models import (
     EN_KKT_TOL,
     EN_MAX_ITER,
     CnnNet,
     ConvergenceError,
     FfnNet,
-    ModelError,
     ModelSpec,
     TrainConfig,
     TrainedModel,
@@ -128,9 +128,9 @@ class TestElasticNet:
         assert abs(m1.params["b"] + m2.params["b"]) <= 1e-4
 
     def test_bad_spec(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ConfigError, match="alpha must be"):
             ModelSpec("elastic_net", alpha=0.0)
-        with pytest.raises(ModelError):
+        with pytest.raises(ConfigError, match="l1_ratio must be"):
             ModelSpec("elastic_net", l1_ratio=1.5)
 
 
@@ -236,7 +236,7 @@ class TestLda:
     def test_zero_shrinkage_singular_raises(self, rng):
         X = rng.standard_normal((10, 50))
         y = np.r_[np.zeros(5, int), np.ones(5, int)]
-        with pytest.raises(ModelError, match="shrinkage"):
+        with pytest.raises(DataError, match="shrinkage"):
             train(ModelSpec("lda", shrinkage=0.0), X, y)
 
     def test_separable_accuracy(self, rng):
@@ -246,7 +246,7 @@ class TestLda:
 
     def test_class_size_minimum(self, rng):
         X = rng.standard_normal((3, 2))
-        with pytest.raises(ModelError, match="at least 2"):
+        with pytest.raises(DataError, match="at least 2"):
             train(ModelSpec("lda"), X, np.array([0, 1, 1]))
 
 
@@ -410,12 +410,12 @@ class TestNeuralTraining:
         assert Xw.shape == (5, 204, 3, 10)
 
     def test_cnn_rejects_short_epochs(self):
-        with pytest.raises(ModelError, match="kernel"):
+        with pytest.raises(DataError, match="kernel"):
             CnnNet(n_channels=4, n_times=8, kernel=10, stride=10, filters=2)
 
     def test_cnn_rejects_a_linear_layer_beyond_memory(self):
         # checked before init_params, which numpy could not allocate
-        with pytest.raises(ModelError, match="linear layer"):
+        with pytest.raises(DataError, match="linear layer"):
             CnnNet(n_channels=4, n_times=30, kernel=10, stride=10,
                    filters=10**30)
 
@@ -423,7 +423,7 @@ class TestNeuralTraining:
         ModelSpec("ffn", hidden_sizes=())
         ModelSpec("ffn", hidden_sizes=(1024,))
         ModelSpec("ffn", hidden_sizes=(2048, 1024))
-        with pytest.raises(ModelError, match="hidden_sizes"):
+        with pytest.raises(ConfigError, match="hidden_sizes"):
             ModelSpec("ffn", hidden_sizes=(512,))
 
     def test_ffn_learns_separable(self, rng):
@@ -455,7 +455,7 @@ class TestNeuralTraining:
     def test_needs_ten_samples(self, rng):
         X = rng.standard_normal((8, 4))
         y = np.array([0, 1] * 4)
-        with pytest.raises(ModelError, match="10 samples"):
+        with pytest.raises(DataError, match="10 samples"):
             train(ModelSpec("ffn"), X, y)
 
     def test_deterministic(self, rng):
@@ -468,7 +468,7 @@ class TestNeuralTraining:
 
     def test_cnn_requires_shape(self, rng):
         X, y = two_blobs(rng, n_per=10, p=20)
-        with pytest.raises(ModelError, match="n_channels"):
+        with pytest.raises(DataError, match="n_channels"):
             train(ModelSpec("cnn"), X, y)
 
 
@@ -613,14 +613,14 @@ class TestPredictContract:
 
     def test_dimension_mismatch(self, rng):
         for X, model in fit_every_variant(rng):
-            with pytest.raises(ModelError, match="dimension"):
+            with pytest.raises(DataError, match="dimension"):
                 model.predict_proba(np.zeros((2, X.shape[1] + 1)))
 
     def test_train_checks_labels_for_every_variant(self, rng):
         X, y = two_blobs(rng, n_per=15, p=20)
         y[0] = 2
         for variant in VARIANTS:
-            with pytest.raises(ModelError, match="binary"):
+            with pytest.raises(DataError, match="binary"):
                 train(ModelSpec(variant), X, y, n_channels=2, n_times=10)
 
     def test_train_calls_the_module_trainer(self, rng, monkeypatch):

@@ -8,11 +8,11 @@ import pytest
 
 from phonepair import config as configmod
 from phonepair import dataio, evaluation, pipeline, report, studies, synth
+from phonepair.dataio import ConfigError, DataError
 from phonepair.models import ModelSpec, TrainConfig
 from phonepair.pipeline import (
     CvConfig,
     EpochWindow,
-    PipelineError,
     PreprocessingToggles,
     compare_rows,
     evaluate_recording,
@@ -87,7 +87,8 @@ class TestPreprocess:
         assert out.n_channels == 4
 
     def test_bad_decimation(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(ConfigError,
+                           match="decimation_factor must be an integer and >= 1"):
             PreprocessingToggles(decimation_factor=0)
 
 
@@ -129,7 +130,7 @@ class TestRowHelpers:
     def test_paired_vectors_no_overlap(self):
         rows = self.make_rows()
         other = [dict(r, subject="zz") for r in rows]
-        with pytest.raises(PipelineError, match="common"):
+        with pytest.raises(DataError, match="common"):
             paired_metric_vectors(rows, other)
 
     def test_compare_identical_rows_is_none(self):
@@ -140,7 +141,7 @@ class TestRowHelpers:
         assert resolve_pairs("auto", ("e", "a", "i")) == [
             ("a", "e"), ("a", "i"), ("e", "i")]
         assert resolve_pairs([("e", "a")], None) == [("a", "e")]
-        with pytest.raises(PipelineError, match="pair"):
+        with pytest.raises(ConfigError, match="pair"):
             resolve_pairs([("a", "a")], None)
 
 
@@ -163,7 +164,7 @@ class TestEvaluateRecording:
         man = dataio.load_manifest(corpus["production"][0])
         rec = dataio.load_recording(man.recording_path)
         events = dataio.load_events(man.events_path)
-        with pytest.raises(PipelineError, match="pairs"):
+        with pytest.raises(DataError, match="pairs"):
             evaluate_recording(
                 preprocess(rec, PreprocessingToggles()), events,
                 subject="s", task="t", runs=EN_RUNS, cv=FAST_CV,
@@ -240,7 +241,7 @@ class TestStudies:
 
     def test_model_comparison_needs_production(self, corpus):
         cfg = exp_config(corpus["listening"])
-        with pytest.raises(PipelineError, match="production"):
+        with pytest.raises(DataError, match="production"):
             studies.run_model_comparison(cfg)
 
     def test_task_comparison(self, corpus):
@@ -273,7 +274,7 @@ class TestStudies:
         assert (comp["W"], comp["p"]) == (expected.W, expected.p)
 
     def test_task_comparison_needs_two(self, corpus):
-        with pytest.raises(PipelineError, match="modalities"):
+        with pytest.raises(DataError, match="modalities"):
             studies.run_task_comparison(exp_config(corpus["production"]))
 
     def test_band_sweep_skips_nyquist(self, tmp_path, capsys):
@@ -383,7 +384,7 @@ class TestReport:
         assert out[1][0] == "production"
 
     def test_empty_table_raises(self, tmp_path):
-        with pytest.raises(report.ReportError, match="empty"):
+        with pytest.raises(DataError, match="empty"):
             report.write_table_csv(ResultTable(title="x"), str(tmp_path / "x"))
 
     def test_pair_matrix(self, tmp_path):
@@ -468,11 +469,11 @@ class TestConfig:
         assert cfg.manifests == (os.path.join("/data", "x.json"),)
 
     def test_bad_model(self):
-        with pytest.raises(configmod.ConfigError, match="model"):
+        with pytest.raises(ConfigError, match="model"):
             configmod.parse_model({"variant": "transformer"})
 
     def test_missing_manifests(self):
-        with pytest.raises(configmod.ConfigError):
+        with pytest.raises(ConfigError, match="'manifests' must be a nonempty list"):
             configmod.parse_experiment({})
 
     def test_write_echo(self, corpus, tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from phonepair import synth
-from phonepair.synth import MIN_GAP, TEMPLATE_SPAN, SynthError, SynthSpec, generate
+from phonepair.dataio import ConfigError
+from phonepair.synth import MIN_GAP, TEMPLATE_SPAN, SynthSpec, generate
 
 
 class TestGenerate:
@@ -24,11 +25,11 @@ class TestGenerate:
             assert nxt.onset - prev.offset >= MIN_GAP - 1e-9
 
     def test_does_not_fit_errors(self):
-        with pytest.raises(SynthError, match="duration"):
+        with pytest.raises(ConfigError, match="duration"):
             generate(SynthSpec(duration=2, phones=(("a", 60),), n_channels=2))
 
     def test_band_above_nyquist(self):
-        with pytest.raises(SynthError, match="Nyquist"):
+        with pytest.raises(ConfigError, match="Nyquist"):
             generate(SynthSpec(duration=60, fs=100.0, band="HGA", n_channels=2))
 
     def test_snr_calibration(self):
