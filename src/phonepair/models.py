@@ -5,7 +5,8 @@
 All variants are deterministic given (X, y, spec).  Elastic net is solved
 to a KKT tolerance by L-BFGS-B over a growing working set of columns.
 Neural models use hand-derived backpropagation with AdamW and
-validation-based early stopping; no autodiff dependency.
+validation-based early stopping; no autodiff dependency.  They train and
+predict in float32; the other families work in float64.
 """
 
 from __future__ import annotations
@@ -396,10 +397,14 @@ def _softmax(logits):
 
 
 def _softmax_ce(logits, y):
-    """Mean cross-entropy and d(loss)/d(logits)."""
-    probs = _softmax(logits)
+    """Mean cross-entropy and d(loss)/d(logits).
+
+    The loss is a float64 log-sum-exp of the logits, finite even where a
+    float32 probability underflows to 0; the gradient keeps their dtype."""
     n = len(y)
-    loss = -np.mean(np.log(probs[np.arange(n), y] + 1e-300))
+    z = logits.astype(np.float64)
+    loss = np.mean(np.logaddexp.reduce(z, axis=1) - z[np.arange(n), y])
+    probs = _softmax(logits)
     probs[np.arange(n), y] -= 1.0
     return loss, probs / n
 
@@ -475,8 +480,8 @@ class CnnNet:
         }
 
     def _windows(self, X):
-        """[n, C, P, k] windows, C-contiguous (the einsum weight gradient
-        runs several times slower on a strided view)."""
+        """[n, C, P, k] windows, C-contiguous, so that the conv and its
+        weight gradient read them as one [n*C*P, k] matrix."""
         x = X.reshape(-1, self.C, self.T)
         return np.ascontiguousarray(
             sliding_window_view(x, self.k, axis=2)[:, :, ::self.s])
@@ -503,7 +508,7 @@ class CnnNet:
         }
         dh = (dlogits @ params["Wl"].T).reshape(len(h), self.C, self.P, self.F)
         grads["bc"] = dh.sum(axis=(0, 1, 2))
-        grads["Wc"] = np.einsum("ncpf,ncpk->fk", dh, Xw)
+        grads["Wc"] = dh.reshape(-1, self.F).T @ Xw.reshape(-1, self.k)
         return loss, grads
 
     def weight_names(self):
@@ -516,6 +521,9 @@ def _stratified_holdout(y, val_fraction, rng):
         idx = np.flatnonzero(y == cls)
         idx = idx[rng.permutation(len(idx))]
         n_val = max(1, int(round(val_fraction * len(idx))))
+        if n_val >= len(idx):
+            raise DataError(f"val_fraction {val_fraction} leaves no "
+                            f"training row of class {cls} ({len(idx)} rows)")
         val_idx.extend(idx[:n_val])
     val_mask = np.zeros(len(y), dtype=bool)
     val_mask[val_idx] = True
@@ -524,7 +532,8 @@ def _stratified_holdout(y, val_fraction, rng):
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Elements per AdamW block: the p, g, m and v blocks and two scratch blocks
-# (6 x 256 KiB) stay in a 2 MiB L2 cache between the ufuncs of one block.
+# (6 x 128 KiB in float32) stay in a 1 MiB L2 cache between the ufuncs of
+# one block.
 ADAMW_BLOCK = 1 << 15
 
 
@@ -570,18 +579,22 @@ def _adamw_step(p, g, m, v, scratch, t, lr, decay=None):
 
 
 def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
-    """Full-batch AdamW on the training split; keeps the parameters of the
-    epoch with the lowest validation loss and stops after ``patience``
-    epochs without improvement.
+    """Full-batch AdamW in float32 on the training split; keeps the
+    parameters of the epoch with the lowest validation loss and stops after
+    ``patience`` epochs without improvement.
 
-    Allocates nothing per epoch outside the forward and backward passes:
-    the moments, two scratch blocks for ``_adamw_step`` and the best
-    parameters (refreshed with ``np.copyto``) are allocated once."""
+    The initial weights are drawn in float64 and then cast, so a seed gives
+    the same draws in either precision.  Allocates nothing per epoch outside
+    the forward and backward passes: the moments, two scratch blocks for
+    ``_adamw_step`` and the best parameters (refreshed with ``np.copyto``)
+    are allocated once."""
     if len(y) < 10:
         raise DataError("need at least 10 samples to hold out a validation set")
     rng = np.random.default_rng(cfg.seed)
-    params = net.init_params(rng)
+    params = {k: p.astype(np.float32)
+              for k, p in net.init_params(rng).items()}
     train_mask, val_mask = _stratified_holdout(y, cfg.val_fraction, rng)
+    X = X.astype(np.float32)
     Xt, yt = X[train_mask], y[train_mask]
     Xv, yv = X[val_mask], y[val_mask]
     decay = {k: cfg.learning_rate * cfg.weight_decay
@@ -590,7 +603,8 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     scratch = np.empty(
-        (2, min(ADAMW_BLOCK, max(p.size for p in params.values()))))
+        (2, min(ADAMW_BLOCK, max(p.size for p in params.values()))),
+        dtype=np.float32)
 
     train_log, val_log = [], []
     best_loss = np.inf
@@ -655,8 +669,9 @@ def _predict_neural(model, X):
     else:
         net = CnnNet(m["n_channels"], m["n_times"], m["kernel"], m["stride"],
                      m["filters_per_channel"])
-    logits, _ = net.forward(model.params, X)
-    return _softmax(logits)
+    dtype = next(iter(model.params.values())).dtype
+    logits, _ = net.forward(model.params, X.astype(dtype, copy=False))
+    return _softmax(logits.astype(np.float64))
 
 
 _PREDICTORS = {

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsp
-from .dataio import (ChannelInfo, ConfigError, Event, EventTable, Recording,
-                     check_field, check_numbers, check_size)
+from .dataio import (ChannelInfo, ConfigError, DataError, Event, EventTable,
+                     Recording, check_field, check_numbers, check_size)
 
 
 TEMPLATE_SPAN = 0.2     # seconds of planted activity after each onset
@@ -139,6 +139,14 @@ def generate(spec: SynthSpec) -> tuple[Recording, EventTable]:
     labels = sorted({lab for lab, _ in spec.phones})
 
     templates = {lab: _band_template(rng, spec.band, spec.fs) for lab in labels}
+    # in Python floats, which overflow to inf without a warning, before the
+    # planted-activity products below could overflow float64
+    scale = max(1.0, abs(spec.mag_signal_scale)) if spec.n_magnetometers else 1.0
+    peak = spec.snr * scale * max(float(np.abs(t).max())
+                                  for t in templates.values())
+    if not peak <= float(np.finfo(np.float32).max):
+        raise DataError(f"planted activity peak {peak:.3g} exceeds the "
+                        f"float32 range of a saved recording")
 
     n_grad = spec.n_channels
     n_mag = spec.n_magnetometers

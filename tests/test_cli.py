@@ -397,7 +397,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,key,value", [
         ("preprocess", "preprocessing", {"decimation_factor": 10**30}),
         ("run-models", "models",
-         [{"variant": "cnn", "filters_per_channel": 10**30}])])
+         [{"variant": "cnn", "filters_per_channel": 10**30}]),
+        # a valid fraction that holds out every training row of a class
+        ("run-models", "models",
+         [{"variant": "ffn", "train": {"val_fraction": 0.99}}])])
     def test_sizes_beyond_the_data(self, cli_corpus, tmp_path, capsys,
                                    command, key, value):
         _, manifests = cli_corpus
@@ -449,18 +452,21 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_samples_beyond_float32(self, tmp_path, capsys):
-        # valid for the generator, but not storable as float32
-        doc = {"recordings": [{"duration": 5, "n_channels": 2,
-                                "phones": [["a", 5], ["e", 5]], "snr": 1e39}]}
-        cfg = write_json(tmp_path / "big.json", doc)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["synth", "--config", cfg,
-                         "--out", str(tmp_path / "o")]) == EXIT_DATA
-        assert caught == []
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and err.count("\n") == 1
-        assert "float32 range" in err
+        # valid for the generator, but not storable as float32; 1e308 would
+        # also overflow float64 in the planted-activity product
+        for snr in (1e39, 1e308):
+            doc = {"recordings": [{"duration": 5, "n_channels": 2,
+                                    "phones": [["a", 5], ["e", 5]],
+                                    "snr": snr}]}
+            cfg = write_json(tmp_path / "big.json", doc)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["synth", "--config", cfg,
+                             "--out", str(tmp_path / "o")]) == EXIT_DATA
+            assert caught == []
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and err.count("\n") == 1
+            assert "float32 range" in err
 
     @pytest.mark.parametrize("change", [
         None, {"window": "x"}, {"window": None}, {"window": True},

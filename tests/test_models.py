@@ -471,6 +471,38 @@ class TestNeuralTraining:
         with pytest.raises(DataError, match="n_channels"):
             train(ModelSpec("cnn"), X, y)
 
+    @pytest.mark.parametrize("variant", ["ffn", "cnn"])
+    def test_trains_in_float32_and_predicts_float64(self, rng, variant):
+        X, y = two_blobs(rng, n_per=15, p=20)
+        spec = ModelSpec(variant, train=TrainConfig(max_epochs=5))
+        model = train(spec, X, y, n_channels=2, n_times=10)
+        assert {p.dtype for p in model.params.values()} == {
+            np.dtype(np.float32)}
+        proba = model.predict_proba(X)
+        assert proba.dtype == np.float64
+        assert np.allclose(proba.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_loss_stays_finite_where_float32_probabilities_underflow(self):
+        # a logit gap of 200: the true class's float32 probability is 0
+        logits = np.array([[200.0, 0.0], [0.0, 1.0]])
+        y = np.array([1, 0])
+        want, want_grad = models._softmax_ce(logits, y)
+        loss, grad = models._softmax_ce(logits.astype(np.float32), y)
+        assert models._softmax(logits.astype(np.float32))[0, 1] == 0.0
+        assert np.isfinite(loss) and loss == pytest.approx(want, rel=1e-6)
+        assert want == pytest.approx((200.0 + np.log1p(np.exp(-200.0))
+                                      + 1.0 + np.log1p(np.exp(-1.0))) / 2)
+        assert grad.dtype == np.float32
+        assert np.allclose(grad, want_grad, atol=1e-7)
+
+    def test_a_class_with_no_training_row_is_a_data_error(self):
+        y = np.array([0] * 48 + [1] * 48)
+        rng = np.random.default_rng(0)
+        with pytest.raises(DataError, match="class 0"):
+            models._stratified_holdout(y, 0.99, rng)
+        train_mask, _ = models._stratified_holdout(y, 0.98, rng)
+        assert np.all(np.bincount(y[train_mask]) == 1)
+
 
 def adamw_out_of_place(p, g, m, v, t, lr, wd, is_weight):
     """The AdamW update written with whole-array temporaries."""
@@ -486,24 +518,27 @@ def adamw_out_of_place(p, g, m, v, t, lr, wd, is_weight):
 
 
 class TestInPlaceUpdate:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("is_weight", [True, False])
     def test_adamw_step_is_bitwise_the_out_of_place_update(self, rng,
-                                                           is_weight):
+                                                           is_weight, dtype):
         # two full blocks and a tail block
         shape = (3, (2 * models.ADAMW_BLOCK + 1234) // 3)
         assert np.prod(shape) % models.ADAMW_BLOCK != 0
         lr, wd = 3e-3, 1e-2
-        p = rng.standard_normal(shape)
-        m, v = np.zeros(shape), np.zeros(shape)
+        p = rng.standard_normal(shape).astype(dtype)
+        m, v = np.zeros(shape, dtype), np.zeros(shape, dtype)
         rp, rm, rv = p.copy(), m.copy(), v.copy()
-        scratch = np.empty((2, models.ADAMW_BLOCK))
+        scratch = np.empty((2, models.ADAMW_BLOCK), dtype)
         for t in (1, 2, 3):
-            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 2)
+            g = (rng.standard_normal(shape)
+                 * 10.0 ** rng.integers(-6, 2)).astype(dtype)
             models._adamw_step(p, g, m, v, scratch, t, lr,
                                lr * wd if is_weight else None)
             rp, rm, rv = adamw_out_of_place(rp, g, rm, rv, t, lr, wd,
                                             is_weight)
             for got, want in zip((p, m, v), (rp, rm, rv)):
+                assert got.dtype == want.dtype == dtype
                 assert got.tobytes() == want.tobytes()
 
     def test_early_stopped_params_are_not_touched_by_later_epochs(self, rng):
@@ -548,6 +583,20 @@ class TestInPlaceUpdate:
         _, (Xw, h) = net.forward(params, X)
         want = (Xw @ params["Wc"].T + params["bc"]).reshape(7, -1)
         assert h.tobytes() == want.tobytes()
+
+    def test_cnn_weight_gradient_gemm_equals_einsum(self, rng):
+        net = CnnNet(n_channels=5, n_times=31, kernel=10, stride=10, filters=8)
+        params = net.init_params(rng)
+        X = rng.standard_normal((9, 5 * 31))
+        y = rng.integers(0, 2, size=9)
+        _, grads = net.loss_and_grads(params, X, y)
+        logits, (Xw, h) = net.forward(params, X)
+        _, dlogits = models._softmax_ce(logits, y)
+        dh = (dlogits @ params["Wl"].T).reshape(9, 5, net.P, 8)
+        want = np.einsum("ncpf,ncpk->fk", dh, Xw)
+        assert grads["Wc"].dtype == np.float64
+        err = np.max(np.abs(grads["Wc"] - want))
+        assert err <= 1e-12 * np.max(np.abs(want))
 
     def test_ffn_memory_peak_stays_below_seven_parameter_copies(self, rng):
         X, y = two_blobs(rng, n_per=30, p=400)
