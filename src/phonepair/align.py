@@ -27,10 +27,7 @@ class AlignmentResult:
 
 def _envelope(x: np.ndarray, cutoff: float, fs: float) -> np.ndarray:
     cutoff = min(cutoff, 0.4 * fs)
-    filt = dsp.design_fir(None, cutoff, fs)
-    if len(x) <= len(filt):
-        raise DataError("signal too short for the alignment envelope filter")
-    return dsp.apply_zero_phase(filt, np.abs(x))
+    return dsp.apply_zero_phase(dsp.design_fir(None, cutoff, fs), np.abs(x))
 
 
 def _ncc_peak(misc: np.ndarray, audio: np.ndarray, lags: np.ndarray):

@@ -18,7 +18,7 @@ from collections import Counter
 
 from . import dataio, synth as synthmod
 from .align import align
-from .config import load_json, nonempty_list, parse_experiment, write_echo
+from .config import build, load_json, nonempty_list, parse_experiment, write_echo
 from .dataio import ConfigError, DataError, check_field
 from .models import ConvergenceError
 from .pipeline import PreprocessingToggles, preprocess
@@ -64,7 +64,7 @@ def _cmd_synth(args) -> int:
             if args.seed is not None:
                 rdoc["seed"] = args.seed + i
             try:
-                rec, events = synthmod.generate(synthmod.SynthSpec(**rdoc))
+                rec, events = synthmod.generate(build(synthmod.SynthSpec, rdoc))
             except (TypeError, ConfigError) as exc:
                 raise ConfigError(f"bad synth spec #{i}: {exc}") from exc
             yield subject, task, rec, events
@@ -106,7 +106,7 @@ def _cmd_preprocess(args) -> int:
     doc = load_json(args.config)
     manifests = nonempty_list(doc, "manifests", str, "paths")
     try:
-        toggles = PreprocessingToggles(**doc.get("preprocessing", {}))
+        toggles = build(PreprocessingToggles, doc.get("preprocessing", {}))
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"invalid preprocess config: {exc}") from exc
     # no name holds a raw recording while its output is written

@@ -1,36 +1,27 @@
-"""JSON experiment-config parsing and echoing."""
+"""JSON experiment-config parsing and echoing.  Each config dataclass is
+its own schema: its field names are the JSON keys."""
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict, is_dataclass, replace
+from typing import get_type_hints
 
 from .dataio import ConfigError, write_json
-from .models import ModelSpec, TrainConfig
-from .pipeline import CvConfig, EpochWindow, PreprocessingToggles
+from .models import ModelSpec
 from .studies import ExperimentConfig
 
 
-def _model_name(doc: dict) -> str:
-    if "name" in doc:
-        return doc["name"]
-    variant = doc["variant"]
-    if variant == "ffn":
-        return f"ffn_l{len(doc.get('hidden_sizes', ())) + 1}"
-    return variant
-
-
-def parse_model(doc: dict) -> tuple[str, ModelSpec]:
-    doc = dict(doc)
-    name = _model_name(doc)
-    doc.pop("name", None)
-    train_doc = doc.pop("train", {})
-    try:
-        spec = ModelSpec(train=TrainConfig(**train_doc), **doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model spec {name!r}: {exc}") from exc
-    return name, spec
+def build(cls, doc):
+    """``cls(**doc)``, each field whose type is a dataclass built from its
+    own object first.  A ``doc`` that is not an object is a ConfigError;
+    an unknown or missing key is the TypeError of ``cls``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{cls.__name__} must be an object, not {doc!r}")
+    types = get_type_hints(cls)
+    return cls(**{k: build(types[k], v) if is_dataclass(types.get(k)) else v
+                  for k, v in doc.items()})
 
 
 def nonempty_list(doc, key: str, kind: type, what: str) -> list:
@@ -43,6 +34,14 @@ def nonempty_list(doc, key: str, kind: type, what: str) -> list:
     return items
 
 
+def _model(doc: dict) -> ModelSpec:
+    try:
+        return build(ModelSpec, doc)
+    except (TypeError, ValueError) as exc:
+        name = doc.get("name", doc.get("variant"))
+        raise ConfigError(f"bad model spec {name!r}: {exc}") from exc
+
+
 def parse_experiment(doc: dict, base_dir: str = ".", seed: int | None = None,
                      jobs: int = 1) -> ExperimentConfig:
     manifests = tuple(os.path.join(base_dir, p)
@@ -51,45 +50,24 @@ def parse_experiment(doc: dict, base_dir: str = ".", seed: int | None = None,
     unknown = set(doc) - set(echo_experiment(ExperimentConfig((), ())))
     if unknown:
         raise ConfigError(f"unknown study keys {sorted(unknown)}")
+    models = nonempty_list({"models": [{"variant": "elastic_net"}], **doc},
+                           "models", dict, "objects")
     try:
-        models = tuple(parse_model(m) for m in doc.get(
-            "models", [{"variant": "elastic_net"}]))
-        if not models:
-            raise ConfigError("at least one model is required")
-        if len({n for n, _ in models if isinstance(n, str)}) < len(models):
-            raise ConfigError("model names must be distinct strings")
-        cv = CvConfig(**doc.get("cv", {}))
-        if seed is not None:
-            cv = replace(cv, seed=seed)
-        return ExperimentConfig(
-            manifests=manifests,
-            models=models,
-            preprocessing=PreprocessingToggles(**doc.get("preprocessing", {})),
-            cv=cv,
-            window=EpochWindow(**doc.get("epoch_window", {})),
-            jobs=jobs,
-            **{k: doc[k] for k in ("phone_pairs", "min_count") if k in doc},
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        cfg = build(ExperimentConfig, {**doc, "manifests": manifests,
+                                       "models": tuple(map(_model, models)),
+                                       "jobs": jobs})
+    except TypeError as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
+    return cfg if seed is None else replace(cfg, cv=replace(cfg.cv, seed=seed))
 
 
 def echo_experiment(cfg: ExperimentConfig) -> dict:
-    """Fully resolved config; re-parsing it reproduces the run.
-
-    Every field of the nested dataclasses is echoed as it is declared."""
-    return {
-        "manifests": list(cfg.manifests),
-        "models": [{"name": name, **asdict(spec)} for name, spec in cfg.models],
-        "phone_pairs": (cfg.phone_pairs if cfg.phone_pairs == "auto"
-                        else [list(p) for p in cfg.phone_pairs]),
-        "preprocessing": asdict(cfg.preprocessing),
-        "cv": asdict(cfg.cv),
-        "min_count": cfg.min_count,
-        "epoch_window": asdict(cfg.window),
-    }
+    """Fully resolved config, every field of every dataclass in it but
+    ``jobs``, as JSON reads it back (tuples are lists); re-parsing it
+    reproduces the run."""
+    doc = json.loads(json.dumps(asdict(cfg)))
+    del doc["jobs"]
+    return doc
 
 
 def load_json(path: str) -> dict:

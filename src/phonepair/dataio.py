@@ -287,8 +287,6 @@ def save_events(table: EventTable, path: str) -> None:
 
 def select_channels(rec: Recording, kinds) -> Recording:
     """Keep only channels whose kind is in ``kinds``, order preserved."""
-    if isinstance(kinds, str):
-        kinds = {kinds}
     kinds = set(kinds)
     unknown = kinds - set(CHANNEL_KINDS)
     if unknown:

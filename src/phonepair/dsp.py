@@ -62,8 +62,6 @@ def design_fir(lo: float | None, hi: float, fs: float) -> FirFilter:
     transition-width past it.
     """
     nyq = fs / 2.0
-    if hi is None:
-        raise DataError("high edge is required (low-pass or band-pass only)")
     if hi >= nyq:
         raise DataError(f"high edge {hi} Hz must be below Nyquist {nyq} Hz")
     tbw_hi = _transition_bandwidth(hi)
@@ -113,8 +111,8 @@ def _next_fast_len(n: int) -> int:
 def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     """Filter with no net delay: reflect-pad, convolve once, crop center.
 
-    Accepts a 1-D signal or a [channels x samples] matrix (filtered per row).
-    Filters longer than 64 taps convolve by real FFT (``numpy.fft``).
+    Accepts a 1-D signal or a [channels x samples] matrix (filtered per row),
+    convolved by real FFT (``numpy.fft``).
     """
     h = filt.coefficients
     x = np.asarray(x, dtype=float)
@@ -127,13 +125,10 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
         raise DataError(f"signal length {n} must exceed filter length {m}")
     pad = (m - 1) // 2
     padded = np.pad(x, ((0, 0), (pad, pad)), mode="reflect")
-    if m > 64:
-        n_pad = padded.shape[1]
-        nfft = _next_fast_len(n_pad + m - 1)
-        spec = np.fft.rfft(padded, nfft, axis=1) * np.fft.rfft(h, nfft)
-        y = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad].copy()
-    else:
-        y = np.apply_along_axis(lambda row: np.convolve(row, h, mode="valid"), 1, padded)
+    n_pad = padded.shape[1]
+    nfft = _next_fast_len(n_pad + m - 1)
+    spec = np.fft.rfft(padded, nfft, axis=1) * np.fft.rfft(h, nfft)
+    y = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad].copy()
     return y[0] if one_d else y
 
 

@@ -60,6 +60,7 @@ class ModelSpec:
     stride: int = field(default=10, metadata={"ge": 1})
     filters_per_channel: int = field(default=8, metadata={"ge": 1})
     train: TrainConfig = field(default_factory=TrainConfig)
+    name: str = ""      # its rows' label; "" = the variant, or ffn_l<layers>
 
     def __post_init__(self):
         if self.variant not in _PREDICTORS:
@@ -70,6 +71,9 @@ class ModelSpec:
             raise ConfigError(
                 f"ffn hidden_sizes must be one of {ALLOWED_HIDDEN_SIZES}"
             )
+        if self.name == "":
+            object.__setattr__(self, "name", self.variant if self.variant != "ffn"
+                               else f"ffn_l{len(self.hidden_sizes) + 1}")
 
 
 @dataclass
@@ -193,9 +197,7 @@ def train_elastic_net(X, y, spec: ModelSpec) -> TrainedModel:
     return TrainedModel(
         variant="elastic_net",
         params={"w": w, "b": b},
-        meta={"n_features": p, "alpha": alpha, "l1_ratio": l1,
-              "n_iter": n_iter, "kkt_violation": kkt,
-              "objective": elastic_net_objective(X, ypm, w, b, alpha, l1)},
+        meta={"n_features": p, "n_iter": n_iter, "kkt_violation": kkt},
     )
 
 
@@ -248,7 +250,7 @@ def train_lda(X, y, spec: ModelSpec) -> TrainedModel:
     return TrainedModel(
         variant="lda",
         params={"w": w, "b": b},
-        meta={"n_features": p, "shrinkage": s},
+        meta={"n_features": p},
     )
 
 
@@ -371,7 +373,7 @@ def train_svm_rbf(X, y, spec: ModelSpec) -> TrainedModel:
             "link_a": a_link,
             "link_c": c_link,
         },
-        meta={"n_features": p, "C": C, "n_support": int(sv.sum()),
+        meta={"n_features": p, "n_support": int(sv.sum()),
               "alphas": alphas, "ypm": ypm},
     )
 

@@ -84,7 +84,7 @@ def evaluate_recording(
     events: dataio.EventTable,
     subject: str,
     task: str,
-    runs: list,                 # list of (configuration, name, ModelSpec)
+    runs: list,                 # list of (configuration, ModelSpec)
     cv: CvConfig,
     phone_pairs,                # "auto" or pairs of labels
     min_count: int,
@@ -100,14 +100,14 @@ def evaluate_recording(
     for pair in pairs:
         ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed)
         folds = evaluation.kfold(ds.y, k=cv.k, seed=cv.seed)
-        for configuration, name, spec in runs:
+        for configuration, spec in runs:
             per_fold = evaluation.evaluate(spec, ds, folds)
             for fold, m in enumerate(per_fold):
                 rows.append({
                     "subject": subject,
                     "task": task,
                     "pair": f"{pair[0]}-{pair[1]}",
-                    "model": name,
+                    "model": spec.name,
                     "configuration": configuration,
                     "fold": fold,
                     **m,

@@ -22,15 +22,18 @@ CHANCE_LEVEL = 0.5
 @dataclass(frozen=True)
 class ExperimentConfig:
     manifests: tuple
-    models: tuple                     # ((name, ModelSpec), ...)
+    models: tuple                     # of ModelSpec
     phone_pairs: object = "auto"
     preprocessing: PreprocessingToggles = PreprocessingToggles()
     cv: CvConfig = CvConfig()
     min_count: int = 50
-    window: EpochWindow = EpochWindow()
+    epoch_window: EpochWindow = EpochWindow()
     jobs: int = field(default=1, metadata={"ge": 1})
 
     def __post_init__(self):
+        names = {s.name for s in self.models if isinstance(s.name, str)}
+        if len(names) < len(self.models):
+            raise ConfigError("model names must be distinct strings")
         dataio.check_numbers(self, ConfigError)
         if self.phone_pairs != "auto":
             # raises unless each entry is two distinct labels
@@ -62,14 +65,14 @@ def _eval_unit(args):
 
 def _run_plan(cfg: ExperimentConfig, plan: list) -> list[dict]:
     """Sorted rows of a plan of (manifest, toggles, band_pass,
-    configuration, name, spec) entries.  Each distinct (manifest, toggles)
+    configuration, spec) entries.  Each distinct (manifest, toggles)
     is one unit, in plan order, and all units share one process pool."""
     grouped = {}
-    for manifest, toggles, band_pass, *run in plan:
+    for manifest, toggles, band_pass, configuration, spec in plan:
         passes = grouped.setdefault((manifest, toggles), {})
-        passes.setdefault(band_pass, []).append(tuple(run))
+        passes.setdefault(band_pass, []).append((configuration, spec))
     units = [(manifest, toggles, tuple(passes.items()), cfg.cv,
-              cfg.phone_pairs, cfg.min_count, cfg.window)
+              cfg.phone_pairs, cfg.min_count, cfg.epoch_window)
              for (manifest, toggles), passes in grouped.items()]
     jobs = min(cfg.jobs, len(units))
     if jobs <= 1:
@@ -129,19 +132,17 @@ def run_model_comparison(cfg: ExperimentConfig):
     prod = by_task.get("production")
     if not prod:
         raise DataError("model comparison requires production-task manifests")
-    rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", *model)
-                           for m in prod for model in cfg.models])
-    groups = _groups(rows, [("production", "baseline", name)
-                            for name, _ in cfg.models])
+    rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", spec)
+                           for m in prod for spec in cfg.models])
+    groups = _groups(rows, [("production", "baseline", spec.name)
+                            for spec in cfg.models])
     best = max(groups, key=lambda k: summarize(groups[k])["accuracy_mean"])
     return _table("Model comparison (production)", groups, versus=best), rows
 
 
-def _primary_model(cfg: ExperimentConfig):
-    for name, spec in cfg.models:
-        if spec.variant == "elastic_net":
-            return name, spec
-    return "elastic_net", ModelSpec("elastic_net")
+def _primary_model(cfg: ExperimentConfig) -> ModelSpec:
+    return next((spec for spec in cfg.models if spec.variant == "elastic_net"),
+                ModelSpec("elastic_net"))
 
 
 def run_task_comparison(cfg: ExperimentConfig):
@@ -150,11 +151,11 @@ def run_task_comparison(cfg: ExperimentConfig):
     by_task = _manifests_by_task(cfg)
     if len(by_task) < 2:
         raise DataError("need two modalities to compare")
-    model = _primary_model(cfg)
+    spec = _primary_model(cfg)
     tasks = sorted(by_task)
-    rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", *model)
+    rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", spec)
                            for task in tasks for m in by_task[task]])
-    groups = _groups(rows, [(task, "baseline", model[0]) for task in tasks])
+    groups = _groups(rows, [(task, "baseline", spec.name) for task in tasks])
     table = _table("Task comparison (elastic net)", groups)
     by_modality = dict(zip(tasks, groups.values()))
     for a, b in combinations(tasks, 2):
@@ -173,7 +174,7 @@ def run_band_sweep(cfg: ExperimentConfig):
     """Per canonical band: band-pass at the native rate (no decimation or
     wavelet denoising), epoch, elastic net; plus an unfiltered baseline."""
     by_task = _manifests_by_task(cfg)
-    model = _primary_model(cfg)
+    spec = _primary_model(cfg)
     minimal = PreprocessingToggles(
         sensor_kinds=cfg.preprocessing.sensor_kinds,
         wavelet=False, decimation_factor=1, band_limit=None,
@@ -194,9 +195,9 @@ def run_band_sweep(cfg: ExperimentConfig):
                           f"{task}: {exc}", file=sys.stderr)
                     continue
             kept.append((task, conf_name))
-            plan += [(m, minimal, band_pass, conf_name, *model) for m in mans]
+            plan += [(m, minimal, band_pass, conf_name, spec) for m in mans]
     rows = _run_plan(cfg, plan)
-    groups = _groups(rows, [(task, conf_name, model[0])
+    groups = _groups(rows, [(task, conf_name, spec.name)
                             for task, conf_name in kept])
     return _table("Frequency-band sweep (elastic net)", groups), rows
 
@@ -227,12 +228,12 @@ def run_ablation(cfg: ExperimentConfig):
     prod = by_task.get("production")
     if not prod:
         raise DataError("ablation requires production-task manifests")
-    name, spec = _primary_model(cfg)
+    spec = _primary_model(cfg)
     configs = ablation_configurations(cfg.preprocessing, spec)
-    rows = _run_plan(cfg, [(m, toggles, None, conf_name, name, conf_spec)
+    rows = _run_plan(cfg, [(m, toggles, None, conf_name, conf_spec)
                            for conf_name, toggles, conf_spec in configs
                            for m in prod])
-    groups = _groups(rows, [("production", conf_name, name)
+    groups = _groups(rows, [("production", conf_name, spec.name)
                             for conf_name, _, _ in configs])
     return _table("Ablation (production, elastic net)", groups,
-                  versus=("production", ABLATION_BASELINE, name)), rows
+                  versus=("production", ABLATION_BASELINE, spec.name)), rows

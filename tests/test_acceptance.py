@@ -352,7 +352,7 @@ def test_criterion_08_band_sweep_recovers_planted_band(tmp_path):
                       "chance in bands with no signal"):
         manifest = write_corpus(str(tmp_path / "sweep"), planted_spec(seed=2))
         cfg = ExperimentConfig(manifests=(manifest,),
-                               models=(("elastic_net", ModelSpec("elastic_net")),),
+                               models=(ModelSpec("elastic_net"),),
                                cv=CvConfig(k=5, seed=0))
         table, _ = run_band_sweep(cfg)
         acc = {r["configuration"]: r["accuracy_mean"] for r in table.rows}
@@ -378,7 +378,7 @@ def test_criterion_09_ablation_and_sparsity_penalty(tmp_path):
             str(tmp_path / "abl"),
             planted_spec(seed=3, n_magnetometers=102))
         cfg = ExperimentConfig(manifests=(manifest,),
-                               models=(("elastic_net", ModelSpec("elastic_net")),),
+                               models=(ModelSpec("elastic_net"),),
                                cv=CvConfig(k=5, seed=0))
         table, _ = run_ablation(cfg)
         acc = {r["configuration"]: r["accuracy_mean"] for r in table.rows}

@@ -366,7 +366,10 @@ class TestExitCodes:
         # a misspelt key is not ignored
         ("min_cout", 1),
         ("cv", {"seed": -1}),
-        ("models", [{"variant": "ffn", "train": {"seed": -1}}])])
+        ("models", [{"variant": "ffn", "train": {"seed": -1}}]),
+        # a name that is not a string, null included
+        ("models", [{"variant": "elastic_net", "name": None}]),
+        ("models", [{"variant": "elastic_net", "name": 5}])])
     def test_malformed_study_config(self, cli_corpus, tmp_path, capsys, key,
                                     value):
         _, manifests = cli_corpus

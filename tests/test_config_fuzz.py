@@ -4,7 +4,13 @@ line to stderr.
 
 All examples run in one child process, this file run as a script, under
 an address-space limit.  A mutation that allocates without bound then
-fails the test with a ``MemoryError`` instead of exhausting the machine."""
+fails the test with a ``MemoryError`` instead of exhausting the machine.
+
+Run as ``python tests/test_config_fuzz.py DIR --enumerate`` (``src`` on
+``PYTHONPATH``), it instead runs every one-leaf case in a fixed order and
+prints one JSON line per case: command, path, value, exit code and stderr,
+with ``DIR`` masked.  Diffing that output between two checkouts shows
+every exit code and message a config change moves."""
 
 import contextlib
 import copy
@@ -125,20 +131,40 @@ def fuzz(root: str) -> None:
               deadline=None, suppress_health_check=list(HealthCheck))
     @given(cases())
     def one_leaf(case):
-        command, path, value, jobs = case
-        cfg = os.path.join(root, "config.json")
-        with open(cfg, "w", encoding="utf-8") as f:
-            json.dump(mutated(configs[command], path, value), f)
-        out = tempfile.mkdtemp(dir=root)
-        try:
-            code, err = run([command, "--config", cfg, "--out", out]
-                            + (["--jobs", jobs] if jobs else []))
-        finally:
-            shutil.rmtree(out)
+        code, err = run_case(root, configs, *case)
         assert code in (0, 2, 3, 4), (code, err)
         assert code == 0 or err.count("\n") == 1, err
 
     one_leaf()
+
+
+def run_case(root, configs, command, path, value, jobs=None):
+    """Exit code and stderr of ``command`` on its config with the value at
+    ``path`` replaced by ``value``."""
+    cfg = os.path.join(root, "config.json")
+    with open(cfg, "w", encoding="utf-8") as f:
+        json.dump(mutated(configs[command], path, value), f)
+    out = tempfile.mkdtemp(dir=root)
+    try:
+        return run([command, "--config", cfg, "--out", out]
+                   + (["--jobs", jobs] if jobs else []))
+    finally:
+        shutil.rmtree(out)
+
+
+def enumerate_cases(root: str) -> None:
+    """Print every (command, leaf, bad value) case as one JSON line."""
+    configs = valid_configs(root)
+    for command in sorted(configs):
+        for path in nodes(configs[command]):
+            for value in BAD_VALUES:
+                if value is HUGE and path[-1] in SLOW_SIZES:
+                    continue
+                code, err = run_case(root, configs, command, path, value)
+                print(json.dumps({"command": command, "path": path,
+                                  "value": repr(value), "code": code,
+                                  "stderr": err.replace(root, "DIR")}),
+                      flush=True)
 
 
 if __name__ == "__main__":
@@ -146,4 +172,7 @@ if __name__ == "__main__":
     resource.setrlimit(resource.RLIMIT_AS, (
         AS_LIMIT if hard == resource.RLIM_INFINITY else min(AS_LIMIT, hard),
         hard))
-    fuzz(sys.argv[1])
+    if sys.argv[2:] == ["--enumerate"]:
+        enumerate_cases(sys.argv[1])
+    else:
+        fuzz(sys.argv[1])

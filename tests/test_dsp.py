@@ -124,6 +124,8 @@ class TestFftConvolution:
         ((0.2, 31, 100), (153, 4000), None),       # 1651 taps
         ((0.2, 31, 100), (9001,), None),
         ((None, 50, 1000), (48000,), None),        # 265 taps
+        ((None, 50, 1000), (4, 3000), 33),
+        ((None, 250, 1000), (5, 2000), None),      # 53 taps
     ])
     def test_bitwise_equal_to_scipy(self, design, shape, random_taps):
         rng = np.random.default_rng(len(shape))

@@ -426,6 +426,12 @@ class TestNeuralTraining:
         with pytest.raises(ConfigError, match="hidden_sizes"):
             ModelSpec("ffn", hidden_sizes=(512,))
 
+    def test_default_name(self):
+        assert ModelSpec("ffn", hidden_sizes=(1024,)).name == "ffn_l2"
+        assert ModelSpec("ffn").name == "ffn_l1"
+        assert ModelSpec("elastic_net").name == "elastic_net"
+        assert ModelSpec("lda", name="mine").name == "mine"
+
     def test_ffn_learns_separable(self, rng):
         X, y = two_blobs(rng, n_per=30, p=4, sep=4.0)
         cfg = TrainConfig(learning_rate=0.05, max_epochs=300, seed=1)

@@ -1,7 +1,7 @@
 import csv
 import json
 import os
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -25,8 +25,8 @@ from phonepair.pipeline import (
 )
 from phonepair.report import ResultTable, format_pm
 
-EN = [("elastic_net", ModelSpec("elastic_net"))]
-EN_RUNS = [("baseline", "elastic_net", ModelSpec("elastic_net"))]
+EN = [ModelSpec("elastic_net")]
+EN_RUNS = [("baseline", ModelSpec("elastic_net"))]
 FAST_CV = CvConfig(k=3, seed=0)
 
 
@@ -211,8 +211,7 @@ class TestStudies:
     def test_model_comparison(self, corpus):
         cfg = exp_config(
             corpus["production"],
-            models=(("elastic_net", ModelSpec("elastic_net")),
-                    ("lda", ModelSpec("lda"))),
+            models=(ModelSpec("elastic_net"), ModelSpec("lda")),
         )
         table, rows = studies.run_model_comparison(cfg)
         assert len(table.rows) == 2
@@ -225,9 +224,10 @@ class TestStudies:
     def test_model_comparison_keeps_configured_order(self, corpus):
         # rows come back sorted by model name; the table must not be
         names = ["zz_lda", "mm_elastic_net", "aa_svm"]
-        specs = [ModelSpec("lda"), ModelSpec("elastic_net"),
-                 ModelSpec("svm_rbf")]
-        cfg = exp_config(corpus["production"], models=tuple(zip(names, specs)))
+        specs = [ModelSpec("lda", name=names[0]),
+                 ModelSpec("elastic_net", name=names[1]),
+                 ModelSpec("svm_rbf", name=names[2])]
+        cfg = exp_config(corpus["production"], models=tuple(specs))
         table, rows = studies.run_model_comparison(cfg)
         assert [r["model"] for r in table.rows] == names
         best = max(table.rows, key=lambda r: r["accuracy_mean"])["model"]
@@ -422,8 +422,8 @@ class TestConfig:
             "min_count": 20,
         }
         cfg = configmod.parse_experiment(doc)
-        assert cfg.models[0][1].alpha == 0.2
-        assert cfg.models[1][0] == "ffn_l2"
+        assert cfg.models[0].alpha == 0.2
+        assert cfg.models[1].name == "ffn_l2"
         assert cfg.preprocessing.decimation_factor == 5
         echoed = configmod.echo_experiment(cfg)
         cfg2 = configmod.parse_experiment(echoed)
@@ -434,20 +434,22 @@ class TestConfig:
                             patience=2, val_fraction=0.2, seed=5)
         spec = ModelSpec("ffn", alpha=0.3, l1_ratio=0.25, C=2.0, gamma=0.5,
                          shrinkage=0.1, hidden_sizes=(1024,), kernel=5,
-                         stride=5, filters_per_channel=4, train=train)
+                         stride=5, filters_per_channel=4, train=train,
+                         name="custom")
         cfg = studies.ExperimentConfig(
             manifests=("/data/a.json", "/data/b.json"),
-            models=(("custom", spec),),
+            models=(spec,),
             phone_pairs=(("a", "e"),),
             preprocessing=PreprocessingToggles(
                 sensor_kinds=("gradiometer", "magnetometer"), wavelet=False,
                 decimation_factor=4, band_limit=20.0),
             cv=CvConfig(k=3, seed=7),
             min_count=10,
-            window=EpochWindow(tmin=-0.05, tmax=0.3),
+            epoch_window=EpochWindow(tmin=-0.05, tmax=0.3),
         )
         # every field with a default is set away from it ("jobs" is not echoed)
-        for obj in (train, spec, cfg.preprocessing, cfg.cv, cfg.window, cfg):
+        for obj in (train, spec, cfg.preprocessing, cfg.cv, cfg.epoch_window,
+                    cfg):
             for f in fields(obj):
                 if f.name == "jobs" or (f.default is MISSING
                                         and f.default_factory is MISSING):
@@ -457,6 +459,29 @@ class TestConfig:
                 assert getattr(obj, f.name) != default, f.name
         doc = json.loads(json.dumps(configmod.echo_experiment(cfg)))
         assert configmod.parse_experiment(doc) == cfg
+
+    def test_echo_has_exactly_the_dataclass_fields(self):
+        cfg = configmod.parse_experiment({
+            "manifests": ["x.json"], "phone_pairs": [["a", "e"]],
+            "models": [{"variant": "ffn", "hidden_sizes": [1024]},
+                       {"variant": "cnn"}]})
+        echoed = configmod.echo_experiment(cfg)
+        # written as JSON reads back: every tuple is a list
+        assert json.loads(json.dumps(echoed)) == echoed
+        assert "jobs" not in echoed
+
+        def check(doc, obj):
+            assert set(doc) == {f.name for f in fields(obj)}
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if is_dataclass(value):
+                    check(doc[f.name], value)
+                elif isinstance(value, tuple) and all(map(is_dataclass, value)):
+                    assert len(doc[f.name]) == len(value)
+                    for item_doc, item in zip(doc[f.name], value):
+                        check(item_doc, item)
+
+        check(dict(echoed, jobs=cfg.jobs), cfg)
 
     def test_seed_override(self, corpus):
         doc = {"manifests": corpus["production"], "cv": {"seed": 1}}
@@ -469,8 +494,9 @@ class TestConfig:
         assert cfg.manifests == (os.path.join("/data", "x.json"),)
 
     def test_bad_model(self):
-        with pytest.raises(ConfigError, match="model"):
-            configmod.parse_model({"variant": "transformer"})
+        with pytest.raises(ConfigError, match="bad model spec 'transformer'"):
+            configmod.parse_experiment({"manifests": ["x.json"],
+                                        "models": [{"variant": "transformer"}]})
 
     def test_missing_manifests(self):
         with pytest.raises(ConfigError, match="'manifests' must be a nonempty list"):
