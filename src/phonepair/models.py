@@ -2,11 +2,12 @@
 ``_PREDICTORS`` is the one variant table; the module function
 ``train_<variant>`` fits each variant.
 
-All variants are deterministic given (X, y, spec).  Elastic net is solved
-to a KKT tolerance by L-BFGS-B over a growing working set of columns.
-Neural models use hand-derived backpropagation with AdamW and
-validation-based early stopping; no autodiff dependency.  They train and
-predict in float32; the other families work in float64.
+All variants are deterministic given (X, y, spec), and need numpy only.
+Elastic net is solved to a KKT tolerance by orthant-projected Newton steps
+over a growing working set of columns.  Neural models use hand-derived
+backpropagation with AdamW and validation-based early stopping; no
+autodiff dependency.  They train and predict in float32; the other
+families work in float64.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import optimize
-from scipy.special import expit
 
 from .dataio import ConfigError, DataError, check_numbers, check_size
 
@@ -66,11 +65,12 @@ class ModelSpec:
         if self.variant not in _PREDICTORS:
             raise ConfigError(f"unknown model variant {self.variant!r}")
         check_numbers(self, ConfigError)
-        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
-        if self.variant == "ffn" and self.hidden_sizes not in ALLOWED_HIDDEN_SIZES:
+        # checked for every variant, so a config echo never holds a bad one
+        if (not isinstance(self.hidden_sizes, (list, tuple))
+                or tuple(self.hidden_sizes) not in ALLOWED_HIDDEN_SIZES):
             raise ConfigError(
-                f"ffn hidden_sizes must be one of {ALLOWED_HIDDEN_SIZES}"
-            )
+                f"hidden_sizes must be one of {ALLOWED_HIDDEN_SIZES}")
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if self.name == "":
             object.__setattr__(self, "name", self.variant if self.variant != "ffn"
                                else f"ffn_l{len(self.hidden_sizes) + 1}")
@@ -115,75 +115,160 @@ def _two_col(p1: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Elastic net logistic regression (working-set L-BFGS-B, KKT stopping rule)
+# Elastic net logistic regression (working-set Newton, KKT stopping rule)
 # ---------------------------------------------------------------------------
 
 EN_KKT_TOL = 1e-6
-EN_MAX_ITER = 10000     # L-BFGS-B iterations summed over all rounds
+EN_MAX_ITER = 10000     # Newton steps summed over all rounds
 EN_MAX_ROUNDS = 50
 EN_MIN_WORKING_SET = 256
+EN_MIN_RIDGE = 1e-4     # least ridge of the Newton metric, for pure lasso
+EN_ARMIJO = 1e-4
+EN_MAX_HALVINGS = 50
+
+
+def _sigmoid(z):
+    """1 / (1 + exp(-z)); exp(-z) overflows to inf for z < -709, and
+    1 / inf is the right limit, 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _penalised_loss(margin, w, alpha, l1):
+    # softplus(-margin), numerically stable
+    loss = np.mean(np.logaddexp(0.0, -margin))
+    return loss + alpha * (l1 * np.abs(w).sum() + 0.5 * (1 - l1) * w @ w)
 
 
 def elastic_net_objective(X, ypm, w, b, alpha, l1_ratio):
-    margin = ypm * (X @ w + b)
-    # softplus(-margin), numerically stable
-    loss = np.mean(np.logaddexp(0.0, -margin))
-    pen = alpha * (l1_ratio * np.abs(w).sum() + 0.5 * (1 - l1_ratio) * w @ w)
-    return loss + pen
+    return _penalised_loss(ypm * (X @ w + b), w, alpha, l1_ratio)
 
 
-def _smooth_grad(X, ypm, w, b, alpha, l1):
-    """Margins, and the gradient in w and in b of the loss plus L2 term."""
-    margin = ypm * (X @ w + b)
-    gz = -ypm * expit(-margin) / len(ypm)
-    return margin, X.T @ gz + alpha * (1 - l1) * w, gz.sum()
+def _smooth_grad(X, ypm, margin, w, alpha, l1):
+    """sigmoid(-margin), and the gradient in w and in b of the loss plus
+    L2 term."""
+    s = _sigmoid(-margin)
+    gz = -ypm * s / len(ypm)
+    return s, X.T @ gz + alpha * (1 - l1) * w, gz.sum()
+
+
+def _pseudo_grad(g, w, lam):
+    """The gradient of the objective on the sign orthant that descent
+    would take w into; its absolute value is the KKT violation."""
+    return np.where(w != 0, g + lam * np.sign(w),
+                    np.sign(g) * np.maximum(np.abs(g) - lam, 0.0))
+
+
+def _newton_step(Xf, d, ridge, gw, gb, at_zero):
+    """Solve (A^T diag(d) A + diag(ridge, ..., ridge, 0)) [dw; db] =
+    -[gw; gb] for A = [Xf, 1]; returns (dw, db).
+
+    The intercept is eliminated by its Schur complement, which leaves two
+    solves with P = (Xf^T diag(d) Xf + ridge I)^-1.  P is applied in the
+    column space, (ridge I + B^T B)^-1 with B = diag(sqrt d) Xf, when Xf has
+    at most n columns, and otherwise in the row space by Woodbury:
+    P r = (r - B^T (ridge I + B B^T)^-1 B r) / ridge.
+    A column marked ``at_zero`` whose step has the sign of its gradient
+    would leave 0 uphill: it is held at 0 (dw = 0), and the system is
+    solved again without it, from the same k x k or downdated n x n
+    matrix, until no such column is left."""
+    n, k = Xf.shape
+    c = Xf.T @ d
+    R = np.column_stack([gw, c])
+    B = Xf * np.sqrt(d)[:, None]
+    wide = k > n
+    M = B @ B.T if wide else B.T @ B
+    M.flat[::len(M) + 1] += ridge
+    keep = np.ones(k, dtype=bool)
+    dw = np.zeros(k)
+    while True:
+        Rk, ck = R[keep], c[keep]
+        if wide:
+            Bk = B[:, keep]
+            U = (Rk - Bk.T @ np.linalg.solve(M, Bk @ Rk)) / ridge
+        else:
+            U = np.linalg.solve(M[np.ix_(keep, keep)], Rk)
+        db = (ck @ U[:, 0] - gb) / (d.sum() - ck @ U[:, 1])
+        dw[keep] = -U[:, 0] - db * U[:, 1]
+        stuck = at_zero & (dw * gw > 0)
+        if not stuck.any():
+            return dw, db
+        dw[stuck] = 0.0
+        keep &= ~stuck
+        if wide:
+            M -= B[:, stuck] @ B[:, stuck].T
 
 
 def _solve_working_set(Xs, ypm, w, b, alpha, l1, maxiter):
-    """L-BFGS-B over w = u - v (u, v >= 0) and b; returns (w, b, iters)."""
-    k = Xs.shape[1]
+    """Newton steps on the free coordinates of w and on b, each projected
+    onto the sign orthant of the current point (the orthant rule of OWL-QN,
+    Andrew & Gao 2007) and backtracked to an Armijo decrease; returns
+    (w, b, steps).
 
-    def fun(z):
-        wz = z[:k] - z[k:-1]
-        margin, gw, gb = _smooth_grad(Xs, ypm, wz, z[-1], alpha, l1)
-        f = (np.mean(np.logaddexp(0.0, -margin))
-             + alpha * (l1 * z[:-1].sum() + 0.5 * (1 - l1) * wz @ wz))
-        return f, np.concatenate([gw + alpha * l1, alpha * l1 - gw, [gb]])
-
-    z0 = np.concatenate([np.maximum(w, 0.0), np.maximum(-w, 0.0), [b]])
-    res = optimize.minimize(
-        fun, z0, jac=True, method="L-BFGS-B",
-        bounds=[(0.0, None)] * (2 * k) + [(None, None)],
-        options={"maxiter": maxiter, "gtol": 0.3 * EN_KKT_TOL, "ftol": 0.0})
-    return res.x[:k] - res.x[k:-1], float(res.x[-1]), int(res.nit)
+    A coordinate is free unless it is 0 with |gradient| <= alpha*l1.  The
+    metric is the exact weighted Hessian of the loss (glmnet's IRLS step)
+    with ridge max(alpha*(1-l1), EN_MIN_RIDGE), so that pure lasso has a
+    step; the fixed point, where the pseudo-gradient is 0, does not depend
+    on it.  Stops when the pseudo-gradient is within 0.3*EN_KKT_TOL, after
+    ``maxiter`` steps, or when no step length gives a decrease."""
+    lam, ridge = alpha * l1, max(alpha * (1 - l1), EN_MIN_RIDGE)
+    margin = ypm * (Xs @ w + b)
+    f = _penalised_loss(margin, w, alpha, l1)
+    for step in range(maxiter):
+        s, g, gb = _smooth_grad(Xs, ypm, margin, w, alpha, l1)
+        pg = _pseudo_grad(g, w, lam)
+        if max(np.abs(pg).max(initial=0.0), abs(gb)) <= 0.3 * EN_KKT_TOL:
+            return w, b, step
+        # the weights off the free set are 0 and stay 0
+        free = np.flatnonzero((w != 0) | (pg != 0))
+        Xf, wf, pgf = Xs[:, free], w[free], pg[free]
+        dw, db = _newton_step(Xf, s * (1 - s) / len(ypm), ridge, pgf, gb,
+                              (wf == 0) & (lam > 0))
+        orthant = np.where(wf != 0, np.sign(wf), -np.sign(pgf))
+        t = 1.0
+        for _ in range(EN_MAX_HALVINGS):
+            wt = wf + t * dw
+            if lam > 0:
+                wt[wt * orthant < 0] = 0.0
+            bt = b + t * db
+            mt = ypm * (Xf @ wt + bt)
+            f_new = _penalised_loss(mt, wt, alpha, l1)
+            if f_new <= f + EN_ARMIJO * (pgf @ (wt - wf) + gb * (bt - b)):
+                break
+            t *= 0.5
+        else:
+            return w, b, step + 1
+        w = np.zeros_like(w)
+        w[free] = wt
+        b, margin, f = bt, mt, f_new
+    return w, b, maxiter
 
 
 def train_elastic_net(X, y, spec: ModelSpec) -> TrainedModel:
     """Minimise mean logistic loss + alpha*(l1*|w|_1 + (1-l1)/2*|w|^2).
 
-    Each round takes the full gradient once and warm-starts L-BFGS-B on the
-    nonzero weights plus the zero ones that break the KKT conditions worst:
-    at least EN_MIN_WORKING_SET columns (or p) and twice the nonzero count.
-    Stops when the largest KKT violation, intercept included, is at most
-    EN_KKT_TOL; raises ConvergenceError once EN_MAX_ITER iterations or
-    EN_MAX_ROUNDS rounds are spent."""
+    Each round takes the full gradient once and warm-starts Newton steps
+    (``_solve_working_set``) on the nonzero weights plus the zero ones that
+    break the KKT conditions worst: at least EN_MIN_WORKING_SET columns (or
+    p) and twice the nonzero count.  Stops when the largest KKT violation,
+    intercept included, is at most EN_KKT_TOL; raises ConvergenceError once
+    EN_MAX_ITER Newton steps or EN_MAX_ROUNDS rounds are spent."""
     p = X.shape[1]
     ypm = 2.0 * y - 1.0
     alpha, l1 = spec.alpha, spec.l1_ratio
     w, b = np.zeros(p), 0.0
     size, n_iter = min(EN_MIN_WORKING_SET, p), 0
     for rounds in range(EN_MAX_ROUNDS + 1):
-        _, g, gb = _smooth_grad(X, ypm, w, b, alpha, l1)
-        viol = np.where(w != 0, np.abs(g + alpha * l1 * np.sign(w)),
-                        np.maximum(np.abs(g) - alpha * l1, 0.0))
+        _, g, gb = _smooth_grad(X, ypm, ypm * (X @ w + b), w, alpha, l1)
+        viol = np.abs(_pseudo_grad(g, w, alpha * l1))
         kkt = float(max(viol.max(), abs(gb)))
         if kkt <= EN_KKT_TOL:
             break
         if rounds == EN_MAX_ROUNDS or n_iter >= EN_MAX_ITER:
             raise ConvergenceError(
                 f"elastic net KKT violation {kkt:.2e} > {EN_KKT_TOL} after "
-                f"{rounds} working-set rounds and {n_iter} L-BFGS-B "
-                f"iterations (limits {EN_MAX_ROUNDS} and {EN_MAX_ITER})")
+                f"{rounds} working-set rounds and {n_iter} Newton steps "
+                f"(limits {EN_MAX_ROUNDS} and {EN_MAX_ITER})")
         size = min(p, max(size, 2 * np.count_nonzero(w)))
         # nonzero weights first, then zero ones by violation
         score = np.where(w != 0, np.inf, viol)
@@ -203,7 +288,7 @@ def train_elastic_net(X, y, spec: ModelSpec) -> TrainedModel:
 
 def _predict_linear_logistic(model, X):
     z = X @ model.params["w"] + model.params["b"]
-    return _two_col(expit(z))
+    return _two_col(_sigmoid(z))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +360,7 @@ def _fit_platt(decision, y, iters=100):
     f = decision
     for _ in range(iters):
         z = a * f + c
-        p = expit(z)
+        p = _sigmoid(z)
         g = p - y
         ga, gc = f @ g, g.sum()
         wgt = np.maximum(p * (1 - p), 1e-12)
@@ -386,7 +471,7 @@ def svm_decision(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 
 def _predict_svm(model, X):
     f = svm_decision(model, X)
-    return _two_col(expit(model.params["link_a"] * f + model.params["link_c"]))
+    return _two_col(_sigmoid(model.params["link_a"] * f + model.params["link_c"]))
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +665,14 @@ def _adamw_step(p, g, m, v, scratch, t, lr, decay=None):
             pb -= a
 
 
+# a fit that overflows ends at its first non-finite loss, with one error and
+# no numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
     """Full-batch AdamW in float32 on the training split; keeps the
     parameters of the epoch with the lowest validation loss and stops after
-    ``patience`` epochs without improvement.
+    ``patience`` epochs without improvement.  A non-finite training or
+    validation loss raises ConvergenceError naming its epoch.
 
     The initial weights are drawn in float64 and then cast, so a seed gives
     the same draws in either precision.  Allocates nothing per epoch outside
@@ -613,8 +702,15 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
     best_params = {k: p.copy() for k, p in params.items()}
     best_epoch = 0
     since_best = 0
+
+    def check_finite(loss, which, epoch):
+        if not np.isfinite(loss):
+            raise ConvergenceError(f"{variant} diverged: {which} loss is "
+                                   f"{loss} at epoch {epoch}")
+
     for epoch in range(1, cfg.max_epochs + 1):
         loss, grads = net.loss_and_grads(params, Xt, yt)
+        check_finite(loss, "training", epoch)
         train_log.append(float(loss))
         for k, p in params.items():
             _adamw_step(p, grads[k], m[k], v[k], scratch, epoch,
@@ -622,6 +718,7 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
         del grads  # so the next epoch's gradients do not coexist with them
         vlogits, _ = net.forward(params, Xv)
         vloss, _ = _softmax_ce(vlogits, yv)
+        check_finite(vloss, "validation", epoch)
         val_log.append(float(vloss))
         if vloss < best_loss - 1e-12:
             best_loss = float(vloss)

@@ -1,6 +1,7 @@
 import os
 
-# numpy and scipy each load their own OpenBLAS, with a thread pool each; left
+# phonepair loads only numpy's OpenBLAS, but test modules import scipy as an
+# oracle, and scipy loads a second OpenBLAS with its own thread pool; left
 # unpinned on a few CPUs the two pools contend. Pin them before numpy loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

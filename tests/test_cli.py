@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -125,6 +127,27 @@ class TestRunModels:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: fold 0: ")
         assert err.count("\n") == 1
+
+    def test_diverging_net_exits_numeric(self, cli_corpus, tmp_path):
+        """In a child process, so that stderr is what a user sees: the
+        error line and no numpy warning."""
+        _, manifests = cli_corpus
+        doc = run_config(manifests[:1])
+        doc["models"] = [{"variant": "cnn", "train": {"learning_rate": 1e30}}]
+        cfg = write_json(tmp_path / "run.json", doc)
+        src = os.path.dirname(os.path.dirname(models.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys; from phonepair.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "run-models", "--config", cfg,
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_NUMERIC, done.stderr
+        assert done.stderr.startswith("numeric failure: fold 0: cnn diverged")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
 
 
 HEADER_BREAKAGES = {
@@ -369,7 +392,9 @@ class TestExitCodes:
         ("models", [{"variant": "ffn", "train": {"seed": -1}}]),
         # a name that is not a string, null included
         ("models", [{"variant": "elastic_net", "name": None}]),
-        ("models", [{"variant": "elastic_net", "name": 5}])])
+        ("models", [{"variant": "elastic_net", "name": 5}]),
+        # checked for every variant, not only ffn
+        ("models", [{"variant": "elastic_net", "hidden_sizes": "x"}])])
     def test_malformed_study_config(self, cli_corpus, tmp_path, capsys, key,
                                     value):
         _, manifests = cli_corpus

@@ -1,15 +1,20 @@
 """Every name a module under src/phonepair imports is used in that module,
-and every name it defines is used somewhere.
+every name it defines is used somewhere, and nothing in it imports scipy.
 
 No linter ships with the test environment, so this walks the syntax tree
 itself: a name bound by ``import`` or ``from ... import`` must appear as a
 name somewhere else in the module (annotations included).  A module-level
 function, class or constant must be referenced outside its own definition,
-in src/phonepair, tests or perfbench.
+in src/phonepair, tests or perfbench.  scipy is a test dependency only: no
+import of it, at any depth of a module, and none at run time.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -42,6 +47,92 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Every ``import scipy...`` or ``from scipy... import``, nested ones
+    included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{m} (line {node.lineno})" for m in modules
+                  if m == "scipy" or m.startswith("scipy.")]
+    return found
+
+
+def test_checker_finds_scipy_imports():
+    source = ("import scipy\nimport scipyx\nfrom . import scipy_like\n"
+              "def f():\n    from scipy.special import expit\n"
+              "    import numpy, scipy.signal as ss\n")
+    assert scipy_imports(source) == [
+        "scipy (line 1)", "scipy.special (line 5)", "scipy.signal (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+# One child process imports phonepair.cli, then runs each command; it prints
+# the scipy modules loaded after the import and after each command.
+NO_SCIPY_RUN = """
+import json, os, sys
+import numpy as np
+from phonepair import cli, dataio
+tmp = sys.argv[1]
+loaded = {}
+
+def note(step):
+    loaded[step] = sorted(m for m in sys.modules
+                          if m == "scipy" or m.startswith("scipy."))
+
+def config(name, doc):
+    dataio.write_json(os.path.join(tmp, name), doc)
+    return os.path.join(tmp, name)
+
+def run(command, cfg):
+    code = cli.main([command, "--config", cfg, "--out",
+                     os.path.join(tmp, command)])
+    assert code == 0, (command, code)
+    note(command)
+
+note("import phonepair.cli")
+run("synth", config("synth.json", {"recordings": [
+    {"subject_id": "s01", "duration": 20, "phones": [["a", 24], ["e", 24]],
+     "n_channels": 4, "fs": 1000, "seed": 3}]}))
+manifest = os.path.join(tmp, "synth", "s01_production.manifest.json")
+rec = dataio.load_recording(os.path.join(tmp, "synth", "s01_production.nrd"))
+audio = np.random.default_rng(0).standard_normal(rec.n_samples)
+ch = (dataio.ChannelInfo("MISC001", "misc", "V"),)
+for name, x in (("misc", np.roll(audio, 500)), ("audio", audio)):
+    dataio.save_recording(dataio.Recording(rec.sample_rate, ch, x[None, :]),
+                          os.path.join(tmp, name + ".nrd"))
+run("align", config("align.json", {"misc": os.path.join(tmp, "misc.nrd"),
+                                   "audio": os.path.join(tmp, "audio.nrd"),
+                                   "window": 1.0}))
+run("preprocess", config("pre.json", {"manifests": [manifest]}))
+run("report", config("rep.json", {"manifests": [manifest]}))
+run("sweep-bands", config("study.json", {
+    "manifests": [manifest], "models": [{"variant": "elastic_net"}],
+    "cv": {"k": 3, "seed": 0}, "min_count": 20}))
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_commands_leave_out_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                         env=env, check=True, capture_output=True, text=True)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert list(loaded) == ["import phonepair.cli", "synth", "align",
+                            "preprocess", "report", "sweep-bands"]
+    assert loaded == {step: [] for step in loaded}
 
 
 def references(node) -> Counter:

@@ -1,8 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.special import expit
 
 from phonepair import models
 from phonepair.dataio import ConfigError, DataError
@@ -188,6 +190,93 @@ class TestElasticNetSolver:
         monkeypatch.setattr(models, "EN_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="KKT"):
             train(ModelSpec("elastic_net"), X, y)
+
+
+def lbfgsb_working_set(Xs, ypm, w, b, alpha, l1, maxiter):
+    """Oracle for ``models._solve_working_set``: L-BFGS-B over w = u - v
+    (u, v >= 0) and b, the solver the Newton steps replaced."""
+    k, n = Xs.shape[1], len(ypm)
+
+    def fun(z):
+        wz = z[:k] - z[k:-1]
+        margin = ypm * (Xs @ wz + z[-1])
+        gz = -ypm * expit(-margin) / n
+        gw = Xs.T @ gz + alpha * (1 - l1) * wz
+        f = (np.mean(np.logaddexp(0.0, -margin))
+             + alpha * (l1 * z[:-1].sum() + 0.5 * (1 - l1) * wz @ wz))
+        return f, np.concatenate([gw + alpha * l1, alpha * l1 - gw,
+                                  [gz.sum()]])
+
+    z0 = np.concatenate([np.maximum(w, 0.0), np.maximum(-w, 0.0), [b]])
+    res = optimize.minimize(
+        fun, z0, jac=True, method="L-BFGS-B",
+        bounds=[(0.0, None)] * (2 * k) + [(None, None)],
+        options={"maxiter": maxiter, "gtol": 0.3 * EN_KKT_TOL, "ftol": 0.0})
+    return res.x[:k] - res.x[k:-1], float(res.x[-1]), int(res.nit)
+
+
+class TestNewtonAgainstLbfgsb:
+    @pytest.mark.parametrize("l1", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n,p", [(150, 40), (80, 1200)],
+                             ids=["p<n", "p>n"])
+    def test_same_optimum_as_lbfgsb(self, rng, monkeypatch, n, p, l1):
+        X, y = wide_sparse(rng, n=n, p=p)
+        alpha = 1e-2
+        spec = ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1)
+        newton = train(spec, X, y)
+        monkeypatch.setattr(models, "_solve_working_set", lbfgsb_working_set)
+        oracle = train(spec, X, y)
+        ypm = 2.0 * y - 1.0
+        f_newton, f_oracle = (
+            elastic_net_objective(X, ypm, m.params["w"], m.params["b"],
+                                  alpha, l1) for m in (newton, oracle))
+        w, b = newton.params["w"], newton.params["b"]
+        assert en_kkt_violation(X, y, w, b, alpha, l1) <= EN_KKT_TOL
+        assert abs(f_newton - f_oracle) <= 1e-8 * f_oracle
+        assert newton.meta["n_iter"] < EN_MAX_ITER
+
+    @staticmethod
+    def newton_system(rng, k, n=60):
+        """(Xf, d, ridge, gw, gb): a random Newton system of k columns."""
+        return (rng.standard_normal((n, k)), rng.uniform(1e-4, 0.25, n) / n,
+                1e-3, rng.standard_normal(k), 0.3)
+
+    @pytest.mark.parametrize("k", [30, 200], ids=["k<n", "k>n"])
+    def test_newton_step_solves_the_bordered_system(self, rng, k):
+        Xf, d, ridge, gw, gb = self.newton_system(rng, k)
+        dw, db = models._newton_step(Xf, d, ridge, gw, gb,
+                                     np.zeros(k, dtype=bool))
+        A = np.column_stack([Xf, np.ones(len(d))])
+        H = A.T @ (A * d[:, None]) + np.diag([ridge] * k + [0.0])
+        want = np.linalg.solve(H, -np.r_[gw, gb])
+        assert np.allclose(np.r_[dw, db], want, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [30, 200], ids=["k<n", "k>n"])
+    def test_newton_step_holds_uphill_zero_weights(self, rng, k):
+        """A zero weight whose step has its gradient's sign stays at 0, and
+        the rest solve the system without its column."""
+        Xf, d, ridge, gw, gb = self.newton_system(rng, k)
+        at_zero = np.arange(k) % 2 == 0
+        dw, db = models._newton_step(Xf, d, ridge, gw, gb, at_zero)
+        held = at_zero & (dw == 0)
+        assert held.any()
+        assert not np.any(at_zero & (dw * gw > 0))
+        keep = ~held
+        want = models._newton_step(Xf[:, keep], d, ridge, gw[keep], gb,
+                                   np.zeros(keep.sum(), dtype=bool))
+        assert np.allclose(dw[keep], want[0], rtol=1e-8, atol=1e-12)
+        assert db == pytest.approx(want[1], rel=1e-8)
+
+
+def test_sigmoid_matches_expit_without_warnings():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 400_001),
+                        [-np.inf, -745.2, -709.8, 0.0, 36.8, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = models._sigmoid(z)
+    # relative where expit is a normal float, absolute below that
+    np.testing.assert_allclose(got, expit(z), rtol=1e-15,
+                               atol=np.finfo(float).tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +589,17 @@ class TestNeuralTraining:
                                       + 1.0 + np.log1p(np.exp(-1.0))) / 2)
         assert grad.dtype == np.float32
         assert np.allclose(grad, want_grad, atol=1e-7)
+
+    @pytest.mark.parametrize("variant", ["ffn", "cnn"])
+    def test_divergence_is_a_convergence_error(self, rng, variant):
+        X, y = two_blobs(rng, n_per=15, p=20)
+        cfg = TrainConfig(learning_rate=1e30, max_epochs=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError,
+                               match=f"{variant} diverged: .* at epoch 1$"):
+                train(ModelSpec(variant, kernel=5, stride=5, train=cfg), X, y,
+                      n_channels=2, n_times=10)
 
     def test_a_class_with_no_training_row_is_a_data_error(self):
         y = np.array([0] * 48 + [1] * 48)
