@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsp, models
+from . import models
 from .dataio import DataError
 from .epochs import PairDataset
 
@@ -160,25 +160,12 @@ def wilcoxon(a, b) -> TestResult:
 def evaluate(spec: models.ModelSpec, ds: PairDataset,
              folds: np.ndarray) -> list[dict]:
     """One :func:`metrics` dict per fold of the per-row fold indices
-    ``folds``, with fold-local z-scoring (no test-row leakage)."""
+    ``folds``.  :func:`models.fit_folds` fits and scores all the folds in
+    one call, with fold-local z-scoring (no test-row leakage); the solver
+    state it returns per fold is left out of the metrics."""
     if len(folds) != len(ds.y):
         raise DataError("fold split does not match dataset size")
-    per_fold = []
-    for fold in range(folds.max() + 1):
-        test_mask = folds == fold
-        train_mask = ~test_mask
-        X_train, y_train = ds.X[train_mask], ds.y[train_mask]
-        X_test, y_test = ds.X[test_mask], ds.y[test_mask]
-        stats = dsp.compute_zscore_stats(X_train)
-        X_train = dsp.apply_zscore(X_train, stats)
-        X_test = dsp.apply_zscore(X_test, stats)
-        try:
-            model = models.train(
-                spec, X_train, y_train,
-                n_channels=ds.n_channels, n_times=ds.n_times,
-            )
-            scores = model.predict_proba(X_test)[:, 1]
-        except (DataError, models.ConvergenceError) as exc:
-            raise type(exc)(f"fold {fold}: {exc}") from exc
-        per_fold.append(metrics(y_test, scores))
-    return per_fold
+    fits = models.fit_folds(spec, ds.X, ds.y, folds, ds.n_channels,
+                            ds.n_times)
+    return [metrics(ds.y[folds == fold], scores)
+            for fold, (scores, _) in enumerate(fits)]

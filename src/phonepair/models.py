@@ -7,16 +7,19 @@ Elastic net is solved to a KKT tolerance by orthant-projected Newton steps
 over a growing working set of columns.  Neural models use hand-derived
 backpropagation with AdamW and validation-based early stopping; no
 autodiff dependency.  They train and predict in float32; the other
-families work in float64.
+families work in float64.  ``fit_folds`` fits all the folds of one dataset
+in one call.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import dsp
 from .dataio import ConfigError, DataError, check_numbers, check_size
 
 
@@ -84,6 +87,7 @@ class TrainedModel:
     training_log: list = field(default_factory=list)
     val_log: list = field(default_factory=list)
     best_epoch: int | None = None
+    state: dict = field(default_factory=dict)  # what the solver did
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Per-row class probabilities, shape [n, 2], rows summing to 1."""
@@ -283,6 +287,8 @@ def train_elastic_net(X, y, spec: ModelSpec) -> TrainedModel:
         variant="elastic_net",
         params={"w": w, "b": b},
         meta={"n_features": p, "n_iter": n_iter, "kkt_violation": kkt},
+        state={"n_iter": n_iter, "kkt_violation": kkt,
+               "nnz": int(np.count_nonzero(w))},
     )
 
 
@@ -460,6 +466,7 @@ def train_svm_rbf(X, y, spec: ModelSpec) -> TrainedModel:
         },
         meta={"n_features": p, "n_support": int(sv.sum()),
               "alphas": alphas, "ypm": ypm},
+        state={"n_support": int(sv.sum())},
     )
 
 
@@ -513,6 +520,9 @@ class FfnNet:
 
     def n_layers(self) -> int:
         return len(self.sizes) - 1
+
+    def prepare(self, X):
+        return X
 
     def forward(self, params, X):
         h = X
@@ -573,8 +583,14 @@ class CnnNet:
         return np.ascontiguousarray(
             sliding_window_view(x, self.k, axis=2)[:, :, ::self.s])
 
+    def prepare(self, X):
+        """The windows of the rows X, built once per fit."""
+        return self._windows(X)
+
     def forward(self, params, X):
-        Xw = self._windows(X)
+        """Logits, and (windows, conv activations), of rows X [n, C*T] or
+        of their windows from ``prepare``."""
+        Xw = X if X.ndim == 4 else self._windows(X)
         if self.P > 1 and self.F > 1:
             # one GEMM over all n*C*P windows; numpy would run one per
             # (n, c), and both sum each window in the same order
@@ -665,29 +681,50 @@ def _adamw_step(p, g, m, v, scratch, t, lr, decay=None):
             pb -= a
 
 
+class NetStart:
+    """A net's initial float32 weights and its generator just after drawing
+    them.  The first ``take`` draws them from ``default_rng(seed)``; each
+    ``take`` returns a copy of both.  So fits that share one start, the
+    folds of one dataset (one net shape, one seed), begin exactly as fits
+    that each drew their own, and the weights are drawn once."""
+
+    def __init__(self):
+        self.params = self.rng = None
+
+    def take(self, net, seed):
+        if self.params is None:
+            self.rng = np.random.default_rng(seed)
+            # drawn in float64 and then cast, so a seed gives the same draws
+            # in either precision
+            self.params = {k: p.astype(np.float32)
+                           for k, p in net.init_params(self.rng).items()}
+        return ({k: p.copy() for k, p in self.params.items()},
+                copy.deepcopy(self.rng))
+
+
 # a fit that overflows ends at its first non-finite loss, with one error and
 # no numpy warning
 @np.errstate(over="ignore", invalid="ignore")
-def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
+def _train_neural(net, X, y, cfg: TrainConfig, variant, meta, start=None):
     """Full-batch AdamW in float32 on the training split; keeps the
     parameters of the epoch with the lowest validation loss and stops after
     ``patience`` epochs without improvement.  A non-finite training or
     validation loss raises ConvergenceError naming its epoch.
 
-    The initial weights are drawn in float64 and then cast, so a seed gives
-    the same draws in either precision.  Allocates nothing per epoch outside
-    the forward and backward passes: the moments, two scratch blocks for
-    ``_adamw_step`` and the best parameters (refreshed with ``np.copyto``)
-    are allocated once."""
+    The initial weights and the generator of the validation split come from
+    ``start``, a NetStart shared with the other folds of the dataset, or
+    from a new one.  The net's inputs (the CNN's windows) are built once.
+    Allocates nothing per epoch outside the forward and backward passes: the
+    moments, two scratch blocks for ``_adamw_step`` and the best parameters
+    (refreshed with ``np.copyto``) are allocated once.  The model's state
+    holds the best epoch, the epochs run and what stopped the fit."""
     if len(y) < 10:
         raise DataError("need at least 10 samples to hold out a validation set")
-    rng = np.random.default_rng(cfg.seed)
-    params = {k: p.astype(np.float32)
-              for k, p in net.init_params(rng).items()}
+    params, rng = (start or NetStart()).take(net, cfg.seed)
     train_mask, val_mask = _stratified_holdout(y, cfg.val_fraction, rng)
     X = X.astype(np.float32)
-    Xt, yt = X[train_mask], y[train_mask]
-    Xv, yv = X[val_mask], y[val_mask]
+    Xt, yt = net.prepare(X[train_mask]), y[train_mask]
+    Xv, yv = net.prepare(X[val_mask]), y[val_mask]
     decay = {k: cfg.learning_rate * cfg.weight_decay
              for k in net.weight_names()}
 
@@ -702,6 +739,7 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
     best_params = {k: p.copy() for k, p in params.items()}
     best_epoch = 0
     since_best = 0
+    stopped_by = "max_epochs"
 
     def check_finite(loss, which, epoch):
         if not np.isfinite(loss):
@@ -729,6 +767,7 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
         else:
             since_best += 1
             if since_best >= cfg.patience:
+                stopped_by = "patience"
                 break
     return TrainedModel(
         variant=variant,
@@ -737,17 +776,19 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta):
         training_log=train_log,
         val_log=val_log,
         best_epoch=best_epoch,
+        state={"best_epoch": best_epoch, "epochs": len(train_log),
+               "stopped_by": stopped_by},
     )
 
 
-def train_ffn(X, y, spec: ModelSpec) -> TrainedModel:
+def train_ffn(X, y, spec: ModelSpec, start=None) -> TrainedModel:
     net = FfnNet(X.shape[1], spec.hidden_sizes)
     meta = {"n_features": X.shape[1], "hidden_sizes": tuple(spec.hidden_sizes)}
-    return _train_neural(net, X, y, spec.train, "ffn", meta)
+    return _train_neural(net, X, y, spec.train, "ffn", meta, start)
 
 
-def train_cnn(X, y, spec: ModelSpec, n_channels=None,
-              n_times=None) -> TrainedModel:
+def train_cnn(X, y, spec: ModelSpec, n_channels=None, n_times=None,
+              start=None) -> TrainedModel:
     if None in (n_channels, n_times) or n_channels * n_times != X.shape[1]:
         raise DataError(f"cnn needs X width {X.shape[1]} = n_channels*n_times"
                          f", got {n_channels}*{n_times}")
@@ -758,7 +799,7 @@ def train_cnn(X, y, spec: ModelSpec, n_channels=None,
         "kernel": spec.kernel, "stride": spec.stride,
         "filters_per_channel": spec.filters_per_channel,
     }
-    return _train_neural(net, X, y, spec.train, "cnn", meta)
+    return _train_neural(net, X, y, spec.train, "cnn", meta, start)
 
 
 def _predict_neural(model, X):
@@ -782,14 +823,45 @@ _PREDICTORS = {
 }
 
 
-def train(spec: ModelSpec, X, y, n_channels=None, n_times=None) -> TrainedModel:
+def train(spec: ModelSpec, X, y, n_channels=None, n_times=None,
+          start=None) -> TrainedModel:
     """Check X and y once, then fit them with ``train_<variant>``; only
-    ``cnn`` reads the [n_channels, n_times] layout of each row."""
+    ``cnn`` reads the [n_channels, n_times] layout of each row, and only the
+    nets take a shared NetStart ``start``."""
     X, y = _check_xy(X, y)
     # Looked up by name at each call, not from a table built at import, so
     # that a wrapper bound to the attribute later (perfbench's tracer) sees
     # every fit.
     trainer = globals()[f"train_{spec.variant}"]
+    kwargs = {} if start is None else {"start": start}
     if spec.variant == "cnn":
-        return trainer(X, y, spec, n_channels, n_times)
-    return trainer(X, y, spec)
+        return trainer(X, y, spec, n_channels, n_times, **kwargs)
+    return trainer(X, y, spec, **kwargs)
+
+
+def fit_folds(spec: ModelSpec, X, y, folds, n_channels=None,
+              n_times=None) -> list[tuple[np.ndarray, dict]]:
+    """Fit and score every fold of the per-row fold indices ``folds``: one
+    (class-1 scores of the test rows, ``TrainedModel.state``) pair per fold.
+
+    Each fold is z-scored with its training rows' statistics, so no test
+    row leaks into the fit, and fitted through :func:`train`.  The nets of
+    all folds share one NetStart, so their initial weights are drawn once
+    per call.  A fold's model is dropped once it has scored its test rows,
+    before the next fold trains.  A fit or predict error is raised again
+    with a ``fold N: `` prefix."""
+    start = NetStart() if spec.variant in ("ffn", "cnn") else None
+    out = []
+    for fold in range(folds.max() + 1):
+        test = folds == fold
+        X_train, y_train = X[~test], y[~test]
+        stats = dsp.compute_zscore_stats(X_train)
+        X_train = dsp.apply_zscore(X_train, stats)
+        X_test = dsp.apply_zscore(X[test], stats)
+        try:
+            model = train(spec, X_train, y_train, n_channels, n_times, start)
+            out.append((model.predict_proba(X_test)[:, 1], model.state))
+        except (DataError, ConvergenceError) as exc:
+            raise type(exc)(f"fold {fold}: {exc}") from exc
+        del model
+    return out

@@ -1,9 +1,10 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from phonepair import evaluation
+from phonepair import dsp, evaluation, models
 from phonepair.dataio import DataError
 from phonepair.epochs import PairDataset
 from phonepair.evaluation import (
@@ -13,7 +14,7 @@ from phonepair.evaluation import (
     metrics,
     wilcoxon,
 )
-from phonepair.models import ModelSpec
+from phonepair.models import ConvergenceError, ModelSpec, TrainConfig
 
 
 class TestKfold:
@@ -217,3 +218,141 @@ class TestEvaluate:
         folds = kfold(np.r_[ds.y, 0], k=5, seed=0)
         with pytest.raises(DataError, match="size"):
             evaluate(ModelSpec("lda"), ds, folds)
+
+
+# ---------------------------------------------------------------------------
+# the fold call: models.fit_folds against one train per fold
+# ---------------------------------------------------------------------------
+
+C, T = 2, 10    # cnn rows: 2 channels x 10 samples
+NETS = TrainConfig(learning_rate=1e-2, max_epochs=8, patience=3, seed=3)
+SPECS = {
+    "elastic_net": ModelSpec("elastic_net"),
+    "lda": ModelSpec("lda"),
+    "svm_rbf": ModelSpec("svm_rbf"),
+    "ffn_l1": ModelSpec("ffn", train=NETS),
+    "ffn_l3": ModelSpec("ffn", hidden_sizes=(2048, 1024),
+                        train=TrainConfig(learning_rate=1e-2, max_epochs=3,
+                                          patience=3)),
+    "cnn": ModelSpec("cnn", kernel=5, stride=5, filters_per_channel=3,
+                     train=NETS),
+}
+
+
+def tiny_dataset(seed=0):
+    ds = planted_dataset(np.random.default_rng(seed), n_per=20, p=C * T)
+    return PairDataset(X=ds.X, y=ds.y, pair=ds.pair, n_channels=C,
+                       n_times=T)
+
+
+def fold_by_fold(spec, ds, folds):
+    """The oracle: z-score each fold, fit it with its own ``models.train``
+    and score its test rows; yields each fold's (model, scores, metrics)."""
+    for fold in range(folds.max() + 1):
+        test = folds == fold
+        stats = dsp.compute_zscore_stats(ds.X[~test])
+        model = models.train(spec, dsp.apply_zscore(ds.X[~test], stats),
+                             ds.y[~test], n_channels=ds.n_channels,
+                             n_times=ds.n_times)
+        scores = model.predict_proba(dsp.apply_zscore(ds.X[test], stats))
+        yield model, scores[:, 1], metrics(ds.y[test], scores[:, 1])
+
+
+class TestFitFolds:
+    @pytest.mark.parametrize("name", SPECS)
+    def test_equals_one_train_per_fold(self, name):
+        spec, ds = SPECS[name], tiny_dataset()
+        folds = kfold(ds.y, k=5, seed=0)
+        want = [(scores, m) for _, scores, m in fold_by_fold(spec, ds, folds)]
+        assert evaluate(spec, ds, folds) == [m for _, m in want]
+        fits = models.fit_folds(spec, ds.X, ds.y, folds, C, T)
+        assert len(fits) == 5
+        for (got, _), (scores, _) in zip(fits, want):
+            assert got.tobytes() == scores.tobytes()
+
+    @pytest.mark.parametrize("spec,n_times,error,match", [
+        (ModelSpec("cnn", kernel=5, stride=5,
+                   train=TrainConfig(learning_rate=1e30, max_epochs=5)),
+         T, ConvergenceError, r"^fold 0: cnn diverged: .* at epoch 1$"),
+        (ModelSpec("cnn"), T + 1, DataError,
+         r"^fold 0: cnn needs X width 20 = n_channels\*n_times")])
+    def test_a_failing_fit_names_its_fold(self, spec, n_times, error, match):
+        ds = tiny_dataset()
+        ds = PairDataset(X=ds.X, y=ds.y, pair=ds.pair, n_channels=C,
+                         n_times=n_times)
+        with pytest.raises(error, match=match):
+            evaluate(spec, ds, kfold(ds.y, k=5, seed=0))
+
+    def test_reads_each_familys_solver_state(self):
+        ds = tiny_dataset()
+        folds = kfold(ds.y, k=5, seed=0)
+        patient = ModelSpec("ffn", train=TrainConfig(
+            learning_rate=0.5, max_epochs=100, patience=2, seed=1))
+        budget = ModelSpec("cnn", kernel=5, stride=5, train=TrainConfig(
+            learning_rate=0.05, max_epochs=4, patience=4))
+        for spec in (*SPECS.values(), patient, budget):
+            fits = models.fit_folds(spec, ds.X, ds.y, folds, C, T)
+            oracle = fold_by_fold(spec, ds, folds)
+            for (_, state), (model, _, _) in zip(fits, oracle, strict=True):
+                if spec.variant == "elastic_net":
+                    assert state == {
+                        "n_iter": model.meta["n_iter"],
+                        "kkt_violation": model.meta["kkt_violation"],
+                        "nnz": int(np.count_nonzero(model.params["w"]))}
+                    assert 0 < state["nnz"] <= C * T
+                    assert state["kkt_violation"] <= models.EN_KKT_TOL
+                elif spec.variant == "svm_rbf":
+                    assert state == {"n_support": model.meta["n_support"]}
+                    assert 0 < state["n_support"] <= len(model.meta["ypm"])
+                elif spec.variant == "lda":
+                    assert state == {}
+                else:
+                    cfg = spec.train
+                    epochs = len(model.training_log)
+                    stop = ("patience" if epochs < cfg.max_epochs
+                            else "max_epochs")
+                    assert state == {"best_epoch": model.best_epoch,
+                                     "epochs": epochs, "stopped_by": stop}
+                    if stop == "patience":
+                        assert epochs - model.best_epoch == cfg.patience
+            if spec is patient:
+                assert {s["stopped_by"] for _, s in fits} == {"patience"}
+            if spec is budget:
+                assert {(s["epochs"], s["stopped_by"]) for _, s in fits} == {
+                    (4, "max_epochs")}
+
+    @pytest.mark.parametrize("name,net", [("ffn_l3", models.FfnNet),
+                                          ("cnn", models.CnnNet)])
+    def test_a_net_draws_its_start_once_per_dataset(self, monkeypatch, name,
+                                                    net):
+        calls = []
+        init_params = net.init_params
+
+        def counted(self, rng):
+            calls.append(1)
+            return init_params(self, rng)
+
+        monkeypatch.setattr(net, "init_params", counted)
+        ds = tiny_dataset()
+        evaluate(SPECS[name], ds, kfold(ds.y, k=5, seed=0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_a_fold_model_is_released_before_the_next_fold_trains(
+            self, monkeypatch, name):
+        spec = SPECS[name]
+        trainer = getattr(models, f"train_{spec.variant}")
+        refs, alive_at_start = [], []
+
+        def watched(X, y, spec, *args, **kwargs):
+            alive_at_start.append([r() is not None for r in refs])
+            model = trainer(X, y, spec, *args, **kwargs)
+            refs.append(weakref.ref(model))
+            refs.append(weakref.ref(next(iter(model.params.values()))))
+            return model
+
+        monkeypatch.setattr(models, f"train_{spec.variant}", watched)
+        ds = tiny_dataset()
+        evaluate(spec, ds, kfold(ds.y, k=5, seed=0))
+        assert len(alive_at_start) == 5
+        assert not any(any(alive) for alive in alive_at_start)
