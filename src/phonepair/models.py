@@ -248,19 +248,25 @@ def _solve_working_set(Xs, ypm, w, b, alpha, l1, maxiter):
     return w, b, maxiter
 
 
-def train_elastic_net(X, y, spec: ModelSpec) -> TrainedModel:
+def train_elastic_net(X, y, spec: ModelSpec, start=None) -> TrainedModel:
     """Minimise mean logistic loss + alpha*(l1*|w|_1 + (1-l1)/2*|w|^2).
 
-    Each round takes the full gradient once and warm-starts Newton steps
+    Starts at ``start``, a (w, b) pair, or at w = 0, b = 0.  Each round
+    takes the full gradient once and warm-starts Newton steps
     (``_solve_working_set``) on the nonzero weights plus the zero ones that
     break the KKT conditions worst: at least EN_MIN_WORKING_SET columns (or
     p) and twice the nonzero count.  Stops when the largest KKT violation,
     intercept included, is at most EN_KKT_TOL; raises ConvergenceError once
-    EN_MAX_ITER Newton steps or EN_MAX_ROUNDS rounds are spent."""
+    EN_MAX_ITER Newton steps or EN_MAX_ROUNDS rounds are spent.
+
+    For l1 < 1 the ridge term makes the objective strictly convex, so its
+    minimiser is unique and the start moves only where inside the KKT
+    tolerance the fit stops; for l1 = 1 the minimiser is unique only for
+    X in general position."""
     p = X.shape[1]
     ypm = 2.0 * y - 1.0
     alpha, l1 = spec.alpha, spec.l1_ratio
-    w, b = np.zeros(p), 0.0
+    w, b = (np.zeros(p), 0.0) if start is None else start
     size, n_iter = min(EN_MIN_WORKING_SET, p), 0
     for rounds in range(EN_MAX_ROUNDS + 1):
         _, g, gb = _smooth_grad(X, ypm, ypm * (X @ w + b), w, alpha, l1)
@@ -826,8 +832,10 @@ _PREDICTORS = {
 def train(spec: ModelSpec, X, y, n_channels=None, n_times=None,
           start=None) -> TrainedModel:
     """Check X and y once, then fit them with ``train_<variant>``; only
-    ``cnn`` reads the [n_channels, n_times] layout of each row, and only the
-    nets take a shared NetStart ``start``."""
+    ``cnn`` reads the [n_channels, n_times] layout of each row.  ``start``
+    is where the fit begins: a NetStart shared by the folds of a dataset
+    for the nets, a (w, b) pair for the elastic net, and None, a cold
+    start, for every variant."""
     X, y = _check_xy(X, y)
     # Looked up by name at each call, not from a table built at import, so
     # that a wrapper bound to the attribute later (perfbench's tracer) sees
@@ -847,9 +855,15 @@ def fit_folds(spec: ModelSpec, X, y, folds, n_channels=None,
     Each fold is z-scored with its training rows' statistics, so no test
     row leaks into the fit, and fitted through :func:`train`.  The nets of
     all folds share one NetStart, so their initial weights are drawn once
-    per call.  A fold's model is dropped once it has scored its test rows,
-    before the next fold trains.  A fit or predict error is raised again
-    with a ``fold N: `` prefix."""
+    per call.  The elastic net fits fold 0 from w = 0 and each later fold
+    from a copy of the previous fold's (w, b), taken as it is, in the
+    previous fold's z-score units: any two of k folds share (k - 2)/(k - 1)
+    of their training rows, so that start is near the optimum.  The
+    previous fit has seen this fold's test rows, but they set only where
+    the solver starts, not the optimum it converges to (see
+    :func:`train_elastic_net`).  A fold's model, its weights included, is
+    dropped once it has scored its test rows, before the next fold trains.
+    A fit or predict error is raised again with a ``fold N: `` prefix."""
     start = NetStart() if spec.variant in ("ffn", "cnn") else None
     out = []
     for fold in range(folds.max() + 1):
@@ -863,5 +877,7 @@ def fit_folds(spec: ModelSpec, X, y, folds, n_channels=None,
             out.append((model.predict_proba(X_test)[:, 1], model.state))
         except (DataError, ConvergenceError) as exc:
             raise type(exc)(f"fold {fold}: {exc}") from exc
+        if spec.variant == "elastic_net":
+            start = (model.params["w"].copy(), model.params["b"])
         del model
     return out

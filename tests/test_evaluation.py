@@ -245,17 +245,29 @@ def tiny_dataset(seed=0):
                        n_times=T)
 
 
-def fold_by_fold(spec, ds, folds):
-    """The oracle: z-score each fold, fit it with its own ``models.train``
-    and score its test rows; yields each fold's (model, scores, metrics)."""
+def zscored_folds(ds, folds):
+    """Each fold's (training X, training y, test X, test y), z-scored with
+    its training rows' statistics."""
     for fold in range(folds.max() + 1):
         test = folds == fold
         stats = dsp.compute_zscore_stats(ds.X[~test])
-        model = models.train(spec, dsp.apply_zscore(ds.X[~test], stats),
-                             ds.y[~test], n_channels=ds.n_channels,
-                             n_times=ds.n_times)
-        scores = model.predict_proba(dsp.apply_zscore(ds.X[test], stats))
-        yield model, scores[:, 1], metrics(ds.y[test], scores[:, 1])
+        yield (dsp.apply_zscore(ds.X[~test], stats), ds.y[~test],
+               dsp.apply_zscore(ds.X[test], stats), ds.y[test])
+
+
+def fold_by_fold(spec, ds, folds):
+    """The oracle: fit each z-scored fold with its own ``models.train`` and
+    score its test rows; yields each fold's (model, scores, metrics).  An
+    elastic-net fold starts from the previous fold's (w, b), every other
+    fit cold."""
+    start = None
+    for X_train, y_train, X_test, y_test in zscored_folds(ds, folds):
+        model = models.train(spec, X_train, y_train, n_channels=ds.n_channels,
+                             n_times=ds.n_times, start=start)
+        if spec.variant == "elastic_net":
+            start = (model.params["w"], model.params["b"])
+        scores = model.predict_proba(X_test)
+        yield model, scores[:, 1], metrics(y_test, scores[:, 1])
 
 
 class TestFitFolds:
@@ -356,3 +368,42 @@ class TestFitFolds:
         evaluate(spec, ds, kfold(ds.y, k=5, seed=0))
         assert len(alive_at_start) == 5
         assert not any(any(alive) for alive in alive_at_start)
+
+
+class TestElasticNetChain:
+    """fit_folds starts each elastic-net fold after the first at the
+    previous fold's (w, b); the optimum it converges to is the cold one."""
+
+    @pytest.mark.parametrize("l1", [0.0, 0.5, 1.0])
+    def test_warm_folds_agree_with_cold_fits(self, monkeypatch, rng, l1):
+        ds = planted_dataset(rng, n_per=40, p=300)
+        folds = kfold(ds.y, k=5, seed=0)
+        spec = ModelSpec("elastic_net", l1_ratio=l1)
+        trainer, warm = models.train_elastic_net, []
+
+        def recorded(X, y, spec, start=None):
+            warm.append((start, trainer(X, y, spec, start)))
+            return warm[-1][1]
+
+        monkeypatch.setattr(models, "train_elastic_net", recorded)
+        models.fit_folds(spec, ds.X, ds.y, folds)
+        assert [start is None for start, _ in warm] == [True] + [False] * 4
+        for (X, y, X_test, _), (_, model) in zip(
+                zscored_folds(ds, folds), warm, strict=True):
+            cold = trainer(X, y, spec)
+            assert model.meta["kkt_violation"] <= models.EN_KKT_TOL
+            f_warm, f_cold = (models.elastic_net_objective(
+                X, 2.0 * y - 1.0, m.params["w"], m.params["b"], spec.alpha,
+                l1) for m in (model, cold))
+            assert abs(f_warm - f_cold) <= 1e-9 * f_cold
+            assert np.array_equal(model.predict(X_test), cold.predict(X_test))
+
+    def test_the_chain_takes_fewer_newton_steps(self, rng):
+        ds = planted_dataset(rng, n_per=40, p=300)
+        folds = kfold(ds.y, k=5, seed=0)
+        spec = ModelSpec("elastic_net")
+        warm = sum(state["n_iter"] for _, state
+                   in models.fit_folds(spec, ds.X, ds.y, folds))
+        cold = sum(models.train(spec, X, y).meta["n_iter"]
+                   for X, y, _, _ in zscored_folds(ds, folds))
+        assert warm < cold

@@ -185,6 +185,17 @@ class TestElasticNetSolver:
         assert model.params["b"] == pytest.approx(np.log(n1 / (len(y) - n1)),
                                                   abs=1e-4)
 
+    @pytest.mark.parametrize("l1", [0.0, 0.5, 1.0])
+    def test_a_start_at_the_optimum_takes_no_step(self, rng, l1):
+        X, y = wide_sparse(rng, n=80, p=600)
+        spec = ModelSpec("elastic_net", l1_ratio=l1)
+        fit = train(spec, X, y)
+        again = models.train_elastic_net(
+            X, y, spec, start=(fit.params["w"], fit.params["b"]))
+        assert again.meta["n_iter"] == 0
+        assert again.params["w"].tobytes() == fit.params["w"].tobytes()
+        assert again.params["b"] == fit.params["b"]
+
     def test_budget_exhausted_raises(self, rng, monkeypatch):
         X, y = wide_sparse(rng, n=60, p=200)
         monkeypatch.setattr(models, "EN_MAX_ITER", 3)
