@@ -4,8 +4,15 @@ They live outside ``conftest.py``: when ``tests`` and ``perfbench/tests``
 are collected in one run, the module name ``conftest`` refers to the last
 one loaded, so ``from conftest import ...`` is not reliable."""
 
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
 import numpy as np
 
+from phonepair import dataio, pipeline
+from phonepair.cli import EXIT_OK, main
 from phonepair.dataio import ChannelInfo, Recording
 
 
@@ -18,3 +25,76 @@ def make_recording(n_channels=4, n_samples=1000, fs=1000.0, kinds=None, seed=0):
     )
     data = rng.standard_normal((n_channels, n_samples))
     return Recording(sample_rate=fs, channels=channels, data=data)
+
+
+DIGESTS = "digests.sha256"
+RECORDING = dict(duration=20, phones=[["a", 24], ["e", 24]], n_channels=12,
+                 n_magnetometers=4, fs=1000, snr=2.5, active_fraction=0.25)
+SESSIONS = (("s01", "production", 21), ("s02", "production", 22),
+            ("s01", "listening", 23))
+NETS = {"learning_rate": 1e-2, "max_epochs": 5, "patience": 3}
+MODELS = [{"variant": "elastic_net"}, {"variant": "lda"},
+          {"variant": "svm_rbf"}, {"variant": "ffn", "train": NETS},
+          {"variant": "cnn", "kernel": 5, "stride": 5, "train": NETS}]
+
+
+def run_every_subcommand(root: Path) -> dict[str, bytes]:
+    """Run every subcommand on one small synthetic corpus into ``root``;
+    returns {"<command>/<file>": bytes} of each text output, with ``root``
+    masked as ``<run>``, and under DIGESTS the SHA-256 of each recording
+    and of the float64 output of the default chain on one recording."""
+    root.mkdir(parents=True, exist_ok=True)
+
+    def config(name, doc):
+        path = str(root / f"{name}.config.json")
+        dataio.write_json(path, doc)
+        return path
+
+    def run(cmd, cfg):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([cmd, "--config", cfg, "--out", str(root / cmd)])
+        assert code == EXIT_OK, f"{cmd} exited {code}"
+        assert any((root / cmd).iterdir()), f"{cmd} wrote no output"
+
+    run("synth", config("synth", {"recordings": [
+        dict(subject_id=s, task=t, seed=seed, **RECORDING)
+        for s, t, seed in SESSIONS]}))
+    manifests = [str(root / "synth" / f"{s}_{t}.manifest.json")
+                 for s, t, _ in SESSIONS]
+
+    # an alignment pair with a planted half-second lag
+    rec = dataio.load_recording(dataio.load_manifest(manifests[0])
+                                .recording_path)
+    audio = np.random.default_rng(0).standard_normal(rec.n_samples)
+    misc = np.roll(audio, int(0.5 * rec.sample_rate))
+    ch = (dataio.ChannelInfo("MISC001", "misc", "V"),)
+    for name, x in (("misc", misc), ("audio", audio)):
+        dataio.save_recording(dataio.Recording(rec.sample_rate, ch, x[None]),
+                              str(root / f"{name}.nrd"))
+    run("align", config("align", {"misc": str(root / "misc.nrd"),
+                                  "audio": str(root / "audio.nrd"),
+                                  "window": 1.0}))
+    run("preprocess", config("preprocess", {"manifests": manifests[:1]}))
+    study = {"manifests": manifests, "cv": {"k": 3, "seed": 0},
+             "min_count": 20}
+    run("run-models", config("models", {**study, "models": MODELS}))
+    en = config("study", {**study, "models": [{"variant": "elastic_net"}]})
+    for cmd in ("run-tasks", "sweep-bands", "ablate"):
+        run(cmd, en)
+    run("report", config("report", {"manifests": manifests}))
+
+    def digest(data, name):
+        return f"{hashlib.sha256(data).hexdigest()}  {name}\n"
+
+    chain = pipeline.preprocess(rec, pipeline.PreprocessingToggles())
+    files = {}
+    digests = [digest(chain.data.tobytes(), "s01_production float64 chain")]
+    for path in sorted(root.glob("*/*")):
+        name = path.relative_to(root).as_posix()
+        data = path.read_bytes()
+        if path.suffix == ".nrd":
+            digests.append(digest(data, name))
+        else:
+            files[name] = data.replace(str(root).encode(), b"<run>")
+    files[DIGESTS] = "".join(digests).encode()
+    return files

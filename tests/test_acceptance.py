@@ -8,7 +8,6 @@ frozen so every run is deterministic.
 
 import contextlib
 import itertools
-import json
 import math
 import os
 
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 from phonepair import dataio, evaluation, synth
-from phonepair.cli import EXIT_OK, main
 from phonepair.dsp import apply_zero_phase, design_fir, wavelet_decompose
 from phonepair.epochs import PairDataset, build_pair_dataset, extract_epochs
 from phonepair.evaluation import auc_score, kfold, wilcoxon
@@ -25,6 +23,8 @@ from phonepair.models import (CnnNet, FfnNet, ModelSpec, elastic_net_objective,
 from phonepair.pipeline import CvConfig, PreprocessingToggles, preprocess
 from phonepair.studies import (ABLATION_BASELINE, ExperimentConfig,
                                run_ablation, run_band_sweep)
+
+from helpers import run_every_subcommand
 
 
 @contextlib.contextmanager
@@ -403,80 +403,11 @@ def test_criterion_09_ablation_and_sparsity_penalty(tmp_path):
 # 10. command-line determinism
 # ---------------------------------------------------------------------------
 
-def _dir_bytes(path):
-    """Directory contents with self-references to the output dir masked,
-    so runs into different directories stay comparable."""
-    out = {}
-    for name in sorted(os.listdir(path)):
-        with open(os.path.join(path, name), "rb") as f:
-            out[name] = f.read().replace(path.encode(), b"<out>")
-    return out
-
-
 def test_criterion_10_cli_reruns_are_byte_identical(tmp_path):
     with criterion(10, "every CLI subcommand reproduces its outputs "
                        "byte for byte"):
-        base = dict(duration=20, phones=[["a", 24], ["e", 24]],
-                    n_channels=12, n_magnetometers=4, fs=1000, snr=2.5,
-                    active_fraction=0.25)
-        synth_doc = {"recordings": [
-            dict(subject_id="s01", task="production", seed=21, **base),
-            dict(subject_id="s02", task="production", seed=22, **base),
-            dict(subject_id="s01", task="listening", seed=23, **base),
-        ]}
-        synth_cfg = str(tmp_path / "synth.json")
-        json.dump(synth_doc, open(synth_cfg, "w", encoding="utf-8"))
-
-        outputs = {}
-
-        def run(cmd, cfg, rep):
-            out = str(tmp_path / f"{cmd}_{rep}")
-            assert main([cmd, "--config", cfg, "--out", out]) == EXIT_OK
-            return _dir_bytes(out)
-
-        outputs["synth"] = [run("synth", synth_cfg, rep) for rep in (1, 2)]
-        manifests = [str(tmp_path / "synth_1" / f"{s}_{t}.manifest.json")
-                     for s, t in (("s01", "production"), ("s02", "production"),
-                                  ("s01", "listening"))]
-
-        study_doc = {"manifests": manifests, "models":
-                     [{"variant": "elastic_net"}],
-                     "cv": {"k": 3, "seed": 0}, "min_count": 20}
-        study_cfg = str(tmp_path / "study.json")
-        json.dump(study_doc, open(study_cfg, "w", encoding="utf-8"))
-        pre_cfg = str(tmp_path / "pre.json")
-        json.dump({"manifests": manifests[:1]},
-                  open(pre_cfg, "w", encoding="utf-8"))
-        rep_cfg = str(tmp_path / "rep.json")
-        json.dump({"manifests": manifests},
-                  open(rep_cfg, "w", encoding="utf-8"))
-
-        # an alignment pair with a planted half-second lag
-        man = dataio.load_manifest(manifests[0])
-        rec = dataio.load_recording(man.recording_path)
-        rng = np.random.default_rng(0)
-        audio = rng.standard_normal(rec.n_samples)
-        misc = np.roll(audio, int(0.5 * rec.sample_rate))
-        ch = (dataio.ChannelInfo("MISC001", "misc", "V"),)
-        dataio.save_recording(dataio.Recording(rec.sample_rate, ch,
-                                               misc[None, :]),
-                              str(tmp_path / "misc.nrd"))
-        dataio.save_recording(dataio.Recording(rec.sample_rate, ch,
-                                               audio[None, :]),
-                              str(tmp_path / "audio.nrd"))
-        align_cfg = str(tmp_path / "align.json")
-        json.dump({"misc": str(tmp_path / "misc.nrd"),
-                   "audio": str(tmp_path / "audio.nrd"), "window": 1.0},
-                  open(align_cfg, "w", encoding="utf-8"))
-
-        for cmd, cfg in (("align", align_cfg), ("preprocess", pre_cfg),
-                         ("run-models", study_cfg), ("run-tasks", study_cfg),
-                         ("sweep-bands", study_cfg), ("ablate", study_cfg),
-                         ("report", rep_cfg)):
-            outputs[cmd] = [run(cmd, cfg, rep) for rep in (1, 2)]
-
-        for cmd, (first, second) in outputs.items():
-            assert first.keys() == second.keys(), cmd
-            assert first, f"{cmd} wrote no output"
-            for name in first:
-                assert first[name] == second[name], f"{cmd}/{name} differs"
+        first, second = (run_every_subcommand(tmp_path / rep)
+                         for rep in ("1", "2"))
+        assert first.keys() == second.keys()
+        for name in first:
+            assert first[name] == second[name], f"{name} differs"

@@ -1,10 +1,11 @@
 """Golden outputs: one small fixed run of every CLI subcommand, compared
 byte for byte with the files committed under ``tests/fixtures/golden/``.
 
-The run is criterion 10's three-recording corpus (``synth``, ``align``,
-``preprocess``, ``report``, and ``run-tasks``, ``sweep-bands`` and
-``ablate`` with the elastic net); ``run-models`` fits each model variant
-once, the nets for a few epochs.  Text outputs (CSV, markdown, JSON, TSV)
+The run, ``helpers.run_every_subcommand``, is criterion 10's: a
+three-recording corpus through ``synth``, ``align``, ``preprocess``,
+``report``, and ``run-tasks``, ``sweep-bands`` and ``ablate`` with the
+elastic net; ``run-models`` fits each model variant once, the nets for a
+few epochs.  Text outputs (CSV, markdown, JSON, TSV)
 are kept as files, with the run's directory masked as ``<run>``;
 recordings (``.nrd``) as one SHA-256 list, ``digests.sha256``.  The
 ``.nrd`` format's float32 cast hides a move below float32 precision, such
@@ -18,9 +19,6 @@ A change that moves output bytes on purpose rewrites the goldens with
 and its diff then shows every file that moved.
 """
 
-import contextlib
-import hashlib
-import io
 import os
 import shutil
 import sys
@@ -31,77 +29,9 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import numpy as np
-
-from phonepair import dataio, pipeline
-from phonepair.cli import EXIT_OK, main
+from helpers import DIGESTS, run_every_subcommand
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
-DIGESTS = "digests.sha256"
-RECORDING = dict(duration=20, phones=[["a", 24], ["e", 24]], n_channels=12,
-                 n_magnetometers=4, fs=1000, snr=2.5, active_fraction=0.25)
-SESSIONS = (("s01", "production", 21), ("s02", "production", 22),
-            ("s01", "listening", 23))
-NETS = {"learning_rate": 1e-2, "max_epochs": 5, "patience": 3}
-MODELS = [{"variant": "elastic_net"}, {"variant": "lda"},
-          {"variant": "svm_rbf"}, {"variant": "ffn", "train": NETS},
-          {"variant": "cnn", "kernel": 5, "stride": 5, "train": NETS}]
-
-
-def run_all(root: Path) -> dict[str, bytes]:
-    """Run every subcommand into ``root``; returns {golden name: bytes}."""
-    def config(name, doc):
-        path = str(root / f"{name}.config.json")
-        dataio.write_json(path, doc)
-        return path
-
-    def run(cmd, cfg):
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main([cmd, "--config", cfg, "--out", str(root / cmd)])
-        assert code == EXIT_OK, f"{cmd} exited {code}"
-
-    run("synth", config("synth", {"recordings": [
-        dict(subject_id=s, task=t, seed=seed, **RECORDING)
-        for s, t, seed in SESSIONS]}))
-    manifests = [str(root / "synth" / f"{s}_{t}.manifest.json")
-                 for s, t, _ in SESSIONS]
-
-    # an alignment pair with a planted half-second lag
-    rec = dataio.load_recording(dataio.load_manifest(manifests[0])
-                                .recording_path)
-    audio = np.random.default_rng(0).standard_normal(rec.n_samples)
-    misc = np.roll(audio, int(0.5 * rec.sample_rate))
-    ch = (dataio.ChannelInfo("MISC001", "misc", "V"),)
-    for name, x in (("misc", misc), ("audio", audio)):
-        dataio.save_recording(dataio.Recording(rec.sample_rate, ch, x[None]),
-                              str(root / f"{name}.nrd"))
-    run("align", config("align", {"misc": str(root / "misc.nrd"),
-                                  "audio": str(root / "audio.nrd"),
-                                  "window": 1.0}))
-    run("preprocess", config("preprocess", {"manifests": manifests[:1]}))
-    study = {"manifests": manifests, "cv": {"k": 3, "seed": 0},
-             "min_count": 20}
-    run("run-models", config("models", {**study, "models": MODELS}))
-    en = config("study", {**study, "models": [{"variant": "elastic_net"}]})
-    for cmd in ("run-tasks", "sweep-bands", "ablate"):
-        run(cmd, en)
-    run("report", config("report", {"manifests": manifests}))
-
-    def digest(data, name):
-        return f"{hashlib.sha256(data).hexdigest()}  {name}\n"
-
-    chain = pipeline.preprocess(rec, pipeline.PreprocessingToggles())
-    files = {}
-    digests = [digest(chain.data.tobytes(), "s01_production float64 chain")]
-    for path in sorted(root.glob("*/*")):
-        name = path.relative_to(root).as_posix()
-        data = path.read_bytes()
-        if path.suffix == ".nrd":
-            digests.append(digest(data, name))
-        else:
-            files[name] = data.replace(str(root).encode(), b"<run>")
-    files[DIGESTS] = "".join(digests).encode()
-    return files
 
 
 def read_goldens() -> dict[str, bytes]:
@@ -110,7 +40,7 @@ def read_goldens() -> dict[str, bytes]:
 
 
 def test_outputs_match_the_goldens(tmp_path):
-    got, want = run_all(tmp_path), read_goldens()
+    got, want = run_every_subcommand(tmp_path), read_goldens()
     assert sorted(got) == sorted(want), (
         f"files written but not golden: {sorted(got.keys() - want.keys())}; "
         f"golden but not written: {sorted(want.keys() - got.keys())}")
@@ -128,7 +58,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --update")
     with tempfile.TemporaryDirectory() as tmp:
-        files = run_all(Path(tmp).resolve())
+        files = run_every_subcommand(Path(tmp).resolve())
     shutil.rmtree(GOLDEN, ignore_errors=True)
     for name, data in files.items():
         (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
