@@ -5,12 +5,12 @@ The run, ``helpers.run_every_subcommand``, is criterion 10's: a
 three-recording corpus through ``synth``, ``align``, ``preprocess``,
 ``report``, and ``run-tasks``, ``sweep-bands`` and ``ablate`` with the
 elastic net; ``run-models`` fits each model variant once, the nets for a
-few epochs.  Text outputs (CSV, markdown, JSON, TSV)
-are kept as files, with the run's directory masked as ``<run>``;
-recordings (``.nrd``) as one SHA-256 list, ``digests.sha256``.  The
-``.nrd`` format's float32 cast hides a move below float32 precision, such
-as a one-ulp change to a filter tap, so the list also holds the float64
-output of the default preprocessing chain on one recording.
+few epochs.  Text outputs (CSV, markdown, JSON, TSV) are kept as files,
+with the run's directory masked as ``<run>``; recordings (``.nrd``) as
+one SHA-256 list, ``digests.sha256``.  The ``.nrd`` format's float32 cast
+hides a move below float32 precision, such as a one-ulp change to a
+filter tap, so the list also holds the float64 output of the default
+preprocessing chain on one recording.
 
 A change that moves output bytes on purpose rewrites the goldens with
 
