@@ -76,7 +76,8 @@ def align(misc: np.ndarray, audio: np.ndarray, fs: float, window: float) -> Alig
     misc = np.asarray(misc, dtype=float)
     audio = np.asarray(audio, dtype=float)
     n = min(len(misc), len(audio))
-    w0 = int(round(window * fs))
+    # clipped in float before int(): a product that overflowed is too long
+    w0 = int(round(min(window * fs, n + 1)))
     if w0 > n // 2:
         raise DataError("alignment window exceeds half the shorter signal")
 

@@ -47,12 +47,16 @@ def extract_epochs(
     The baseline segment is [tmin, 0), excluding the onset sample.
     """
     fs = rec.sample_rate
+    # compared in float before int() can meet an overflowed product: a
+    # window longer than the recording fits no event
+    if not (tmax - tmin) * fs < rec.n_samples:
+        return [], len(events)
     n_times = int(round((tmax - tmin) * fs)) + 1
     n_baseline = int(round(-tmin * fs))  # samples strictly before the onset
     epochs = []
     skipped = 0
     for ev in events:
-        start = int(round((ev.onset + tmin) * fs))
+        start = int(round(min((ev.onset + tmin) * fs, rec.n_samples)))
         if start < 0 or start + n_times > rec.n_samples:
             skipped += 1
             continue

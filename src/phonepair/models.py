@@ -1,6 +1,6 @@
 """The classifier families behind one train / predict_proba contract.
-``_PREDICTORS`` is the one variant table; the module function
-``train_<variant>`` fits each variant.
+``VARIANTS`` is the one variant list; ``train_<variant>`` fits each, into a
+``TrainedModel`` that carries what prediction and the next fold need.
 
 All variants are deterministic given (X, y, spec), and need numpy only.
 Elastic net is solved to a KKT tolerance by orthant-projected Newton steps
@@ -14,6 +14,7 @@ in one call.
 from __future__ import annotations
 
 import copy
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ class ConvergenceError(RuntimeError):
     """A numeric solver that did not converge: exit code 4."""
 
 
+VARIANTS = ("elastic_net", "lda", "svm_rbf", "ffn", "cnn")
 ALLOWED_HIDDEN_SIZES = ((), (1024,), (2048, 1024))
 
 
@@ -65,7 +67,7 @@ class ModelSpec:
     name: str = ""      # its rows' label; "" = the variant, or ffn_l<layers>
 
     def __post_init__(self):
-        if self.variant not in _PREDICTORS:
+        if self.variant not in VARIANTS:
             raise ConfigError(f"unknown model variant {self.variant!r}")
         check_numbers(self, ConfigError)
         # checked for every variant, so a config echo never holds a bad one
@@ -81,21 +83,21 @@ class ModelSpec:
 
 @dataclass
 class TrainedModel:
-    variant: str
+    predictor: Callable              # (params, X) -> class probabilities
     params: dict                     # name -> np.ndarray or scalar
-    meta: dict = field(default_factory=dict)
+    n_features: int
+    meta: dict = field(default_factory=dict)   # what the solver did; JSON
     training_log: list = field(default_factory=list)
     val_log: list = field(default_factory=list)
-    best_epoch: int | None = None
-    state: dict = field(default_factory=dict)  # what the solver did
+    start: object = None     # where the next fold of the dataset begins
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Per-row class probabilities, shape [n, 2], rows summing to 1."""
         X = np.asarray(X, dtype=float)
-        p = self.meta.get("n_features")
-        if p is not None and X.shape[1] != p:
-            raise DataError(f"feature dimension {X.shape[1]} != trained {p}")
-        return _PREDICTORS[self.variant](self, X)
+        if X.shape[1] != self.n_features:
+            raise DataError(f"feature dimension {X.shape[1]} != trained "
+                            f"{self.n_features}")
+        return self.predictor(self.params, X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X)[:, 1] >= 0.5).astype(int)
@@ -248,7 +250,7 @@ def _solve_working_set(Xs, ypm, w, b, alpha, l1, maxiter):
     return w, b, maxiter
 
 
-def train_elastic_net(X, y, spec: ModelSpec, start=None) -> TrainedModel:
+def train_elastic_net(X, y, spec: ModelSpec, start=None, *_) -> TrainedModel:
     """Minimise mean logistic loss + alpha*(l1*|w|_1 + (1-l1)/2*|w|^2).
 
     Starts at ``start``, a (w, b) pair, or at w = 0, b = 0.  Each round
@@ -262,7 +264,7 @@ def train_elastic_net(X, y, spec: ModelSpec, start=None) -> TrainedModel:
     For l1 < 1 the ridge term makes the objective strictly convex, so its
     minimiser is unique and the start moves only where inside the KKT
     tolerance the fit stops; for l1 = 1 the minimiser is unique only for
-    X in general position."""
+    X in general position.  The model's ``start`` is a copy of its (w, b)."""
     p = X.shape[1]
     ypm = 2.0 * y - 1.0
     alpha, l1 = spec.alpha, spec.l1_ratio
@@ -290,24 +292,21 @@ def train_elastic_net(X, y, spec: ModelSpec, start=None) -> TrainedModel:
         w = np.zeros(p)
         w[ws] = w_ws
     return TrainedModel(
-        variant="elastic_net",
-        params={"w": w, "b": b},
-        meta={"n_features": p, "n_iter": n_iter, "kkt_violation": kkt},
-        state={"n_iter": n_iter, "kkt_violation": kkt,
-               "nnz": int(np.count_nonzero(w))},
-    )
+        _predict_linear_logistic, {"w": w, "b": b}, p,
+        meta={"n_iter": n_iter, "kkt_violation": kkt,
+              "nnz": int(np.count_nonzero(w))},
+        start=(w.copy(), b))
 
 
-def _predict_linear_logistic(model, X):
-    z = X @ model.params["w"] + model.params["b"]
-    return _two_col(_sigmoid(z))
+def _predict_linear_logistic(params, X):
+    return _two_col(_sigmoid(X @ params["w"] + params["b"]))
 
 
 # ---------------------------------------------------------------------------
 # Linear discriminant analysis with shrunk pooled covariance
 # ---------------------------------------------------------------------------
 
-def train_lda(X, y, spec: ModelSpec) -> TrainedModel:
+def train_lda(X, y, spec: ModelSpec, *_) -> TrainedModel:
     n, p = X.shape
     n0, n1 = int(np.sum(y == 0)), int(np.sum(y == 1))
     if n0 < 2 or n1 < 2:
@@ -344,11 +343,7 @@ def train_lda(X, y, spec: ModelSpec) -> TrainedModel:
         M = (tau / c) * np.eye(n) + Xc @ Xc.T
         w = (diff - Xc.T @ np.linalg.solve(M, Xc @ diff)) / tau
     b = -0.5 * w @ (mu0 + mu1) + np.log(n1 / n0)
-    return TrainedModel(
-        variant="lda",
-        params={"w": w, "b": b},
-        meta={"n_features": p},
-    )
+    return TrainedModel(_predict_linear_logistic, {"w": w, "b": b}, p)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +383,7 @@ def _fit_platt(decision, y, iters=100):
     return a, c
 
 
-def train_svm_rbf(X, y, spec: ModelSpec) -> TrainedModel:
+def train_svm_rbf(X, y, spec: ModelSpec, *_) -> TrainedModel:
     n, p = X.shape
     ypm = 2.0 * y - 1.0
     gamma = spec.gamma
@@ -460,31 +455,26 @@ def train_svm_rbf(X, y, spec: ModelSpec) -> TrainedModel:
     decision = f_all()
     a_link, c_link = _fit_platt(decision, y.astype(float))
     sv = alphas > 1e-12
-    return TrainedModel(
-        variant="svm_rbf",
-        params={
-            "support_vectors": X[sv],
-            "dual_coef": (alphas * ypm)[sv],
-            "b": b,
-            "gamma": gamma,
-            "link_a": a_link,
-            "link_c": c_link,
-        },
-        meta={"n_features": p, "n_support": int(sv.sum()),
-              "alphas": alphas, "ypm": ypm},
-        state={"n_support": int(sv.sum())},
-    )
+    return TrainedModel(_predict_svm, {
+        "support_vectors": X[sv],
+        "dual_coef": (alphas * ypm)[sv],
+        "b": b,
+        "gamma": gamma,
+        "link_a": a_link,
+        "link_c": c_link,
+        "alphas": alphas,   # the dual solution, one per training row
+    }, p, meta={"n_support": int(sv.sum())})
 
 
-def svm_decision(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    P = model.params
-    K = _rbf_kernel(np.asarray(X, dtype=float), P["support_vectors"], P["gamma"])
-    return K @ P["dual_coef"] + P["b"]
+def svm_decision(params: dict, X: np.ndarray) -> np.ndarray:
+    K = _rbf_kernel(np.asarray(X, dtype=float), params["support_vectors"],
+                    params["gamma"])
+    return K @ params["dual_coef"] + params["b"]
 
 
-def _predict_svm(model, X):
-    f = svm_decision(model, X)
-    return _two_col(_sigmoid(model.params["link_a"] * f + model.params["link_c"]))
+def _predict_svm(params, X):
+    f = svm_decision(params, X)
+    return _two_col(_sigmoid(params["link_a"] * f + params["link_c"]))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +499,20 @@ def _softmax_ce(logits, y):
     return loss, probs / n
 
 
-class FfnNet:
+class _Net:
+    """What FfnNet and CnnNet share: inputs as given, and prediction."""
+
+    def prepare(self, X):
+        return X
+
+    def predict(self, params, X):
+        """Class probabilities in float64, from a pass in the params' dtype."""
+        dtype = next(iter(params.values())).dtype
+        logits, _ = self.forward(params, X.astype(dtype, copy=False))
+        return _softmax(logits.astype(np.float64))
+
+
+class FfnNet(_Net):
     """Fully connected net: input -> hidden ReLU layers -> 2 logits."""
 
     def __init__(self, n_features: int, hidden_sizes: tuple):
@@ -526,9 +529,6 @@ class FfnNet:
 
     def n_layers(self) -> int:
         return len(self.sizes) - 1
-
-    def prepare(self, X):
-        return X
 
     def forward(self, params, X):
         h = X
@@ -556,7 +556,7 @@ class FfnNet:
         return [f"W{i}" for i in range(self.n_layers())]
 
 
-class CnnNet:
+class CnnNet(_Net):
     """Depthwise 1-D convolution shared across channels, then linear.
 
     Kernel/stride 10 with no padding maps each channel's time axis from T
@@ -711,7 +711,7 @@ class NetStart:
 # a fit that overflows ends at its first non-finite loss, with one error and
 # no numpy warning
 @np.errstate(over="ignore", invalid="ignore")
-def _train_neural(net, X, y, cfg: TrainConfig, variant, meta, start=None):
+def _train_neural(net, X, y, spec: ModelSpec, start=None):
     """Full-batch AdamW in float32 on the training split; keeps the
     parameters of the epoch with the lowest validation loss and stops after
     ``patience`` epochs without improvement.  A non-finite training or
@@ -722,11 +722,12 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta, start=None):
     from a new one.  The net's inputs (the CNN's windows) are built once.
     Allocates nothing per epoch outside the forward and backward passes: the
     moments, two scratch blocks for ``_adamw_step`` and the best parameters
-    (refreshed with ``np.copyto``) are allocated once.  The model's state
-    holds the best epoch, the epochs run and what stopped the fit."""
+    (refreshed with ``np.copyto``) are allocated once.  The model keeps the
+    NetStart; its meta holds the best epoch, epochs run and what stopped it."""
     if len(y) < 10:
         raise DataError("need at least 10 samples to hold out a validation set")
-    params, rng = (start or NetStart()).take(net, cfg.seed)
+    cfg, start = spec.train, start or NetStart()
+    params, rng = start.take(net, cfg.seed)
     train_mask, val_mask = _stratified_holdout(y, cfg.val_fraction, rng)
     X = X.astype(np.float32)
     Xt, yt = net.prepare(X[train_mask]), y[train_mask]
@@ -749,7 +750,7 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta, start=None):
 
     def check_finite(loss, which, epoch):
         if not np.isfinite(loss):
-            raise ConvergenceError(f"{variant} diverged: {which} loss is "
+            raise ConvergenceError(f"{spec.variant} diverged: {which} loss is "
                                    f"{loss} at epoch {epoch}")
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -776,96 +777,60 @@ def _train_neural(net, X, y, cfg: TrainConfig, variant, meta, start=None):
                 stopped_by = "patience"
                 break
     return TrainedModel(
-        variant=variant,
-        params=best_params,
-        meta=meta,
-        training_log=train_log,
-        val_log=val_log,
-        best_epoch=best_epoch,
-        state={"best_epoch": best_epoch, "epochs": len(train_log),
-               "stopped_by": stopped_by},
-    )
+        net.predict, best_params, X.shape[1],
+        meta={"best_epoch": best_epoch, "epochs": len(train_log),
+              "stopped_by": stopped_by},
+        training_log=train_log, val_log=val_log, start=start)
 
 
-def train_ffn(X, y, spec: ModelSpec, start=None) -> TrainedModel:
-    net = FfnNet(X.shape[1], spec.hidden_sizes)
-    meta = {"n_features": X.shape[1], "hidden_sizes": tuple(spec.hidden_sizes)}
-    return _train_neural(net, X, y, spec.train, "ffn", meta, start)
+def train_ffn(X, y, spec: ModelSpec, start=None, *_) -> TrainedModel:
+    return _train_neural(FfnNet(X.shape[1], spec.hidden_sizes), X, y, spec,
+                         start)
 
 
-def train_cnn(X, y, spec: ModelSpec, n_channels=None, n_times=None,
-              start=None) -> TrainedModel:
+def train_cnn(X, y, spec: ModelSpec, start=None, n_channels=None,
+              n_times=None) -> TrainedModel:
     if None in (n_channels, n_times) or n_channels * n_times != X.shape[1]:
         raise DataError(f"cnn needs X width {X.shape[1]} = n_channels*n_times"
                          f", got {n_channels}*{n_times}")
     net = CnnNet(n_channels, n_times, spec.kernel, spec.stride,
                  spec.filters_per_channel)
-    meta = {
-        "n_features": X.shape[1], "n_channels": n_channels, "n_times": n_times,
-        "kernel": spec.kernel, "stride": spec.stride,
-        "filters_per_channel": spec.filters_per_channel,
-    }
-    return _train_neural(net, X, y, spec.train, "cnn", meta, start)
-
-
-def _predict_neural(model, X):
-    m = model.meta
-    if model.variant == "ffn":
-        net = FfnNet(m["n_features"], tuple(m["hidden_sizes"]))
-    else:
-        net = CnnNet(m["n_channels"], m["n_times"], m["kernel"], m["stride"],
-                     m["filters_per_channel"])
-    dtype = next(iter(model.params.values())).dtype
-    logits, _ = net.forward(model.params, X.astype(dtype, copy=False))
-    return _softmax(logits.astype(np.float64))
-
-
-_PREDICTORS = {
-    "elastic_net": _predict_linear_logistic,
-    "lda": _predict_linear_logistic,
-    "svm_rbf": _predict_svm,
-    "ffn": _predict_neural,
-    "cnn": _predict_neural,
-}
+    return _train_neural(net, X, y, spec, start)
 
 
 def train(spec: ModelSpec, X, y, n_channels=None, n_times=None,
           start=None) -> TrainedModel:
-    """Check X and y once, then fit them with ``train_<variant>``; only
-    ``cnn`` reads the [n_channels, n_times] layout of each row.  ``start``
-    is where the fit begins: a NetStart shared by the folds of a dataset
-    for the nets, a (w, b) pair for the elastic net, and None, a cold
-    start, for every variant."""
+    """Check X and y once, then fit them with ``train_<variant>``.  Every
+    trainer takes (X, y, spec, start, n_channels, n_times): ``start`` is
+    where the fit begins, the ``start`` of the previous fold's model or
+    None, a cold start; only ``cnn`` reads the [n_channels, n_times] layout
+    of each row."""
     X, y = _check_xy(X, y)
     # Looked up by name at each call, not from a table built at import, so
     # that a wrapper bound to the attribute later (perfbench's tracer) sees
     # every fit.
-    trainer = globals()[f"train_{spec.variant}"]
-    kwargs = {} if start is None else {"start": start}
-    if spec.variant == "cnn":
-        return trainer(X, y, spec, n_channels, n_times, **kwargs)
-    return trainer(X, y, spec, **kwargs)
+    return globals()[f"train_{spec.variant}"](X, y, spec, start, n_channels,
+                                              n_times)
 
 
 def fit_folds(spec: ModelSpec, X, y, folds, n_channels=None,
               n_times=None) -> list[tuple[np.ndarray, dict]]:
     """Fit and score every fold of the per-row fold indices ``folds``: one
-    (class-1 scores of the test rows, ``TrainedModel.state``) pair per fold.
+    (class-1 scores of the test rows, ``TrainedModel.meta``) pair per fold.
 
     Each fold is z-scored with its training rows' statistics, so no test
-    row leaks into the fit, and fitted through :func:`train`.  The nets of
-    all folds share one NetStart, so their initial weights are drawn once
-    per call.  The elastic net fits fold 0 from w = 0 and each later fold
-    from a copy of the previous fold's (w, b), taken as it is, in the
-    previous fold's z-score units: any two of k folds share (k - 2)/(k - 1)
-    of their training rows, so that start is near the optimum.  The
-    previous fit has seen this fold's test rows, but they set only where
-    the solver starts, not the optimum it converges to (see
-    :func:`train_elastic_net`).  A fold's model, its weights included, is
-    dropped once it has scored its test rows, before the next fold trains.
-    A fit or predict error is raised again with a ``fold N: `` prefix."""
-    start = NetStart() if spec.variant in ("ffn", "cnn") else None
-    out = []
+    row leaks into the fit, and fitted through :func:`train`, from the
+    previous fold's ``TrainedModel.start`` after fold 0.  So the nets of all
+    folds share one NetStart, drawn once per call, and the elastic net
+    starts from a copy of the previous fold's (w, b), taken as it is, in its
+    z-score units: any two of k folds share (k - 2)/(k - 1) of their
+    training rows, so that start is near the optimum.  The previous fit has
+    seen this fold's test rows, but they set only where the solver starts,
+    not the optimum it converges to (see :func:`train_elastic_net`).  A
+    fold's model, its weights included, is dropped once it has scored its
+    test rows, before the next fold trains.  A fit or predict error is
+    raised again with a ``fold N: `` prefix."""
+    start, out = None, []
     for fold in range(folds.max() + 1):
         test = folds == fold
         X_train, y_train = X[~test], y[~test]
@@ -874,10 +839,9 @@ def fit_folds(spec: ModelSpec, X, y, folds, n_channels=None,
         X_test = dsp.apply_zscore(X[test], stats)
         try:
             model = train(spec, X_train, y_train, n_channels, n_times, start)
-            out.append((model.predict_proba(X_test)[:, 1], model.state))
+            out.append((model.predict_proba(X_test)[:, 1], model.meta))
         except (DataError, ConvergenceError) as exc:
             raise type(exc)(f"fold {fold}: {exc}") from exc
-        if spec.variant == "elastic_net":
-            start = (model.params["w"].copy(), model.params["b"])
+        start = model.start
         del model
     return out

@@ -440,6 +440,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    # a seconds x rate product that overflows a float ends as a finite one
+    # that is too long for the data does
+    @pytest.mark.parametrize("command,change,message", [
+        ("ablate", {"epoch_window": {"tmin": -1e307}}, "no epochs for phone"),
+        ("align", {"window": 1e308},
+         "alignment window exceeds half the shorter signal")])
+    def test_products_beyond_float_range(self, cli_corpus, tmp_path, capsys,
+                                         command, change, message):
+        _, manifests = cli_corpus
+        rec_path = dataio.load_manifest(manifests[0]).recording_path
+        doc = ({"misc": rec_path, "audio": rec_path} if command == "align"
+               else run_config(manifests[:1]))
+        cfg = write_json(tmp_path / "big.json", {**doc, **change})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("doc", [
         [], {"recordings": [5]},
         {"recordings": [{"duration": "x"}]},

@@ -1,4 +1,7 @@
+import importlib
 import itertools
+import json
+import pathlib
 import weakref
 
 import numpy as np
@@ -295,38 +298,56 @@ class TestFitFolds:
         with pytest.raises(error, match=match):
             evaluate(spec, ds, kfold(ds.y, k=5, seed=0))
 
-    def test_reads_each_familys_solver_state(self):
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_each_variant_is_registered_and_returns_its_solver_state(
+            self, monkeypatch, variant):
+        ModelSpec(variant)
+        assert callable(getattr(models, f"train_{variant}"))
+        # read only: a trainer that perfbench's tracer does not wrap goes
+        # untimed
+        monkeypatch.syspath_prepend(
+            str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+        targets = importlib.import_module("layers").TARGETS
+        assert ("models", f"train_{variant}") in targets
         ds = tiny_dataset()
         folds = kfold(ds.y, k=5, seed=0)
         patient = ModelSpec("ffn", train=TrainConfig(
             learning_rate=0.5, max_epochs=100, patience=2, seed=1))
         budget = ModelSpec("cnn", kernel=5, stride=5, train=TrainConfig(
             learning_rate=0.05, max_epochs=4, patience=4))
-        for spec in (*SPECS.values(), patient, budget):
+        specs = [spec for spec in (*SPECS.values(), patient, budget)
+                 if spec.variant == variant]
+        assert specs
+        for spec in specs:
             fits = models.fit_folds(spec, ds.X, ds.y, folds, C, T)
             oracle = fold_by_fold(spec, ds, folds)
             for (_, state), (model, _, _) in zip(fits, oracle, strict=True):
-                if spec.variant == "elastic_net":
-                    assert state == {
-                        "n_iter": model.meta["n_iter"],
-                        "kkt_violation": model.meta["kkt_violation"],
-                        "nnz": int(np.count_nonzero(model.params["w"]))}
+                # ready for a diagnostics file as it is
+                assert state == model.meta
+                assert json.loads(json.dumps(state)) == state
+                if variant == "elastic_net":
+                    assert set(state) == {"n_iter", "kkt_violation", "nnz"}
+                    assert state["nnz"] == np.count_nonzero(model.params["w"])
                     assert 0 < state["nnz"] <= C * T
                     assert state["kkt_violation"] <= models.EN_KKT_TOL
-                elif spec.variant == "svm_rbf":
-                    assert state == {"n_support": model.meta["n_support"]}
-                    assert 0 < state["n_support"] <= len(model.meta["ypm"])
-                elif spec.variant == "lda":
+                elif variant == "svm_rbf":
+                    assert set(state) == {"n_support"}
+                    assert 0 < state["n_support"] <= len(
+                        model.params["alphas"])
+                elif variant == "lda":
                     assert state == {}
                 else:
                     cfg = spec.train
                     epochs = len(model.training_log)
                     stop = ("patience" if epochs < cfg.max_epochs
                             else "max_epochs")
-                    assert state == {"best_epoch": model.best_epoch,
-                                     "epochs": epochs, "stopped_by": stop}
+                    assert set(state) == {"best_epoch", "epochs",
+                                          "stopped_by"}
+                    assert (state["epochs"], state["stopped_by"]) == (epochs,
+                                                                      stop)
+                    assert 1 <= state["best_epoch"] <= epochs
                     if stop == "patience":
-                        assert epochs - model.best_epoch == cfg.patience
+                        assert epochs - state["best_epoch"] == cfg.patience
             if spec is patient:
                 assert {s["stopped_by"] for _, s in fits} == {"patience"}
             if spec is budget:
@@ -381,8 +402,8 @@ class TestElasticNetChain:
         spec = ModelSpec("elastic_net", l1_ratio=l1)
         trainer, warm = models.train_elastic_net, []
 
-        def recorded(X, y, spec, start=None):
-            warm.append((start, trainer(X, y, spec, start)))
+        def recorded(X, y, spec, start=None, *layout):
+            warm.append((start, trainer(X, y, spec, start, *layout)))
             return warm[-1][1]
 
         monkeypatch.setattr(models, "train_elastic_net", recorded)

@@ -1,5 +1,6 @@
 """Every name a module under src/phonepair imports is used in that module,
-every name it defines is used somewhere, and nothing in it imports scipy.
+every name it defines is used somewhere, nothing in it imports scipy, and
+models.py does not branch on a variant's name.
 
 No linter ships with the test environment, so this walks the syntax tree
 itself: a name bound by ``import`` or ``from ... import`` must appear as a
@@ -281,3 +282,41 @@ def test_one_error_class_per_exit_code():
     defined = [n.name for s in sources for n in ast.walk(ast.parse(s))
                if isinstance(n, ast.ClassDef) and n.name in ERRORS]
     assert sorted(defined) == sorted(ERRORS)
+
+
+def variant_tests(source: str) -> list[str]:
+    """Comparisons of a ``.variant`` attribute with a string literal, or
+    with a collection of them, outside class ``ModelSpec``.  What a variant
+    does belongs in its ``train_<variant>`` and the model that returns, not
+    in a branch on its name."""
+    tree = ast.parse(source)
+    spec = {id(n) for c in tree.body
+            if isinstance(c, ast.ClassDef) and c.name == "ModelSpec"
+            for n in ast.walk(c)}
+    found = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Compare) or id(n) in spec:
+            continue
+        sides = [n.left, *n.comparators]
+        if (any(isinstance(s, ast.Attribute) and s.attr == "variant"
+                for s in sides)
+                and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        for s in sides for c in ast.walk(s))):
+            found.append(f"{ast.unparse(n)} (line {n.lineno})")
+    return found
+
+
+def test_checker_finds_variant_tests():
+    source = ("class ModelSpec:\n"
+              "    def name(self):\n"
+              "        return self.variant != 'ffn'\n"
+              "def fit(spec, model):\n"
+              "    if spec.variant == 'cnn':\n"
+              "        pass\n"
+              "    return spec.variant in ('ffn', 'cnn') or model.variant in V\n")
+    assert variant_tests(source) == ["spec.variant == 'cnn' (line 5)",
+                                     "spec.variant in ('ffn', 'cnn') (line 7)"]
+
+
+def test_models_does_not_branch_on_a_variant_name():
+    assert variant_tests((SRC / "models.py").read_text(encoding="utf-8")) == []

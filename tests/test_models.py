@@ -11,6 +11,7 @@ from phonepair.dataio import ConfigError, DataError
 from phonepair.models import (
     EN_KKT_TOL,
     EN_MAX_ITER,
+    VARIANTS,
     CnnNet,
     ConvergenceError,
     FfnNet,
@@ -392,8 +393,8 @@ class TestSvmRbf:
     def test_kkt_feasibility(self, rng):
         X, y = two_blobs(rng, n_per=20, p=3, sep=1.5)
         model = train(ModelSpec("svm_rbf", C=1.0), X, y)
-        alphas = model.meta["alphas"]
-        ypm = model.meta["ypm"]
+        alphas = model.params["alphas"]
+        ypm = 2.0 * y - 1.0
         assert np.all(alphas >= -1e-9)
         assert np.all(alphas <= 1.0 + 1e-9)
         assert abs(alphas @ ypm) <= 1e-6
@@ -402,9 +403,9 @@ class TestSvmRbf:
         X, y = two_blobs(rng, n_per=15, p=2, sep=2.0)
         C = 1.0
         model = train(ModelSpec("svm_rbf", C=C, gamma=0.5), X, y)
-        alphas = model.meta["alphas"]
-        ypm = model.meta["ypm"]
-        margins = ypm * svm_decision(model, X)
+        alphas = model.params["alphas"]
+        ypm = 2.0 * y - 1.0
+        margins = ypm * svm_decision(model.params, X)
         # SMO stops when no productive pair update remains, so residual
         # violations well above the working tolerance can survive; the
         # dual-objective oracle below is the tight optimality check
@@ -421,11 +422,11 @@ class TestSvmRbf:
         X, y = two_blobs(rng, n_per=12, p=2, sep=1.0)
         C, gamma = 1.0, 0.8
         model = train(ModelSpec("svm_rbf", C=C, gamma=gamma), X, y)
-        ypm = model.meta["ypm"]
+        ypm = 2.0 * y - 1.0
         aa = np.sum(X * X, axis=1)
         K = np.exp(-gamma * np.maximum(
             aa[:, None] + aa[None, :] - 2 * X @ X.T, 0.0))
-        obj_smo = svm_dual_objective(model.meta["alphas"], K, ypm)
+        obj_smo = svm_dual_objective(model.params["alphas"], K, ypm)
         a_star = svm_dual_oracle(K, ypm, C)
         obj_star = svm_dual_objective(a_star, K, ypm)
         assert obj_smo >= obj_star - 1e-3 * max(1.0, abs(obj_star))
@@ -438,7 +439,7 @@ class TestSvmRbf:
     def test_probabilities_ordered_by_decision(self, rng):
         X, y = two_blobs(rng, n_per=20, p=3, sep=2.0)
         model = train(ModelSpec("svm_rbf", C=1.0), X, y)
-        f = svm_decision(model, X)
+        f = svm_decision(model.params, X)
         p1 = model.predict_proba(X)[:, 1]
         order = np.argsort(f)
         diffs = np.diff(p1[order])
@@ -556,7 +557,7 @@ class TestNeuralTraining:
         model = train(ModelSpec("ffn", hidden_sizes=(), train=cfg), X, y)
         assert len(model.val_log) <= cfg.max_epochs
         assert len(model.training_log) == len(model.val_log)
-        assert model.best_epoch == int(np.argmin(model.val_log)) + 1
+        assert model.meta["best_epoch"] == int(np.argmin(model.val_log)) + 1
 
     def test_needs_ten_samples(self, rng):
         X = rng.standard_normal((8, 4))
@@ -664,11 +665,11 @@ class TestInPlaceUpdate:
                           seed=2)
         spec = ModelSpec("ffn", hidden_sizes=(1024,), train=cfg)
         full = train(spec, X, y)
-        assert full.best_epoch < len(full.val_log)  # patience fired
+        best = full.meta["best_epoch"]
+        assert best < len(full.val_log)  # patience fired
         cut = train(ModelSpec("ffn", hidden_sizes=(1024,), train=TrainConfig(
-            learning_rate=0.01, max_epochs=full.best_epoch, patience=5,
-            seed=2)), X, y)
-        assert cut.best_epoch == full.best_epoch
+            learning_rate=0.01, max_epochs=best, patience=5, seed=2)), X, y)
+        assert cut.meta["best_epoch"] == best
         assert full.params.keys() == cut.params.keys()
         for k in full.params:
             assert full.params[k].tobytes() == cut.params[k].tobytes()
@@ -735,9 +736,6 @@ class TestInPlaceUpdate:
 # shared prediction contract and serialization
 # ---------------------------------------------------------------------------
 
-VARIANTS = ("elastic_net", "lda", "svm_rbf", "ffn", "cnn")
-
-
 def fit_every_variant(rng):
     """(X, model) for a short fit of each variant; each row of X is laid out
     as 2 channels x 10 samples, the smallest the default CNN kernel takes."""
@@ -749,8 +747,8 @@ def fit_every_variant(rng):
 
 class TestPredictContract:
     def test_zero_weights_give_half(self):
-        model = TrainedModel("elastic_net", {"w": np.zeros(3), "b": 0.0},
-                             meta={"n_features": 3})
+        model = TrainedModel(models._predict_linear_logistic,
+                             {"w": np.zeros(3), "b": 0.0}, 3)
         proba = model.predict_proba(np.ones((4, 3)))
         assert np.allclose(proba, 0.5)
 
@@ -802,5 +800,5 @@ class TestPredictContract:
 
         monkeypatch.setattr(models, "train_lda", spy)
         spec = ModelSpec("lda")
-        assert train(spec, X, y).variant == "lda"
+        assert train(spec, X, y).predictor is models._predict_linear_logistic
         assert seen == [spec]
