@@ -58,6 +58,8 @@ def _cmd_synth(args) -> int:
         for i, rdoc in enumerate(recordings):
             rdoc = dict(rdoc)
             subject = rdoc.pop("subject_id", f"s{i + 1:02d}")
+            if not (isinstance(subject, str) and subject):
+                raise ConfigError("subject_id must be a nonempty string")
             task = rdoc.pop("task", "production")
             check_field("task", task, "str", {"choices": dataio.TASKS},
                         ConfigError)

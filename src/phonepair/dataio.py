@@ -312,7 +312,7 @@ def load_manifest(path: str) -> Manifest:
         try:
             doc = json.load(f)
             fields = dict(
-                subject_id=str(doc["subject_id"]),
+                subject_id=doc["subject_id"],
                 task=doc["task"],
                 recording_path=_resolve(doc["recording_path"]),
                 events_path=_resolve(doc["events_path"]),
@@ -321,6 +321,9 @@ def load_manifest(path: str) -> Manifest:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed manifest {path}: "
                             f"{type(exc).__name__}: {exc}") from exc
+    for key in ("subject_id", "task"):
+        if not (isinstance(fields[key], str) and fields[key]):
+            raise DataError(f"malformed manifest {path}: {key} must be a nonempty string")
     m = Manifest(**fields)
     for p in (m.recording_path, m.recording_path + ".json", m.events_path):
         if not os.path.exists(p):

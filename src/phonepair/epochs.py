@@ -44,7 +44,8 @@ def extract_epochs(
     The window holds round((tmax - tmin) * fs) + 1 samples starting at
     round((onset + tmin) * fs).  Events whose window falls outside the
     recording are skipped; the skip count is returned alongside the epochs.
-    The baseline segment is [tmin, 0), excluding the onset sample.
+    The baseline segment is [tmin, 0), excluding the onset sample, read from
+    the recording even past the window's end; events it leaves are skipped.
     """
     fs = rec.sample_rate
     # compared in float before int() can meet an overflowed product: a
@@ -57,12 +58,13 @@ def extract_epochs(
     skipped = 0
     for ev in events:
         start = int(round(min((ev.onset + tmin) * fs, rec.n_samples)))
-        if start < 0 or start + n_times > rec.n_samples:
+        if start < 0 or start + max(n_times, n_baseline) > rec.n_samples:
             skipped += 1
             continue
         window = rec.data[:, start: start + n_times].astype(float)
         if n_baseline > 0:
-            window = window - window[:, :n_baseline].mean(axis=1, keepdims=True)
+            baseline = rec.data[:, start: start + n_baseline].astype(float)
+            window = window - baseline.mean(axis=1, keepdims=True)
         epochs.append(Epoch(data=window, label=ev.label))
     return epochs, skipped
 

@@ -319,7 +319,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("breakage", [
         "bad_json", "no_subject_id", "no_task", "no_recording_path",
-        "no_events_path", "no_sample_rate", "text_sample_rate"])
+        "no_events_path", "no_sample_rate", "text_sample_rate",
+        "null_subject_id", "numeric_task"])
     def test_malformed_manifest(self, cli_corpus, tmp_path, capsys, breakage):
         _, manifests = cli_corpus
         man = dataio.load_manifest(manifests[0])
@@ -331,6 +332,10 @@ class TestExitCodes:
             del doc[breakage[3:]]
         elif breakage == "text_sample_rate":
             doc["sample_rate"] = "fast"
+        elif breakage == "null_subject_id":
+            doc["subject_id"] = None
+        elif breakage == "numeric_task":
+            doc["task"] = 5
         path = tmp_path / "m.manifest.json"
         if breakage == "bad_json":
             path.write_text(json.dumps(doc)[:-1])
@@ -340,7 +345,8 @@ class TestExitCodes:
         assert main(["report", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert err.startswith("data error: malformed manifest ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("key,value", [
         ("min_count", "abc"), ("min_count", None), ("phone_pairs", 5),
@@ -490,7 +496,9 @@ class TestExitCodes:
         {"recordings": [{"duration": 1e30, "n_channels": 4}]},
         {"recordings": [{"duration": 30, "n_channels": 4, "fs": 1e30}]},
         {"recordings": [{"duration": 1e9, "n_channels": 4}]},
-        {"recordings": [{"duration": 30, "n_channels": 10**8}]}])
+        {"recordings": [{"duration": 30, "n_channels": 10**8}]},
+        # load_manifest would refuse the manifest it writes
+        {"recordings": [{"duration": 30, "n_channels": 4, "subject_id": 5}]}])
     def test_malformed_synth_config(self, tmp_path, capsys, doc):
         cfg = write_json(tmp_path / "bad.json", doc)
         assert main(["synth", "--config", cfg,

@@ -65,6 +65,21 @@ class TestExtractEpochs:
         eps2, _ = extract_epochs(shifted, events_of((1.0, 1.1, "a")), *WINDOW)
         assert np.allclose(eps1[0].data, eps2[0].data, atol=1e-10)
 
+    def test_baseline_of_a_window_that_ends_before_the_onset(self):
+        # a ramp of the sample index: the window holds samples 480..490, the
+        # baseline [onset - 0.2 s, onset) samples 480..499 with mean 489.5
+        rec = make_recording(1, 1000, fs=100.0)
+        rec = rec.with_data(np.arange(1000.0)[None, :].astype(np.float32))
+        eps, skipped = extract_epochs(rec, events_of((5.0, 5.1, "a")), -0.2, -0.1)
+        assert skipped == 0
+        assert np.array_equal(eps[0].data[0], np.arange(11) - 9.5)
+
+    def test_event_whose_baseline_leaves_the_recording_is_skipped(self):
+        # the window (samples 980..990) fits, the baseline (980..999) does not
+        rec = make_recording(1, 995, fs=100.0)
+        eps, skipped = extract_epochs(rec, events_of((10.0, 10.1, "a")), -0.2, -0.1)
+        assert (eps, skipped) == ([], 1)
+
 
 def _fake_epochs(counts, n_channels=2, n_times=4, seed=0):
     rng = np.random.default_rng(seed)
