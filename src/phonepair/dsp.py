@@ -132,17 +132,50 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     return y[0] if one_d else y
 
 
+_BLOCK = 32  # kept outputs per row of one matrix product
+_CHUNK = 8   # channels padded at a time
+
+
+def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int) -> np.ndarray:
+    """``apply_zero_phase(filt, x)[:, ::factor]`` up to rounding, for a
+    [channels x samples] ``x``: each block of ``_BLOCK`` kept outputs is one
+    input window times a banded Toeplitz matrix of the taps."""
+    h = filt.coefficients[::-1]
+    n_channels, n = x.shape
+    m = len(h)
+    if n <= m:
+        raise DataError(f"signal length {n} must exceed filter length {m}")
+    n_out = -(-n // factor)
+    step = _BLOCK * factor
+    width = step - factor + m  # padded samples under one block
+    toeplitz = np.zeros((width, _BLOCK))
+    for j in range(_BLOCK):
+        toeplitz[j * factor: j * factor + m, j] = h
+    out = np.empty((n_channels, n_out))
+    for c in range(0, n_channels, _CHUNK):
+        # up to a block past the reflected end, feeding only dropped outputs
+        padded = np.pad(x[c: c + _CHUNK].astype(float, copy=False),
+                        ((0, 0), ((m - 1) // 2, (m - 1) // 2 + step)), mode="reflect")
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, width, axis=1)[:, ::step]
+        y = np.ascontiguousarray(windows) @ toeplitz
+        out[c: c + _CHUNK] = y.reshape(len(y), -1)[:, :n_out]
+    return out
+
+
 def decimate(rec: Recording, factor: int = 10) -> Recording:
-    """Antialias low-pass (cutoff fs/2/factor) then keep every factor-th sample."""
+    """Keep every factor-th sample of a low-pass whose stop band ends at the
+    new Nyquist fs/2/factor (pass edge 0.8 of it, lower where the 2 Hz
+    transition floor would overshoot), computed at the kept samples only."""
     if factor == 1:
         return rec
     # before the filter design, whose length grows with the factor
     if -(-rec.n_samples // factor) < 2:
         raise DataError("decimated recording would have fewer than 2 samples")
-    cutoff = 0.5 * rec.sample_rate / factor
-    filt = design_fir(None, cutoff, rec.sample_rate)
-    filtered = apply_zero_phase(filt, rec.data)
-    return rec.with_data(filtered[:, ::factor],
+    nyq = 0.5 * rec.sample_rate / factor
+    filt = design_fir(None, min(0.8 * nyq, max(nyq - 2.0, 0.5 * nyq)),
+                      rec.sample_rate)
+    return rec.with_data(_filter_kept(filt, rec.data, factor),
                          sample_rate=rec.sample_rate / factor)
 
 

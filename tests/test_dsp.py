@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,74 @@ class TestDecimate:
         rec = make_recording(1, 300, fs=1000.0)
         with pytest.raises(DataError, match="fewer than 2 samples"):
             decimate(rec, 10**30)
+
+    @staticmethod
+    def tone_gain_db(f0, factor=10, fs=1000.0, n=20000):
+        """Gain of decimate on a tone, fitted at the frequency the tone
+        lands on after decimation, away from the reflected ends."""
+        t = np.arange(n) / fs
+        rec = make_recording(1, n, fs=fs).with_data(
+            np.sin(2 * np.pi * f0 * t + 0.3)[None, :])
+        out = decimate(rec, factor)
+        new_fs = fs / factor
+        f_out = abs(f0 - new_fs * round(f0 / new_fs))
+        t_out = np.arange(out.n_samples)[200:-200] / new_fs
+        basis = np.column_stack([np.cos(2 * np.pi * f_out * t_out),
+                                 np.sin(2 * np.pi * f_out * t_out)])
+        coef = np.linalg.lstsq(basis, out.data[0, 200:-200], rcond=None)[0]
+        return 20 * np.log10(np.hypot(*coef))
+
+    @pytest.mark.parametrize("f0", [52.0, 55.0, 58.0, 60.0, 62.5])
+    def test_tones_above_the_new_nyquist_do_not_alias(self, f0):
+        # 52 Hz would land on 48 Hz; a stop band from 62.5 Hz let it
+        # through at -0.5 dB
+        assert self.tone_gain_db(f0) <= -40
+
+    @pytest.mark.parametrize("f0", [1.0, 5.0, 13.0, 22.0, 31.0])
+    def test_tones_in_the_analysis_bands_pass(self, f0):
+        assert abs(self.tone_gain_db(f0)) <= 0.1
+
+    @pytest.mark.parametrize("factor", [2, 5, 10, 25, 100])
+    def test_stop_band_ends_at_the_new_nyquist(self, factor, monkeypatch):
+        designed = []
+
+        def spy(*args):
+            designed.append(design_fir(*args))
+            return designed[-1]
+
+        monkeypatch.setattr(dsp, "design_fir", spy)
+        decimate(make_recording(1, 20000, fs=1000.0), factor)
+        (filt,) = designed
+        assert filt.hi + filt.transition_hi <= 500.0 / factor
+        assert filt.hi >= 0.5 * 500.0 / factor
+
+    @pytest.mark.parametrize("factor,extra", [
+        (2, 2), (2, 3002), (5, 1), (5, 3001), (10, 1), (10, 3001)])
+    def test_kept_outputs_match_the_full_rate_filter(self, factor, extra):
+        # n just above the filter length (67, 165 or 331 taps) or well past
+        # it, and never a multiple of the factor
+        rng = np.random.default_rng(factor * extra)
+        filt = design_fir(None, 0.4 * 500.0 / factor, 1000.0)
+        n = len(filt) + extra
+        assert n % factor != 0
+        x = rng.standard_normal((11, n))
+        y = dsp._filter_kept(filt, x, factor)
+        want = apply_zero_phase(filt, x)[:, ::factor]
+        assert y.shape == want.shape
+        assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
+        y32 = dsp._filter_kept(filt, x.astype(np.float32), factor)
+        want32 = apply_zero_phase(filt, x.astype(np.float32))[:, ::factor]
+        assert np.abs(y32 - want32).max() <= 1e-12 * np.abs(want32).max()
+
+    def test_memory_stays_near_the_input_size(self):
+        rec = make_recording(153, 40000, fs=1000.0)
+        tracemalloc.start()
+        try:
+            decimate(rec, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * rec.data.nbytes
 
 
 class TestWavelet:
