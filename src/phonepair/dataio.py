@@ -225,12 +225,10 @@ def _read_header(sidecar: str) -> tuple[float, int, tuple[ChannelInfo, ...]]:
     try:
         with open(sidecar, encoding="utf-8") as f:
             header = json.load(f)  # ValueError also covers bad JSON and non-UTF-8
-        return (
-            float(header["sample_rate"]),
-            int(header["n_samples"]),
-            tuple(ChannelInfo(ch["name"], ch["kind"], ch.get("unit", ""))
-                  for ch in header["channels"]),
-        )
+        check_field("n_samples", header["n_samples"], "int", {"ge": 1}, DataError)
+        return (float(header["sample_rate"]), header["n_samples"],
+                tuple(ChannelInfo(ch["name"], ch["kind"], ch.get("unit", ""))
+                      for ch in header["channels"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed header {sidecar}: "
                         f"{type(exc).__name__}: {exc}") from exc

@@ -7,14 +7,18 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import DataError, EventTable, Recording
 
 
 @dataclass(frozen=True)
-class Epoch:
-    data: np.ndarray  # [n_channels, n_times], baseline-corrected
-    label: str
+class Epochs:
+    data: np.ndarray  # [n_epochs, n_channels, n_times], baseline-corrected
+    labels: np.ndarray  # [n_epochs] phone labels
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,7 @@ def extract_epochs(
     events: EventTable,
     tmin: float,
     tmax: float,
-) -> tuple[list[Epoch], int]:
+) -> tuple[Epochs, int]:
     """Cut one window per event and subtract the per-channel pre-onset mean.
 
     The window holds round((tmax - tmin) * fs) + 1 samples starting at
@@ -48,25 +52,24 @@ def extract_epochs(
     the recording even past the window's end; events it leaves are skipped.
     """
     fs = rec.sample_rate
+    labels = np.array(events.labels(), dtype=str)
     # compared in float before int() can meet an overflowed product: a
     # window longer than the recording fits no event
     if not (tmax - tmin) * fs < rec.n_samples:
-        return [], len(events)
+        return Epochs(np.empty((0, rec.n_channels, 0)), labels[:0]), len(events)
     n_times = int(round((tmax - tmin) * fs)) + 1
     n_baseline = int(round(-tmin * fs))  # samples strictly before the onset
-    epochs = []
-    skipped = 0
-    for ev in events:
-        start = int(round(min((ev.onset + tmin) * fs, rec.n_samples)))
-        if start < 0 or start + max(n_times, n_baseline) > rec.n_samples:
-            skipped += 1
-            continue
-        window = rec.data[:, start: start + n_times].astype(float)
-        if n_baseline > 0:
-            baseline = rec.data[:, start: start + n_baseline].astype(float)
-            window = window - baseline.mean(axis=1, keepdims=True)
-        epochs.append(Epoch(data=window, label=ev.label))
-    return epochs, skipped
+    width = max(n_times, n_baseline)
+    onsets = np.array([ev.onset for ev in events], dtype=float)
+    # np.round, like round(), rounds half to even
+    starts = np.round(np.minimum((onsets + tmin) * fs, rec.n_samples)).astype(int)
+    kept = (starts >= 0) & (starts + width <= rec.n_samples)
+    # a width beyond the recording keeps no event, but no view may be wider
+    windows = sliding_window_view(rec.data, min(width, rec.n_samples), axis=1)
+    data = windows.transpose(1, 0, 2)[starts[kept]].astype(float, copy=False)
+    if n_baseline > 0:  # in place: the gather copied, [n, C, width]
+        data -= data[:, :, :n_baseline].mean(axis=2, keepdims=True)
+    return Epochs(data[:, :, :n_times], labels[kept]), int((~kept).sum())
 
 
 def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int) -> PairDataset:
@@ -78,21 +81,19 @@ def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int) -> PairDat
     channel-major.
     """
     pair = tuple(sorted((phone_a, phone_b)))
-    groups = [[e for e in epochs if e.label == phone] for phone in pair]
+    groups = [np.flatnonzero(epochs.labels == phone) for phone in pair]
     for phone, group in zip(pair, groups):
-        if not group:
+        if not group.size:
             raise DataError(f"no epochs for phone {phone!r}")
     rng = np.random.default_rng(seed)
     m = min(map(len, groups))
-    kept = []  # m epochs of label 0, then m of label 1
-    for group in groups:
-        idx = (range(m) if len(group) == m
-               else sorted(rng.choice(len(group), size=m, replace=False)))
-        kept += [group[i] for i in idx]
+    # m epochs of label 0, then m of label 1
+    kept = np.concatenate([
+        group if len(group) == m else np.sort(rng.choice(group, size=m, replace=False))
+        for group in groups])
     order = rng.permutation(2 * m)
-    X = np.stack([kept[i].data.reshape(-1) for i in order])
+    X = epochs.data[kept[order]].reshape(2 * m, -1)
     if not np.all(np.isfinite(X)):
         raise DataError("pair dataset contains non-finite values")
-    n_channels, n_times = kept[0].data.shape
     return PairDataset(X=X, y=(order >= m).astype(int), pair=pair,
-                       n_channels=n_channels, n_times=n_times)
+                       n_channels=epochs.data.shape[1], n_times=epochs.data.shape[2])

@@ -155,6 +155,9 @@ HEADER_BREAKAGES = {
     "nan_sample_rate": ("sample_rate", float("nan")),
     "text_n_samples": ("n_samples", "many"),
     "infinite_n_samples": ("n_samples", float("inf")),
+    "negative_n_samples": ("n_samples", -1),
+    "fractional_n_samples": ("n_samples", 1.5),
+    "boolean_n_samples": ("n_samples", True),
 }
 BAD_EVENT_ROWS = {
     "infinite_offset": "1.0\tinf\ta\n",
@@ -210,6 +213,8 @@ class TestMalformedRecordingsAndEvents:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if breakage.endswith("_n_samples"):
+            assert err.startswith(f"data error: malformed header {rec_path}.json: ")
 
 
 class TestAlign:
