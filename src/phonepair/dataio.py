@@ -226,6 +226,7 @@ def _read_header(sidecar: str) -> tuple[float, int, tuple[ChannelInfo, ...]]:
         with open(sidecar, encoding="utf-8") as f:
             header = json.load(f)  # ValueError also covers bad JSON and non-UTF-8
         check_field("n_samples", header["n_samples"], "int", {"ge": 1}, DataError)
+        check_field("sample_rate", header["sample_rate"], "float", {"gt": 0}, DataError)
         return (float(header["sample_rate"]), header["n_samples"],
                 tuple(ChannelInfo(ch["name"], ch["kind"], ch.get("unit", ""))
                       for ch in header["channels"]))

@@ -136,10 +136,15 @@ _BLOCK = 32  # kept outputs per row of one matrix product
 _CHUNK = 8   # channels padded at a time
 
 
-def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int) -> np.ndarray:
+def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int,
+                 wavelet: bool = False) -> np.ndarray:
     """``apply_zero_phase(filt, x)[:, ::factor]`` up to rounding, for a
     [channels x samples] ``x``: each block of ``_BLOCK`` kept outputs is one
-    input window times a banded Toeplitz matrix of the taps."""
+    input window times a banded Toeplitz matrix of the taps.
+
+    With ``wavelet``, the same of each row's ``wavelet_denoise``: blocks whose
+    input lies inside ``x`` fold the denoiser into the matrix; the end blocks
+    filter the denoised head and tail (cut at a multiple of 4 and ``factor``)."""
     h = filt.coefficients[::-1]
     n_channels, n = x.shape
     m = len(h)
@@ -148,25 +153,55 @@ def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int) -> np.ndarray:
     n_out = -(-n // factor)
     step = _BLOCK * factor
     width = step - factor + m  # padded samples under one block
-    toeplitz = np.zeros((width, _BLOCK))
+    pad = (m - 1) // 2
+    # the blocks the loop computes, the taps at each input phase, and how far
+    # a block's input starts before its padded window
+    first, stop, taps, shift = 0, -(-n_out // _BLOCK), h[None], 0
+    if wavelet:
+        first = -(-(pad + _REACH) // step)
+        stop = max(first, (n - width - _REACH + pad) // step + 1)
+        if first == stop:
+            return _filter_kept(filt, _denoise_rows(x), factor)
+        taps = np.array([np.convolve(h, e[::-1]) for e in _DENOISER_ROWS])
+        shift = pad + _REACH
+    k = np.arange(taps.shape[1])
+    toeplitz = np.zeros((width + len(k) - m, _BLOCK))
     for j in range(_BLOCK):
-        toeplitz[j * factor: j * factor + m, j] = h
+        toeplitz[j * factor + k, j] = taps[(j * factor + k - shift) % len(taps), k]
     out = np.empty((n_channels, n_out))
+    if wavelet:
+        head = (first - 1) * step - pad + width + _REACH
+        out[:, :first * _BLOCK] = _filter_kept(
+            filt, _denoise_rows(x[:, :head]), factor)[:, :first * _BLOCK]
+        tail = stop * step - shift
+        tail -= tail % math.lcm(4, factor)
+        out[:, stop * _BLOCK:] = _filter_kept(
+            filt, _denoise_rows(x[:, tail:]), factor)[:, stop * _BLOCK - tail // factor:]
     for c in range(0, n_channels, _CHUNK):
-        # up to a block past the reflected end, feeding only dropped outputs
-        padded = np.pad(x[c: c + _CHUNK].astype(float, copy=False),
-                        ((0, 0), ((m - 1) // 2, (m - 1) // 2 + step)), mode="reflect")
+        if wavelet:
+            src = x[c: c + _CHUNK, first * step - shift:]
+        else:
+            # up to a block past the reflected end, feeding only dropped outputs
+            src = np.pad(x[c: c + _CHUNK].astype(float, copy=False),
+                         ((0, 0), (pad, pad + step)), mode="reflect")
         windows = np.lib.stride_tricks.sliding_window_view(
-            padded, width, axis=1)[:, ::step]
-        y = np.ascontiguousarray(windows) @ toeplitz
-        out[c: c + _CHUNK] = y.reshape(len(y), -1)[:, :n_out]
+            src, len(toeplitz), axis=1)[:, ::step][:, :stop - first]
+        y = np.ascontiguousarray(windows, dtype=float) @ toeplitz
+        out[c: c + _CHUNK, first * _BLOCK: stop * _BLOCK] = \
+            y.reshape(len(y), -1)[:, :n_out - first * _BLOCK]
     return out
 
 
-def decimate(rec: Recording, factor: int = 10) -> Recording:
+def decimate(rec: Recording, factor: int = 10, wavelet: bool = False) -> Recording:
     """Keep every factor-th sample of a low-pass whose stop band ends at the
     new Nyquist fs/2/factor (pass edge 0.8 of it, lower where the 2 Hz
-    transition floor would overshoot), computed at the kept samples only."""
+    transition floor would overshoot), computed at the kept samples only.
+
+    With ``wavelet``, decimate ``wavelet_denoise_recording(rec)`` up to
+    rounding, the denoiser also computed inside the kept-sample filter."""
+    if wavelet and (factor == 1 or rec.n_samples < _FILT_LEN):
+        # the two-step chain, and its errors
+        rec, wavelet = wavelet_denoise_recording(rec), False
     if factor == 1:
         return rec
     # before the filter design, whose length grows with the factor
@@ -175,7 +210,7 @@ def decimate(rec: Recording, factor: int = 10) -> Recording:
     nyq = 0.5 * rec.sample_rate / factor
     filt = design_fir(None, min(0.8 * nyq, max(nyq - 2.0, 0.5 * nyq)),
                       rec.sample_rate)
-    return rec.with_data(_filter_kept(filt, rec.data, factor),
+    return rec.with_data(_filter_kept(filt, rec.data, factor, wavelet),
                          sample_rate=rec.sample_rate / factor)
 
 
@@ -265,9 +300,25 @@ def wavelet_denoise(x: np.ndarray) -> np.ndarray:
     return _synthesis(_synthesis(cA2, _REC_LO, len(cA1)), _REC_LO, len(x))
 
 
+# Away from the ends, each denoised sample reads the input within _REACH
+# samples and the denoiser repeats every 4 samples (two halvings).  Row q:
+# the denoised samples i - _REACH .. i + _REACH of a unit impulse at i,
+# i % 4 == q.
+_REACH = 21
+_DENOISER_ROWS = np.array([
+    wavelet_denoise(np.eye(1, 8 * _REACH, 4 * _REACH + q)[0])
+    [3 * _REACH + q: 5 * _REACH + q + 1] for q in range(4)])
+
+
+def _denoise_rows(x: np.ndarray) -> np.ndarray:
+    out = np.empty(x.shape)
+    for i, row in enumerate(x):
+        out[i] = wavelet_denoise(row)
+    return out
+
+
 def wavelet_denoise_recording(rec: Recording) -> Recording:
-    out = np.vstack([wavelet_denoise(row) for row in rec.data])
-    return rec.with_data(out)
+    return rec.with_data(_denoise_rows(rec.data))
 
 
 # ---------------------------------------------------------------------------

@@ -51,12 +51,10 @@ class EpochWindow:
 
 def preprocess(rec: dataio.Recording, toggles: PreprocessingToggles) -> dataio.Recording:
     """Sensor selection, wavelet denoising (at the incoming rate),
-    decimation, then optional band-pass filtering."""
+    decimation, then optional band-pass filtering.  With both on, the
+    denoiser runs inside decimation, at the kept samples only."""
     rec = dataio.select_channels(rec, toggles.sensor_kinds)
-    if toggles.wavelet:
-        rec = dsp.wavelet_denoise_recording(rec)
-    if toggles.decimation_factor > 1:
-        rec = dsp.decimate(rec, toggles.decimation_factor)
+    rec = dsp.decimate(rec, toggles.decimation_factor, toggles.wavelet)
     if toggles.band_limit is not None:
         filt = dsp.design_fir(BAND_PASS_LO, toggles.band_limit, rec.sample_rate)
         rec = rec.with_data(dsp.apply_zero_phase(filt, rec.data))

@@ -42,7 +42,8 @@ def run_every_subcommand(root: Path) -> dict[str, bytes]:
     """Run every subcommand on one small synthetic corpus into ``root``;
     returns {"<command>/<file>": bytes} of each text output, with ``root``
     masked as ``<run>``, and under DIGESTS the SHA-256 of each recording
-    and of the float64 output of the default chain on one recording."""
+    and of the float64 output on one recording of the default chain and of
+    the wavelet alone (the full-rate denoiser, without decimation)."""
     root.mkdir(parents=True, exist_ok=True)
 
     def config(name, doc):
@@ -86,9 +87,13 @@ def run_every_subcommand(root: Path) -> dict[str, bytes]:
     def digest(data, name):
         return f"{hashlib.sha256(data).hexdigest()}  {name}\n"
 
-    chain = pipeline.preprocess(rec, pipeline.PreprocessingToggles())
     files = {}
-    digests = [digest(chain.data.tobytes(), "s01_production float64 chain")]
+    digests = [digest(pipeline.preprocess(rec, toggles).data.tobytes(),
+                      f"s01_production float64 {name}")
+               for name, toggles in [
+                   ("chain", pipeline.PreprocessingToggles()),
+                   ("wavelet", pipeline.PreprocessingToggles(
+                       decimation_factor=1, band_limit=None))]]
     for path in sorted(root.glob("*/*")):
         name = path.relative_to(root).as_posix()
         data = path.read_bytes()

@@ -153,6 +153,9 @@ class TestRunModels:
 HEADER_BREAKAGES = {
     "text_sample_rate": ("sample_rate", "fast"),
     "nan_sample_rate": ("sample_rate", float("nan")),
+    "numeric_text_sample_rate": ("sample_rate", "1000"),
+    "boolean_sample_rate": ("sample_rate", True),
+    "zero_sample_rate": ("sample_rate", 0),
     "text_n_samples": ("n_samples", "many"),
     "infinite_n_samples": ("n_samples", float("inf")),
     "negative_n_samples": ("n_samples", -1),
@@ -213,7 +216,7 @@ class TestMalformedRecordingsAndEvents:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        if breakage.endswith("_n_samples"):
+        if breakage in HEADER_BREAKAGES:
             assert err.startswith(f"data error: malformed header {rec_path}.json: ")
 
 

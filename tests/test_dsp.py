@@ -196,13 +196,13 @@ class TestDecimate:
             decimate(rec, 10**30)
 
     @staticmethod
-    def tone_gain_db(f0, factor=10, fs=1000.0, n=20000):
+    def tone_gain_db(f0, factor=10, fs=1000.0, n=20000, wavelet=False):
         """Gain of decimate on a tone, fitted at the frequency the tone
         lands on after decimation, away from the reflected ends."""
         t = np.arange(n) / fs
         rec = make_recording(1, n, fs=fs).with_data(
             np.sin(2 * np.pi * f0 * t + 0.3)[None, :])
-        out = decimate(rec, factor)
+        out = decimate(rec, factor, wavelet)
         new_fs = fs / factor
         f_out = abs(f0 - new_fs * round(f0 / new_fs))
         t_out = np.arange(out.n_samples)[200:-200] / new_fs
@@ -216,6 +216,10 @@ class TestDecimate:
         # 52 Hz would land on 48 Hz; a stop band from 62.5 Hz let it
         # through at -0.5 dB
         assert self.tone_gain_db(f0) <= -40
+
+    @pytest.mark.parametrize("f0", [52.0, 55.0, 58.0, 60.0, 62.5])
+    def test_tones_above_the_new_nyquist_do_not_alias_with_the_wavelet(self, f0):
+        assert self.tone_gain_db(f0, wavelet=True) <= -40
 
     @pytest.mark.parametrize("f0", [1.0, 5.0, 13.0, 22.0, 31.0])
     def test_tones_in_the_analysis_bands_pass(self, f0):
@@ -255,13 +259,76 @@ class TestDecimate:
 
     def test_memory_stays_near_the_input_size(self):
         rec = make_recording(153, 40000, fs=1000.0)
-        tracemalloc.start()
-        try:
-            decimate(rec, 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * rec.data.nbytes
+        for wavelet in (False, True):
+            tracemalloc.start()
+            try:
+                decimate(rec, 10, wavelet)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * rec.data.nbytes, wavelet
+
+
+class TestDecimateWithTheWavelet:
+    """``decimate(rec, factor, wavelet=True)`` against the two-step chain:
+    the kept-sample filter of the full-rate denoised recording."""
+
+    @staticmethod
+    def two_step(rec, factor):
+        nyq = 0.5 * rec.sample_rate / factor
+        filt = design_fir(None, min(0.8 * nyq, max(nyq - 2.0, 0.5 * nyq)),
+                          rec.sample_rate)
+        return dsp._filter_kept(
+            filt, dsp.wavelet_denoise_recording(rec).data, factor)
+
+    @pytest.mark.parametrize("factor", [2, 3, 5, 10, 20])
+    @pytest.mark.parametrize("n_mod_4", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_channels,dtype", [
+        (1, np.float64), (7, np.float32), (9, np.float64), (9, np.float32)])
+    def test_matches_the_two_step_chain(self, factor, n_mod_4, n_channels,
+                                        dtype):
+        n = 4 * (1000 * factor // 4 + 17 * n_mod_4) + n_mod_4
+        rec = make_recording(n_channels, n, seed=factor * n)
+        rec = rec.with_data(rec.data.astype(dtype))
+        want = self.two_step(rec, factor)
+        got = decimate(rec, factor, wavelet=True)
+        assert got.sample_rate == 1000.0 / factor
+        assert got.data.shape == want.shape
+        assert np.abs(got.data - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("factor", [2, 10])
+    def test_no_interior_block_gives_the_two_step_bytes(self, factor):
+        # just above the filter length (67 or 331 taps): every block
+        # reaches the reflected ends
+        n = 500 if factor == 10 else 100
+        rec = make_recording(3, n, seed=n)
+        got = decimate(rec, factor, wavelet=True).data
+        assert got.tobytes() == self.two_step(rec, factor).tobytes()
+
+    @pytest.mark.parametrize("n,factor", [(5, 2), (7, 10), (8, 10), (50, 2),
+                                          (300, 200)])
+    def test_too_short_fails_as_the_two_step_chain(self, n, factor):
+        rec = make_recording(2, n)
+        with pytest.raises(DataError) as two_step:
+            decimate(dsp.wavelet_denoise_recording(rec), factor)
+        with pytest.raises(DataError) as fused:
+            decimate(rec, factor, wavelet=True)
+        # the same class (so the same exit code) and message
+        assert type(fused.value) is type(two_step.value)
+        assert str(fused.value) == str(two_step.value)
+
+    def test_factor_one_is_the_wavelet_alone(self):
+        rec = make_recording(2, 500)
+        assert np.array_equal(decimate(rec, 1, wavelet=True).data,
+                              dsp.wavelet_denoise_recording(rec).data)
+
+    def test_denoiser_rows_are_its_interior_impulse_responses(self):
+        n = 400
+        for i in range(200, 208):
+            y = wavelet_denoise(np.eye(1, n, i)[0])
+            row = dsp._DENOISER_ROWS[i % 4]
+            assert np.array_equal(y[i - dsp._REACH: i + dsp._REACH + 1], row)
+            assert not y[:i - dsp._REACH].any() and not y[i + dsp._REACH + 1:].any()
 
 
 class TestWavelet:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phonepair import config as configmod
-from phonepair import dataio, evaluation, pipeline, report, studies, synth
+from phonepair import dataio, dsp, evaluation, pipeline, report, studies, synth
 from phonepair.dataio import ConfigError, DataError
 from phonepair.models import ModelSpec, TrainConfig
 from phonepair.pipeline import (
@@ -24,6 +24,8 @@ from phonepair.pipeline import (
     summarize,
 )
 from phonepair.report import ResultTable, format_pm
+
+from helpers import make_recording
 
 EN = [ModelSpec("elastic_net")]
 EN_RUNS = [("baseline", ModelSpec("elastic_net"))]
@@ -98,6 +100,17 @@ class TestPreprocess:
             a = preprocess(rec, toggles).data
             b = preprocess(rec, replace(toggles, wavelet=False)).data
             assert np.linalg.norm(a - b) < 1e-3 * np.linalg.norm(b)
+
+    def test_the_wavelet_runs_inside_decimation(self, monkeypatch):
+        rec = make_recording(2, 20000)
+
+        def full_rate(rec):
+            raise AssertionError("full-rate wavelet")
+
+        monkeypatch.setattr(dsp, "wavelet_denoise_recording", full_rate)
+        preprocess(rec, PreprocessingToggles())
+        with pytest.raises(AssertionError, match="full-rate wavelet"):
+            preprocess(rec, PreprocessingToggles(decimation_factor=1))
 
     def test_bad_decimation(self):
         with pytest.raises(ConfigError,
