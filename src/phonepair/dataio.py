@@ -285,7 +285,8 @@ def save_events(table: EventTable, path: str) -> None:
 
 
 def select_channels(rec: Recording, kinds) -> Recording:
-    """Keep only channels whose kind is in ``kinds``, order preserved."""
+    """Keep only channels whose kind is in ``kinds``, order preserved; a
+    recording that keeps every channel is returned as it is, not copied."""
     kinds = set(kinds)
     unknown = kinds - set(CHANNEL_KINDS)
     if unknown:
@@ -293,6 +294,8 @@ def select_channels(rec: Recording, kinds) -> Recording:
     idx = [i for i, c in enumerate(rec.channels) if c.kind in kinds]
     if not idx:
         raise DataError(f"no channels of kind {sorted(kinds)} present")
+    if len(idx) == rec.n_channels:
+        return rec
     return Recording(
         sample_rate=rec.sample_rate,
         channels=tuple(rec.channels[i] for i in idx),

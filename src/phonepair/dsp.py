@@ -108,14 +108,21 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+_BLOCK = 32  # kept outputs per row of one matrix product
+_CHUNK = 8   # channels padded at a time
+
+
 def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     """Filter with no net delay: reflect-pad, convolve once, crop center.
 
     Accepts a 1-D signal or a [channels x samples] matrix (filtered per row),
-    convolved by real FFT (``numpy.fft``).
+    convolved by real FFT (``numpy.fft``) into one float64 output, ``_CHUNK``
+    rows at a time: each block is cast, padded and transformed on its own,
+    so no temporary is larger than a block.  numpy transforms row by row, so
+    the bytes are those of one pass over the whole matrix.
     """
     h = filt.coefficients
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     one_d = x.ndim == 1
     if one_d:
         x = x[None, :]
@@ -124,16 +131,17 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     if n <= m:
         raise DataError(f"signal length {n} must exceed filter length {m}")
     pad = (m - 1) // 2
-    padded = np.pad(x, ((0, 0), (pad, pad)), mode="reflect")
-    n_pad = padded.shape[1]
+    n_pad = n + 2 * pad
     nfft = _next_fast_len(n_pad + m - 1)
-    spec = np.fft.rfft(padded, nfft, axis=1) * np.fft.rfft(h, nfft)
-    y = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad].copy()
+    h_spec = np.fft.rfft(h, nfft)
+    y = np.empty(x.shape)
+    for c in range(0, len(x), _CHUNK):
+        padded = np.pad(x[c: c + _CHUNK].astype(float, copy=False),
+                        ((0, 0), (pad, pad)), mode="reflect")
+        spec = np.fft.rfft(padded, nfft, axis=1)
+        spec *= h_spec
+        y[c: c + _CHUNK] = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad]
     return y[0] if one_d else y
-
-
-_BLOCK = 32  # kept outputs per row of one matrix product
-_CHUNK = 8   # channels padded at a time
 
 
 def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int,

@@ -161,11 +161,18 @@ def evaluate(spec: models.ModelSpec, ds: PairDataset,
              folds: np.ndarray) -> list[dict]:
     """One :func:`metrics` dict per fold of the per-row fold indices
     ``folds``.  :func:`models.fit_folds` fits and scores all the folds in
-    one call, with fold-local z-scoring (no test-row leakage); the solver
-    state it returns per fold is left out of the metrics."""
+    one call, each standardised with its training rows' statistics inside
+    the fit (no test-row leakage); the solver state it returns per fold is
+    left out of the metrics.  A metric error is raised again with a
+    ``fold N: `` prefix, as a fit error is."""
     if len(folds) != len(ds.y):
         raise DataError("fold split does not match dataset size")
     fits = models.fit_folds(spec, ds.X, ds.y, folds, ds.n_channels,
                             ds.n_times)
-    return [metrics(ds.y[folds == fold], scores)
-            for fold, (scores, _) in enumerate(fits)]
+    out = []
+    for fold, (scores, _) in enumerate(fits):
+        try:
+            out.append(metrics(ds.y[folds == fold], scores))
+        except DataError as exc:
+            raise DataError(f"fold {fold}: {exc}") from exc
+    return out

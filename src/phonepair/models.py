@@ -90,6 +90,7 @@ class TrainedModel:
     training_log: list = field(default_factory=list)
     val_log: list = field(default_factory=list)
     start: object = None     # where the next fold of the dataset begins
+    zscore: tuple | None = None  # (mean, std) to z-score scored rows with
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Per-row class probabilities, shape [n, 2], rows summing to 1."""
@@ -97,6 +98,8 @@ class TrainedModel:
         if X.shape[1] != self.n_features:
             raise DataError(f"feature dimension {X.shape[1]} != trained "
                             f"{self.n_features}")
+        if self.zscore is not None:
+            X = dsp.apply_zscore(X, self.zscore)
         return self.predictor(self.params, X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -118,6 +121,70 @@ def _check_xy(X, y):
 def _two_col(p1: np.ndarray) -> np.ndarray:
     p1 = np.clip(p1, 0.0, 1.0)
     return np.column_stack([1.0 - p1, p1])
+
+
+class FoldSplit:
+    """The per-row fold indices ``folds`` of a dataset X, and the column
+    (mean, std) of each fold's training rows, the rows of the other folds.
+
+    Each fold's row count, column means and centred column sums of squares
+    are taken once, at the first ``stats`` call; ``stats(k)`` combines those
+    of every fold but k pairwise (Chan, Golub & LeVeque 1983), so the
+    training rows are never gathered into one matrix.  It equals
+    ``dsp.compute_zscore_stats`` of those rows up to rounding."""
+
+    def __init__(self, X, folds):
+        self.X, self.folds = X, folds
+        self._parts = None
+
+    def stats(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._parts is None:
+            self._parts = {}
+            for f in np.unique(self.folds).tolist():
+                rows = self.X[self.folds == f]
+                mean = rows.mean(axis=0)
+                rows -= mean
+                rows *= rows
+                self._parts[f] = len(rows), mean, rows.sum(axis=0)
+        parts = [part for f, part in self._parts.items() if f != k]
+        n = sum(part[0] for part in parts)
+        if n < 2:
+            raise DataError(
+                "need a 2-D matrix with at least 2 rows for z-score stats")
+        n, mean, m2 = parts[0]
+        for nb, mean_b, m2_b in parts[1:]:
+            delta = mean_b - mean
+            mean = mean + delta * (nb / (n + nb))
+            m2 = m2 + m2_b + delta * delta * (n * nb / (n + nb))
+            n += nb
+        return mean, np.maximum(np.sqrt(m2 / n), dsp.STD_FLOOR)
+
+
+@dataclass(frozen=True)
+class Fold:
+    """Fold ``index`` of a FoldSplit: a fit takes the rows of X outside it
+    (``train``), and its model scores the rows in it."""
+    split: FoldSplit
+    index: int
+
+    @property
+    def train(self) -> np.ndarray:
+        return self.split.folds != self.index
+
+    def stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """The column (mean, std) of the training rows."""
+        return self.split.stats(self.index)
+
+
+def _zscored_rows(X, y, fold):
+    """The training rows of ``fold`` in (X, y), z-scored with their own
+    statistics, and those statistics, for the model to z-score the rows it
+    scores; (X, y, None), as given, without a fold."""
+    if fold is None:
+        return X, y, None
+    X, y = X[fold.train], y[fold.train]
+    stats = dsp.compute_zscore_stats(X)
+    return dsp.apply_zscore(X, stats), y, stats
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +217,17 @@ def elastic_net_objective(X, ypm, w, b, alpha, l1_ratio):
     return _penalised_loss(ypm * (X @ w + b), w, alpha, l1_ratio)
 
 
+def _score_grad(ypm, margin):
+    """sigmoid(-margin), and the gradient of the mean loss in each row's
+    score."""
+    s = _sigmoid(-margin)
+    return s, -ypm * s / len(ypm)
+
+
 def _smooth_grad(X, ypm, margin, w, alpha, l1):
     """sigmoid(-margin), and the gradient in w and in b of the loss plus
     L2 term."""
-    s = _sigmoid(-margin)
-    gz = -ypm * s / len(ypm)
+    s, gz = _score_grad(ypm, margin)
     return s, X.T @ gz + alpha * (1 - l1) * w, gz.sum()
 
 
@@ -250,8 +323,11 @@ def _solve_working_set(Xs, ypm, w, b, alpha, l1, maxiter):
     return w, b, maxiter
 
 
-def train_elastic_net(X, y, spec: ModelSpec, start=None, *_) -> TrainedModel:
-    """Minimise mean logistic loss + alpha*(l1*|w|_1 + (1-l1)/2*|w|^2).
+def train_elastic_net(X, y, spec: ModelSpec, fold=None, start=None,
+                      *_) -> TrainedModel:
+    """Minimise mean logistic loss + alpha*(l1*|w|_1 + (1-l1)/2*|w|^2) over
+    the rows of X, or, with ``fold``, over its training rows standardised as
+    (x - mean) / std with their column (mean, std), ``fold.stats()``.
 
     Starts at ``start``, a (w, b) pair, or at w = 0, b = 0.  Each round
     takes the full gradient once and warm-starts Newton steps
@@ -261,17 +337,41 @@ def train_elastic_net(X, y, spec: ModelSpec, start=None, *_) -> TrainedModel:
     intercept included, is at most EN_KKT_TOL; raises ConvergenceError once
     EN_MAX_ITER Newton steps or EN_MAX_ROUNDS rounds are spent.
 
+    X is neither copied nor standardised whole: the full-width gradient is
+    (X^T g - mean * sum(g)) / std, with g 0 off the training rows, and only
+    the support and working-set columns of the training rows are
+    standardised.  The model standardises the support columns of the rows
+    it scores the same way.
+
     For l1 < 1 the ridge term makes the objective strictly convex, so its
     minimiser is unique and the start moves only where inside the KKT
     tolerance the fit stops; for l1 = 1 the minimiser is unique only for
     X in general position.  The model's ``start`` is a copy of its (w, b)."""
-    p = X.shape[1]
-    ypm = 2.0 * y - 1.0
+    n, p = X.shape
+    if fold is None:
+        rows, mean, std = np.arange(n), np.zeros(p), np.ones(p)
+    else:
+        rows, (mean, std) = np.flatnonzero(fold.train), fold.stats()
+    ypm = 2.0 * y[rows] - 1.0
+
+    def standardised(cols):
+        Z = X[:, cols][rows]
+        Z -= mean[cols]
+        Z /= std[cols]
+        return Z
+
     alpha, l1 = spec.alpha, spec.l1_ratio
     w, b = (np.zeros(p), 0.0) if start is None else start
+    # standardised columns that hold every nonzero weight, and their weights
+    cols = np.flatnonzero(w)
+    Z, w_cols = standardised(cols), w[cols]
+    g_rows = np.zeros(n)
     size, n_iter = min(EN_MIN_WORKING_SET, p), 0
     for rounds in range(EN_MAX_ROUNDS + 1):
-        _, g, gb = _smooth_grad(X, ypm, ypm * (X @ w + b), w, alpha, l1)
+        _, gz = _score_grad(ypm, ypm * (Z @ w_cols + b))
+        gb = gz.sum()
+        g_rows[rows] = gz
+        g = (X.T @ g_rows - mean * gb) / std + alpha * (1 - l1) * w
         viol = np.abs(_pseudo_grad(g, w, alpha * l1))
         kkt = float(max(viol.max(), abs(gb)))
         if kkt <= EN_KKT_TOL:
@@ -285,14 +385,15 @@ def train_elastic_net(X, y, spec: ModelSpec, start=None, *_) -> TrainedModel:
         # nonzero weights first, then zero ones by violation
         score = np.where(w != 0, np.inf, viol)
         ws = np.sort(np.argsort(-score, kind="stable")[:size])
-        ws = ws[score[ws] > 0]
-        w_ws, b, it = _solve_working_set(
-            X[:, ws], ypm, w[ws], b, alpha, l1, EN_MAX_ITER - n_iter)
+        cols = ws[score[ws] > 0]
+        Z = standardised(cols)
+        w_cols, b, it = _solve_working_set(Z, ypm, w[cols], b, alpha, l1,
+                                           EN_MAX_ITER - n_iter)
         n_iter += it
         w = np.zeros(p)
-        w[ws] = w_ws
+        w[cols] = w_cols
     return TrainedModel(
-        _predict_linear_logistic, {"w": w, "b": b}, p,
+        _predict_standardised, {"w": w, "b": b, "mean": mean, "std": std}, p,
         meta={"n_iter": n_iter, "kkt_violation": kkt,
               "nnz": int(np.count_nonzero(w))},
         start=(w.copy(), b))
@@ -302,11 +403,20 @@ def _predict_linear_logistic(params, X):
     return _two_col(_sigmoid(X @ params["w"] + params["b"]))
 
 
+def _predict_standardised(params, X):
+    """``_predict_linear_logistic`` of X standardised with the fit's
+    (mean, std), on the support columns, the only ones it reads."""
+    nz = np.flatnonzero(params["w"])
+    Z = (X[:, nz] - params["mean"][nz]) / params["std"][nz]
+    return _two_col(_sigmoid(Z @ params["w"][nz] + params["b"]))
+
+
 # ---------------------------------------------------------------------------
 # Linear discriminant analysis with shrunk pooled covariance
 # ---------------------------------------------------------------------------
 
-def train_lda(X, y, spec: ModelSpec, *_) -> TrainedModel:
+def train_lda(X, y, spec: ModelSpec, fold=None, *_) -> TrainedModel:
+    X, y, stats = _zscored_rows(X, y, fold)
     n, p = X.shape
     n0, n1 = int(np.sum(y == 0)), int(np.sum(y == 1))
     if n0 < 2 or n1 < 2:
@@ -343,7 +453,8 @@ def train_lda(X, y, spec: ModelSpec, *_) -> TrainedModel:
         M = (tau / c) * np.eye(n) + Xc @ Xc.T
         w = (diff - Xc.T @ np.linalg.solve(M, Xc @ diff)) / tau
     b = -0.5 * w @ (mu0 + mu1) + np.log(n1 / n0)
-    return TrainedModel(_predict_linear_logistic, {"w": w, "b": b}, p)
+    return TrainedModel(_predict_linear_logistic, {"w": w, "b": b}, p,
+                        zscore=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +494,8 @@ def _fit_platt(decision, y, iters=100):
     return a, c
 
 
-def train_svm_rbf(X, y, spec: ModelSpec, *_) -> TrainedModel:
+def train_svm_rbf(X, y, spec: ModelSpec, fold=None, *_) -> TrainedModel:
+    X, y, stats = _zscored_rows(X, y, fold)
     n, p = X.shape
     ypm = 2.0 * y - 1.0
     gamma = spec.gamma
@@ -463,7 +575,7 @@ def train_svm_rbf(X, y, spec: ModelSpec, *_) -> TrainedModel:
         "link_a": a_link,
         "link_c": c_link,
         "alphas": alphas,   # the dual solution, one per training row
-    }, p, meta={"n_support": int(sv.sum())})
+    }, p, meta={"n_support": int(sv.sum())}, zscore=stats)
 
 
 def svm_decision(params: dict, X: np.ndarray) -> np.ndarray:
@@ -711,7 +823,7 @@ class NetStart:
 # a fit that overflows ends at its first non-finite loss, with one error and
 # no numpy warning
 @np.errstate(over="ignore", invalid="ignore")
-def _train_neural(net, X, y, spec: ModelSpec, start=None):
+def _train_neural(net, X, y, spec: ModelSpec, fold=None, start=None):
     """Full-batch AdamW in float32 on the training split; keeps the
     parameters of the epoch with the lowest validation loss and stops after
     ``patience`` epochs without improvement.  A non-finite training or
@@ -723,7 +835,9 @@ def _train_neural(net, X, y, spec: ModelSpec, start=None):
     Allocates nothing per epoch outside the forward and backward passes: the
     moments, two scratch blocks for ``_adamw_step`` and the best parameters
     (refreshed with ``np.copyto``) are allocated once.  The model keeps the
-    NetStart; its meta holds the best epoch, epochs run and what stopped it."""
+    NetStart; its meta holds the best epoch, epochs run and what stopped it.
+    With ``fold``, it fits the fold's z-scored training rows."""
+    X, y, stats = _zscored_rows(X, y, fold)
     if len(y) < 10:
         raise DataError("need at least 10 samples to hold out a validation set")
     cfg, start = spec.train, start or NetStart()
@@ -780,37 +894,41 @@ def _train_neural(net, X, y, spec: ModelSpec, start=None):
         net.predict, best_params, X.shape[1],
         meta={"best_epoch": best_epoch, "epochs": len(train_log),
               "stopped_by": stopped_by},
-        training_log=train_log, val_log=val_log, start=start)
+        training_log=train_log, val_log=val_log, start=start, zscore=stats)
 
 
-def train_ffn(X, y, spec: ModelSpec, start=None, *_) -> TrainedModel:
+def train_ffn(X, y, spec: ModelSpec, fold=None, start=None,
+              *_) -> TrainedModel:
     return _train_neural(FfnNet(X.shape[1], spec.hidden_sizes), X, y, spec,
-                         start)
+                         fold, start)
 
 
-def train_cnn(X, y, spec: ModelSpec, start=None, n_channels=None,
+def train_cnn(X, y, spec: ModelSpec, fold=None, start=None, n_channels=None,
               n_times=None) -> TrainedModel:
     if None in (n_channels, n_times) or n_channels * n_times != X.shape[1]:
         raise DataError(f"cnn needs X width {X.shape[1]} = n_channels*n_times"
                          f", got {n_channels}*{n_times}")
     net = CnnNet(n_channels, n_times, spec.kernel, spec.stride,
                  spec.filters_per_channel)
-    return _train_neural(net, X, y, spec, start)
+    return _train_neural(net, X, y, spec, fold, start)
 
 
 def train(spec: ModelSpec, X, y, n_channels=None, n_times=None,
-          start=None) -> TrainedModel:
+          start=None, fold=None) -> TrainedModel:
     """Check X and y once, then fit them with ``train_<variant>``.  Every
-    trainer takes (X, y, spec, start, n_channels, n_times): ``start`` is
-    where the fit begins, the ``start`` of the previous fold's model or
-    None, a cold start; only ``cnn`` reads the [n_channels, n_times] layout
-    of each row."""
+    trainer takes (X, y, spec, fold, start, n_channels, n_times): ``fold``
+    is None, a fit of every row as given, or a :class:`Fold`, a fit of its
+    training rows standardised with their own column statistics, whose
+    model standardises the rows it scores the same way; ``start`` is where
+    the fit begins, the ``start`` of the previous fold's model or None, a
+    cold start; only ``cnn`` reads the [n_channels, n_times] layout of each
+    row."""
     X, y = _check_xy(X, y)
     # Looked up by name at each call, not from a table built at import, so
     # that a wrapper bound to the attribute later (perfbench's tracer) sees
     # every fit.
-    return globals()[f"train_{spec.variant}"](X, y, spec, start, n_channels,
-                                              n_times)
+    return globals()[f"train_{spec.variant}"](X, y, spec, fold, start,
+                                              n_channels, n_times)
 
 
 def fit_folds(spec: ModelSpec, X, y, folds, n_channels=None,
@@ -818,30 +936,32 @@ def fit_folds(spec: ModelSpec, X, y, folds, n_channels=None,
     """Fit and score every fold of the per-row fold indices ``folds``: one
     (class-1 scores of the test rows, ``TrainedModel.meta``) pair per fold.
 
-    Each fold is z-scored with its training rows' statistics, so no test
-    row leaks into the fit, and fitted through :func:`train`, from the
-    previous fold's ``TrainedModel.start`` after fold 0.  So the nets of all
-    folds share one NetStart, drawn once per call, and the elastic net
-    starts from a copy of the previous fold's (w, b), taken as it is, in its
-    z-score units: any two of k folds share (k - 2)/(k - 1) of their
-    training rows, so that start is near the optimum.  The previous fit has
-    seen this fold's test rows, but they set only where the solver starts,
-    not the optimum it converges to (see :func:`train_elastic_net`).  A
-    fold's model, its weights included, is dropped once it has scored its
-    test rows, before the next fold trains.  A fit or predict error is
-    raised again with a ``fold N: `` prefix."""
-    start, out = None, []
-    for fold in range(folds.max() + 1):
-        test = folds == fold
-        X_train, y_train = X[~test], y[~test]
-        stats = dsp.compute_zscore_stats(X_train)
-        X_train = dsp.apply_zscore(X_train, stats)
-        X_test = dsp.apply_zscore(X[test], stats)
+    Every fold is fitted through :func:`train` on the raw X with its
+    :class:`Fold`, so each trainer standardises the fold's training rows
+    with their own statistics (no test row leaks into the fit) and its model
+    standardises the raw test rows the same way; the elastic net takes its
+    statistics from per-fold sums shared by the folds, without copying X.
+    Each fold starts from the previous fold's ``TrainedModel.start`` after
+    fold 0.  So the nets of all folds share one NetStart, drawn once per
+    call, and the elastic net starts from a copy of the previous fold's
+    (w, b), taken as it is, in its standardised units: any two of k folds
+    share (k - 2)/(k - 1) of their training rows, so that start is near the
+    optimum.  The previous fit has seen this fold's test rows, but they set
+    only where the solver starts, not the optimum it converges to (see
+    :func:`train_elastic_net`).  A fold's model, its weights included, is
+    dropped once it has scored its test rows, before the next fold trains.
+    A fit or predict error, a fold's statistics included, is raised again
+    with a ``fold N: `` prefix."""
+    X = np.asarray(X, dtype=float)
+    split, start, out = FoldSplit(X, folds), None, []
+    for index in range(folds.max() + 1):
         try:
-            model = train(spec, X_train, y_train, n_channels, n_times, start)
-            out.append((model.predict_proba(X_test)[:, 1], model.meta))
+            model = train(spec, X, y, n_channels, n_times, start,
+                          Fold(split, index))
+            out.append((model.predict_proba(X[folds == index])[:, 1],
+                        model.meta))
         except (DataError, ConvergenceError) as exc:
-            raise type(exc)(f"fold {fold}: {exc}") from exc
+            raise type(exc)(f"fold {index}: {exc}") from exc
         start = model.start
         del model
     return out

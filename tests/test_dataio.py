@@ -129,6 +129,17 @@ class TestSelectChannels:
         out = select_channels(rec, set(dataio.CHANNEL_KINDS))
         assert out.channels == rec.channels
         assert np.array_equal(out.data, rec.data)
+        # every channel kept: the loaded samples, not a copy of them
+        assert np.shares_memory(out.data, rec.data)
+
+    @pytest.mark.parametrize("kinds", [{"gradiometer"}, {"magnetometer"},
+                                       {"gradiometer", "misc"}])
+    def test_a_subset_is_a_copy(self, kinds):
+        rec = make_recording(4, 20, kinds=["gradiometer", "magnetometer",
+                                           "misc", "gradiometer"])
+        out = select_channels(rec, kinds)
+        assert out.n_channels < rec.n_channels
+        assert not np.shares_memory(out.data, rec.data)
 
     def test_empty_selection_errors(self):
         rec = make_recording(3, 20)

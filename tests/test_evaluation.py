@@ -258,6 +258,15 @@ def zscored_folds(ds, folds):
                dsp.apply_zscore(ds.X[test], stats), ds.y[test])
 
 
+def assert_same_scores(spec, got, want):
+    """Bytes for every variant but the elastic net, which fits the raw X
+    and so rounds differently from the z-scored oracle."""
+    if spec.variant == "elastic_net":
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
 def fold_by_fold(spec, ds, folds):
     """The oracle: fit each z-scored fold with its own ``models.train`` and
     score its test rows; yields each fold's (model, scores, metrics).  An
@@ -283,7 +292,7 @@ class TestFitFolds:
         fits = models.fit_folds(spec, ds.X, ds.y, folds, C, T)
         assert len(fits) == 5
         for (got, _), (scores, _) in zip(fits, want):
-            assert got.tobytes() == scores.tobytes()
+            assert_same_scores(spec, got, scores)
 
     @pytest.mark.parametrize("spec,n_times,error,match", [
         (ModelSpec("cnn", kernel=5, stride=5,
@@ -323,14 +332,18 @@ class TestFitFolds:
             oracle = fold_by_fold(spec, ds, folds)
             for (_, state), (model, _, _) in zip(fits, oracle, strict=True):
                 # ready for a diagnostics file as it is
-                assert state == model.meta
                 assert json.loads(json.dumps(state)) == state
                 if variant == "elastic_net":
+                    # the same steps; the violation left rounds differently
                     assert set(state) == {"n_iter", "kkt_violation", "nnz"}
+                    assert state["n_iter"] == model.meta["n_iter"]
+                    assert state["nnz"] == model.meta["nnz"]
                     assert state["nnz"] == np.count_nonzero(model.params["w"])
                     assert 0 < state["nnz"] <= C * T
                     assert state["kkt_violation"] <= models.EN_KKT_TOL
-                elif variant == "svm_rbf":
+                    continue
+                assert state == model.meta
+                if variant == "svm_rbf":
                     assert set(state) == {"n_support"}
                     assert 0 < state["n_support"] <= len(
                         model.params["alphas"])
@@ -402,22 +415,24 @@ class TestElasticNetChain:
         spec = ModelSpec("elastic_net", l1_ratio=l1)
         trainer, warm = models.train_elastic_net, []
 
-        def recorded(X, y, spec, start=None, *layout):
-            warm.append((start, trainer(X, y, spec, start, *layout)))
+        def recorded(X, y, spec, fold=None, start=None, *layout):
+            warm.append((start, trainer(X, y, spec, fold, start, *layout)))
             return warm[-1][1]
 
         monkeypatch.setattr(models, "train_elastic_net", recorded)
         models.fit_folds(spec, ds.X, ds.y, folds)
         assert [start is None for start, _ in warm] == [True] + [False] * 4
-        for (X, y, X_test, _), (_, model) in zip(
-                zscored_folds(ds, folds), warm, strict=True):
+        for fold, ((X, y, X_test, _), (_, model)) in enumerate(zip(
+                zscored_folds(ds, folds), warm, strict=True)):
             cold = trainer(X, y, spec)
             assert model.meta["kkt_violation"] <= models.EN_KKT_TOL
             f_warm, f_cold = (models.elastic_net_objective(
                 X, 2.0 * y - 1.0, m.params["w"], m.params["b"], spec.alpha,
                 l1) for m in (model, cold))
             assert abs(f_warm - f_cold) <= 1e-9 * f_cold
-            assert np.array_equal(model.predict(X_test), cold.predict(X_test))
+            # the fold's model scores raw rows
+            assert np.array_equal(model.predict(ds.X[folds == fold]),
+                                  cold.predict(X_test))
 
     def test_the_chain_takes_fewer_newton_steps(self, rng):
         ds = planted_dataset(rng, n_per=40, p=300)
@@ -428,3 +443,79 @@ class TestElasticNetChain:
         cold = sum(models.train(spec, X, y).meta["n_iter"]
                    for X, y, _, _ in zscored_folds(ds, folds))
         assert warm < cold
+
+
+class TestElasticNetOnRawX:
+    """fit_folds hands the elastic net the raw X: it standardises only the
+    columns it needs, with each fold's statistics from per-fold sums."""
+
+    @staticmethod
+    def hard_dataset(folds=None):
+        """A planted dataset and its folds, with a column constant on fold
+        0's training rows (its std floored) and a column offset by 1e3 of
+        its std."""
+        ds = planted_dataset(np.random.default_rng(5), n_per=30, p=40)
+        if folds is None:
+            folds = kfold(ds.y, k=5, seed=0)
+        X = ds.X.copy()
+        X[folds != 0, 5] = 3.0
+        X[:, 6] += 1e3 * X[:, 6].std()
+        return PairDataset(X=X, y=ds.y, pair=ds.pair, n_channels=40,
+                           n_times=1), folds
+
+    def test_fold_statistics_match_numpy(self):
+        folds = np.repeat([0, 1, 2, 3], [7, 23, 11, 19])
+        np.random.default_rng(1).shuffle(folds)
+        ds, _ = self.hard_dataset(folds)
+        split = models.FoldSplit(ds.X, folds)
+        for fold in range(4):
+            train = ds.X[folds != fold]
+            mean, std = split.stats(fold)
+            np.testing.assert_allclose(mean, np.mean(train, axis=0),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(
+                std, np.maximum(np.std(train, axis=0), dsp.STD_FLOOR),
+                rtol=1e-12)
+            assert (std[5] == dsp.STD_FLOOR) == (fold == 0)
+
+    @pytest.mark.parametrize("l1", [0.0, 0.5, 1.0])
+    def test_scores_match_the_z_scored_oracle(self, l1):
+        ds, folds = self.hard_dataset()
+        spec = ModelSpec("elastic_net", l1_ratio=l1)
+        fits = models.fit_folds(spec, ds.X, ds.y, folds)
+        for (got, state), (model, scores, _) in zip(
+                fits, fold_by_fold(spec, ds, folds), strict=True):
+            np.testing.assert_allclose(got, scores, rtol=0, atol=1e-12)
+            assert state["kkt_violation"] <= models.EN_KKT_TOL
+            assert state["n_iter"] == model.meta["n_iter"]
+
+    def test_no_matrix_is_z_scored(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("z-scored a matrix")
+
+        monkeypatch.setattr(dsp, "compute_zscore_stats", forbidden)
+        monkeypatch.setattr(dsp, "apply_zscore", forbidden)
+        ds, folds = self.hard_dataset()
+        fits = models.fit_folds(ModelSpec("elastic_net"), ds.X, ds.y, folds)
+        assert len(fits) == 5
+        with pytest.raises(AssertionError, match="z-scored a matrix"):
+            models.fit_folds(ModelSpec("lda"), ds.X, ds.y, folds)
+
+
+class TestFoldErrors:
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_too_few_training_rows_names_the_fold(self, variant):
+        ds = tiny_dataset()
+        ds = PairDataset(X=ds.X[[0, -1]], y=ds.y[[0, -1]], pair=ds.pair,
+                         n_channels=C, n_times=T)
+        with pytest.raises(DataError,
+                           match=r"^fold 0: need a 2-D matrix with at least"
+                                 r" 2 rows for z-score stats$"):
+            evaluate(ModelSpec(variant), ds, kfold(ds.y, k=2, seed=0))
+
+    def test_a_single_class_test_fold_names_the_fold(self):
+        ds = tiny_dataset()
+        folds = kfold(ds.y, k=5, seed=0)
+        folds[(folds == 2) & (ds.y == 1)] = 3
+        with pytest.raises(DataError, match=r"^fold 2: AUC is undefined"):
+            evaluate(ModelSpec("lda"), ds, folds)

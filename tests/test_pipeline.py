@@ -79,6 +79,20 @@ class TestPreprocess:
         out = preprocess(rec, PreprocessingToggles(
             wavelet=False, decimation_factor=1, band_limit=None))
         assert np.array_equal(out.data, rec.data)
+        assert np.shares_memory(out.data, rec.data)
+
+    @pytest.mark.parametrize("toggles", [
+        PreprocessingToggles(),
+        PreprocessingToggles(wavelet=False, decimation_factor=1),
+        PreprocessingToggles(decimation_factor=1, band_limit=None),
+        PreprocessingToggles(wavelet=False, decimation_factor=1,
+                             band_limit=None)])
+    def test_the_loaded_recording_is_left_unchanged(self, corpus, toggles):
+        man = dataio.load_manifest(corpus["production"][0])
+        rec = dataio.load_recording(man.recording_path)
+        before = rec.data.copy()
+        preprocess(rec, toggles)
+        assert rec.data.tobytes() == before.tobytes()
 
     def test_sensor_selection(self, tmp_path):
         paths = make_corpus(str(tmp_path), ("s09",), n_mag=4, seed0=50)
