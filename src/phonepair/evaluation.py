@@ -161,10 +161,10 @@ def evaluate(spec: models.ModelSpec, ds: PairDataset,
              folds: np.ndarray) -> list[dict]:
     """One :func:`metrics` dict per fold of the per-row fold indices
     ``folds``.  :func:`models.fit_folds` fits and scores all the folds in
-    one call, each standardised with its training rows' statistics inside
-    the fit (no test-row leakage); the solver state it returns per fold is
-    left out of the metrics.  A metric error is raised again with a
-    ``fold N: `` prefix, as a fit error is."""
+    one call, each standardised with its training rows' statistics
+    (``models.FoldSplit``) inside the fit (no test-row leakage); the solver
+    state it returns per fold is left out of the metrics.  A metric error is
+    raised again with a ``fold N: `` prefix, as a fit error is."""
     if len(folds) != len(ds.y):
         raise DataError("fold split does not match dataset size")
     fits = models.fit_folds(spec, ds.X, ds.y, folds, ds.n_channels,

@@ -102,9 +102,6 @@ class TrainedModel:
             X = dsp.apply_zscore(X, self.zscore)
         return self.predictor(self.params, X)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X)[:, 1] >= 0.5).astype(int)
-
 
 def _check_xy(X, y):
     X = np.asarray(X, dtype=float)
@@ -125,13 +122,14 @@ def _two_col(p1: np.ndarray) -> np.ndarray:
 
 class FoldSplit:
     """The per-row fold indices ``folds`` of a dataset X, and the column
-    (mean, std) of each fold's training rows, the rows of the other folds.
+    (mean, std) of each fold's training rows, the rows of the other folds,
+    for every variant.
 
     Each fold's row count, column means and centred column sums of squares
     are taken once, at the first ``stats`` call; ``stats(k)`` combines those
     of every fold but k pairwise (Chan, Golub & LeVeque 1983), so the
-    training rows are never gathered into one matrix.  It equals
-    ``dsp.compute_zscore_stats`` of those rows up to rounding."""
+    training rows are never gathered into one matrix.  It equals numpy's
+    mean and floored std of those rows up to rounding."""
 
     def __init__(self, X, folds):
         self.X, self.folds = X, folds
@@ -176,15 +174,23 @@ class Fold:
         return self.split.stats(self.index)
 
 
+def _standardised(X, rows, cols, stats):
+    """``X[:, cols][rows]``, its one copy, standardised in place with the
+    (mean, std) ``stats``; ``rows`` or ``cols``, not both, may be a slice."""
+    mean, std = stats
+    Z = X[:, cols][rows]
+    Z -= mean[cols]
+    Z /= std[cols]
+    return Z
+
+
 def _zscored_rows(X, y, fold):
-    """The training rows of ``fold`` in (X, y), z-scored with their own
-    statistics, and those statistics, for the model to z-score the rows it
-    scores; (X, y, None), as given, without a fold."""
+    """The training rows of ``fold`` in (X, y), standardised, and the fold's
+    statistics, to z-score scored rows; (X, y, None) without a fold."""
     if fold is None:
         return X, y, None
-    X, y = X[fold.train], y[fold.train]
-    stats = dsp.compute_zscore_stats(X)
-    return dsp.apply_zscore(X, stats), y, stats
+    stats, rows = fold.stats(), fold.train
+    return _standardised(X, rows, slice(None), stats), y[rows], stats
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +217,6 @@ def _penalised_loss(margin, w, alpha, l1):
     # softplus(-margin), numerically stable
     loss = np.mean(np.logaddexp(0.0, -margin))
     return loss + alpha * (l1 * np.abs(w).sum() + 0.5 * (1 - l1) * w @ w)
-
-
-def elastic_net_objective(X, ypm, w, b, alpha, l1_ratio):
-    return _penalised_loss(ypm * (X @ w + b), w, alpha, l1_ratio)
 
 
 def _score_grad(ypm, margin):
@@ -323,6 +325,15 @@ def _solve_working_set(Xs, ypm, w, b, alpha, l1, maxiter):
     return w, b, maxiter
 
 
+def _working_set(score, size):
+    """The ascending indices of the positive scores among the ``size`` <=
+    len(score) highest, ties to the lowest index as in a stable sort."""
+    cut = np.partition(score, len(score) - size)[len(score) - size]
+    top = score > cut
+    top[np.flatnonzero(score == cut)[:size - np.count_nonzero(top)]] = True
+    return np.flatnonzero(top & (score > 0))
+
+
 def train_elastic_net(X, y, spec: ModelSpec, fold=None, start=None,
                       *_) -> TrainedModel:
     """Minimise mean logistic loss + alpha*(l1*|w|_1 + (1-l1)/2*|w|^2) over
@@ -339,32 +350,24 @@ def train_elastic_net(X, y, spec: ModelSpec, fold=None, start=None,
 
     X is neither copied nor standardised whole: the full-width gradient is
     (X^T g - mean * sum(g)) / std, with g 0 off the training rows, and only
-    the support and working-set columns of the training rows are
-    standardised.  The model standardises the support columns of the rows
-    it scores the same way.
+    the working-set columns of the training rows are standardised.  The
+    model keeps (mean, std) in its params and standardises the support
+    columns of the rows it scores the same way.
 
     For l1 < 1 the ridge term makes the objective strictly convex, so its
     minimiser is unique and the start moves only where inside the KKT
     tolerance the fit stops; for l1 = 1 the minimiser is unique only for
     X in general position.  The model's ``start`` is a copy of its (w, b)."""
     n, p = X.shape
-    if fold is None:
-        rows, mean, std = np.arange(n), np.zeros(p), np.ones(p)
-    else:
-        rows, (mean, std) = np.flatnonzero(fold.train), fold.stats()
+    rows, stats = ((np.arange(n), (np.zeros(p), np.ones(p))) if fold is None
+                   else (np.flatnonzero(fold.train), fold.stats()))
+    mean, std = stats
     ypm = 2.0 * y[rows] - 1.0
-
-    def standardised(cols):
-        Z = X[:, cols][rows]
-        Z -= mean[cols]
-        Z /= std[cols]
-        return Z
-
     alpha, l1 = spec.alpha, spec.l1_ratio
     w, b = (np.zeros(p), 0.0) if start is None else start
     # standardised columns that hold every nonzero weight, and their weights
     cols = np.flatnonzero(w)
-    Z, w_cols = standardised(cols), w[cols]
+    Z, w_cols = _standardised(X, rows, cols, stats), w[cols]
     g_rows = np.zeros(n)
     size, n_iter = min(EN_MIN_WORKING_SET, p), 0
     for rounds in range(EN_MAX_ROUNDS + 1):
@@ -384,9 +387,8 @@ def train_elastic_net(X, y, spec: ModelSpec, fold=None, start=None,
         size = min(p, max(size, 2 * np.count_nonzero(w)))
         # nonzero weights first, then zero ones by violation
         score = np.where(w != 0, np.inf, viol)
-        ws = np.sort(np.argsort(-score, kind="stable")[:size])
-        cols = ws[score[ws] > 0]
-        Z = standardised(cols)
+        cols = _working_set(score, size)
+        Z = _standardised(X, rows, cols, stats)
         w_cols, b, it = _solve_working_set(Z, ypm, w[cols], b, alpha, l1,
                                            EN_MAX_ITER - n_iter)
         n_iter += it
@@ -407,7 +409,7 @@ def _predict_standardised(params, X):
     """``_predict_linear_logistic`` of X standardised with the fit's
     (mean, std), on the support columns, the only ones it reads."""
     nz = np.flatnonzero(params["w"])
-    Z = (X[:, nz] - params["mean"][nz]) / params["std"][nz]
+    Z = _standardised(X, slice(None), nz, (params["mean"], params["std"]))
     return _two_col(_sigmoid(Z @ params["w"][nz] + params["b"]))
 
 
@@ -918,11 +920,10 @@ def train(spec: ModelSpec, X, y, n_channels=None, n_times=None,
     """Check X and y once, then fit them with ``train_<variant>``.  Every
     trainer takes (X, y, spec, fold, start, n_channels, n_times): ``fold``
     is None, a fit of every row as given, or a :class:`Fold`, a fit of its
-    training rows standardised with their own column statistics, whose
-    model standardises the rows it scores the same way; ``start`` is where
-    the fit begins, the ``start`` of the previous fold's model or None, a
-    cold start; only ``cnn`` reads the [n_channels, n_times] layout of each
-    row."""
+    training rows standardised with ``fold.stats()``, whose model
+    standardises the rows it scores the same way; ``start`` is where the
+    fit begins, the ``start`` of the previous fold's model or None, a cold
+    start; only ``cnn`` reads the [n_channels, n_times] layout of each row."""
     X, y = _check_xy(X, y)
     # Looked up by name at each call, not from a table built at import, so
     # that a wrapper bound to the attribute later (perfbench's tracer) sees
@@ -939,7 +940,7 @@ def fit_folds(spec: ModelSpec, X, y, folds, n_channels=None,
     Every fold is fitted through :func:`train` on the raw X with its
     :class:`Fold`, so each trainer standardises the fold's training rows
     with their own statistics (no test row leaks into the fit) and its model
-    standardises the raw test rows the same way; the elastic net takes its
+    standardises the raw test rows the same way; every variant takes those
     statistics from per-fold sums shared by the folds, without copying X.
     Each fold starts from the previous fold's ``TrainedModel.start`` after
     fold 0.  So the nets of all folds share one NetStart, drawn once per

@@ -114,7 +114,7 @@ def evaluate_recording(
 
 
 ROW_KEY = ("task", "configuration", "model", "subject", "pair", "fold")
-PAIRING_KEY = ("subject", "task", "pair", "fold")
+PAIRING_KEY = ("subject", "pair", "fold")
 
 
 def sort_rows(rows: list[dict]) -> list[dict]:
@@ -141,11 +141,10 @@ def summarize(rows: list[dict]) -> dict:
     return out
 
 
-def paired_metric_vectors(rows_a: list[dict], rows_b: list[dict],
-                          metric="accuracy", key=PAIRING_KEY):
-    """Metric vectors aligned on the ``key`` fields for paired tests."""
+def paired_metric_vectors(rows_a: list[dict], rows_b: list[dict]):
+    """Accuracy vectors aligned on ``PAIRING_KEY`` for paired tests."""
     def _index(rows):
-        return {tuple(r[k] for k in key): r[metric] for r in rows}
+        return {tuple(r[k] for k in PAIRING_KEY): r["accuracy"] for r in rows}
     ia, ib = _index(rows_a), _index(rows_b)
     keys = sorted(set(ia) & set(ib))
     if not keys:
@@ -153,9 +152,9 @@ def paired_metric_vectors(rows_a: list[dict], rows_b: list[dict],
     return (np.array([ia[k] for k in keys]), np.array([ib[k] for k in keys]))
 
 
-def compare_rows(rows_a, rows_b, metric="accuracy", key=PAIRING_KEY):
-    """Wilcoxon on per-example paired metrics; None when all diffs are zero."""
-    a, b = paired_metric_vectors(rows_a, rows_b, metric, key)
+def compare_rows(rows_a, rows_b):
+    """Wilcoxon on paired accuracies; None when all diffs are zero."""
+    a, b = paired_metric_vectors(rows_a, rows_b)
     try:
         return evaluation.wilcoxon(a, b)
     except DataError:

@@ -11,9 +11,8 @@ from itertools import combinations
 from . import dataio, dsp, pipeline
 from .dataio import ConfigError, DataError
 from .models import ModelSpec
-from .pipeline import (PAIRING_KEY, CvConfig, EpochWindow,
-                       PreprocessingToggles, compare_rows, sort_rows,
-                       summarize)
+from .pipeline import (CvConfig, EpochWindow, PreprocessingToggles,
+                       compare_rows, sort_rows, summarize)
 from .report import ResultTable
 
 CHANCE_LEVEL = 0.5
@@ -92,8 +91,8 @@ def _manifests_by_task(cfg: ExperimentConfig) -> dict:
     return groups
 
 
-def _comparison(label, rows_a, rows_b, key=PAIRING_KEY):
-    res = compare_rows(rows_a, rows_b, key=key)
+def _comparison(label, rows_a, rows_b):
+    res = compare_rows(rows_a, rows_b)
     if res is None:
         return {"label": label, "W": None, "p": None, "method": None}
     return {"label": label, "W": res.W, "p": res.p, "method": res.method}
@@ -161,8 +160,7 @@ def run_task_comparison(cfg: ExperimentConfig):
     for a, b in combinations(tasks, 2):
         # the same subject, pair and fold observed in both modalities
         table.comparisons.append(_comparison(
-            f"{a} vs {b}", by_modality[a], by_modality[b],
-            key=("subject", "pair", "fold")))
+            f"{a} vs {b}", by_modality[a], by_modality[b]))
     for task in tasks:
         chance = [dict(r, accuracy=CHANCE_LEVEL) for r in by_modality[task]]
         table.comparisons.append(_comparison(

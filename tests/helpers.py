@@ -16,6 +16,20 @@ from phonepair.cli import EXIT_OK, main
 from phonepair.dataio import ChannelInfo, Recording
 
 
+def predict(model, X):
+    """The class, 0 or 1, of each row of X: 1 where the model's class-1
+    probability is at least 0.5."""
+    return (model.predict_proba(X)[:, 1] >= 0.5).astype(int)
+
+
+def elastic_net_objective(X, ypm, w, b, alpha, l1_ratio):
+    """Mean logistic loss of the margins ypm * (X w + b), plus
+    alpha * (l1_ratio * |w|_1 + (1 - l1_ratio) / 2 * |w|^2)."""
+    loss = np.mean(np.logaddexp(0.0, -ypm * (X @ w + b)))
+    return loss + alpha * (l1_ratio * np.abs(w).sum()
+                           + 0.5 * (1 - l1_ratio) * w @ w)
+
+
 def make_recording(n_channels=4, n_samples=1000, fs=1000.0, kinds=None, seed=0):
     rng = np.random.default_rng(seed)
     if kinds is None:

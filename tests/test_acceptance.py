@@ -18,13 +18,12 @@ from phonepair import dataio, evaluation, synth
 from phonepair.dsp import apply_zero_phase, design_fir, wavelet_decompose
 from phonepair.epochs import PairDataset, build_pair_dataset, extract_epochs
 from phonepair.evaluation import auc_score, kfold, wilcoxon
-from phonepair.models import (CnnNet, FfnNet, ModelSpec, elastic_net_objective,
-                              train)
+from phonepair.models import CnnNet, FfnNet, ModelSpec, train
 from phonepair.pipeline import CvConfig, PreprocessingToggles, preprocess
 from phonepair.studies import (ABLATION_BASELINE, ExperimentConfig,
                                run_ablation, run_band_sweep)
 
-from helpers import run_every_subcommand
+from helpers import elastic_net_objective, run_every_subcommand
 
 
 @contextlib.contextmanager

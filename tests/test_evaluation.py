@@ -19,6 +19,8 @@ from phonepair.evaluation import (
 )
 from phonepair.models import ConvergenceError, ModelSpec, TrainConfig
 
+from helpers import elastic_net_objective, predict
+
 
 class TestKfold:
     def test_sizes_balanced(self):
@@ -250,10 +252,14 @@ def tiny_dataset(seed=0):
 
 def zscored_folds(ds, folds):
     """Each fold's (training X, training y, test X, test y), z-scored with
-    its training rows' statistics."""
+    its training rows' statistics.  They are ``models.FoldSplit``'s, which
+    ``TestElasticNetOnRawX.test_fold_statistics_match_numpy`` bounds against
+    numpy's: the SVM's SMO stops at a KKT tolerance, so a rounding-level
+    change of its inputs can move which pairs it updates and its scores."""
+    split = models.FoldSplit(ds.X, folds)
     for fold in range(folds.max() + 1):
         test = folds == fold
-        stats = dsp.compute_zscore_stats(ds.X[~test])
+        stats = split.stats(fold)
         yield (dsp.apply_zscore(ds.X[~test], stats), ds.y[~test],
                dsp.apply_zscore(ds.X[test], stats), ds.y[test])
 
@@ -293,6 +299,19 @@ class TestFitFolds:
         assert len(fits) == 5
         for (got, _), (scores, _) in zip(fits, want):
             assert_same_scores(spec, got, scores)
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_every_variant_takes_its_fold_statistics_from_the_split(
+            self, monkeypatch, variant):
+        def forbidden(*args):
+            raise AssertionError("fold statistics outside FoldSplit")
+
+        monkeypatch.setattr(dsp, "compute_zscore_stats", forbidden)
+        spec = next(s for s in SPECS.values() if s.variant == variant)
+        ds = tiny_dataset()
+        fits = models.fit_folds(spec, ds.X, ds.y, kfold(ds.y, k=5, seed=0),
+                                C, T)
+        assert len(fits) == 5
 
     @pytest.mark.parametrize("spec,n_times,error,match", [
         (ModelSpec("cnn", kernel=5, stride=5,
@@ -426,13 +445,13 @@ class TestElasticNetChain:
                 zscored_folds(ds, folds), warm, strict=True)):
             cold = trainer(X, y, spec)
             assert model.meta["kkt_violation"] <= models.EN_KKT_TOL
-            f_warm, f_cold = (models.elastic_net_objective(
+            f_warm, f_cold = (elastic_net_objective(
                 X, 2.0 * y - 1.0, m.params["w"], m.params["b"], spec.alpha,
                 l1) for m in (model, cold))
             assert abs(f_warm - f_cold) <= 1e-9 * f_cold
             # the fold's model scores raw rows
-            assert np.array_equal(model.predict(ds.X[folds == fold]),
-                                  cold.predict(X_test))
+            assert np.array_equal(predict(model, ds.X[folds == fold]),
+                                  predict(cold, X_test))
 
     def test_the_chain_takes_fewer_newton_steps(self, rng):
         ds = planted_dataset(rng, n_per=40, p=300)
@@ -463,7 +482,7 @@ class TestElasticNetOnRawX:
         return PairDataset(X=X, y=ds.y, pair=ds.pair, n_channels=40,
                            n_times=1), folds
 
-    def test_fold_statistics_match_numpy(self):
+    def test_fold_statistics_match_numpy(self, monkeypatch):
         folds = np.repeat([0, 1, 2, 3], [7, 23, 11, 19])
         np.random.default_rng(1).shuffle(folds)
         ds, _ = self.hard_dataset(folds)
@@ -477,6 +496,25 @@ class TestElasticNetOnRawX:
                 std, np.maximum(np.std(train, axis=0), dsp.STD_FLOOR),
                 rtol=1e-12)
             assert (std[5] == dsp.STD_FLOOR) == (fold == 0)
+        # every dense model z-scores the rows it scores with those bytes
+        trainer, fitted = models.train, []
+
+        def recorded(*args):
+            model = trainer(*args)
+            fitted.append((args[-1].index, model.zscore))
+            return model
+
+        monkeypatch.setattr(models, "train", recorded)
+        for spec in (ModelSpec("lda"), ModelSpec("svm_rbf"),
+                     ModelSpec("ffn", train=NETS),
+                     ModelSpec("cnn", kernel=1, stride=1, train=NETS)):
+            fitted.clear()
+            models.fit_folds(spec, ds.X, ds.y, folds, ds.n_channels,
+                             ds.n_times)
+            assert [fold for fold, _ in fitted] == [0, 1, 2, 3]
+            for fold, zscore in fitted:
+                assert [a.tobytes() for a in zscore] == [
+                    a.tobytes() for a in split.stats(fold)]
 
     @pytest.mark.parametrize("l1", [0.0, 0.5, 1.0])
     def test_scores_match_the_z_scored_oracle(self, l1):

@@ -18,10 +18,11 @@ from phonepair.models import (
     ModelSpec,
     TrainConfig,
     TrainedModel,
-    elastic_net_objective,
     svm_decision,
     train,
 )
+
+from helpers import elastic_net_objective, predict
 
 
 def two_blobs(rng, n_per=30, p=4, sep=3.0):
@@ -69,7 +70,7 @@ class TestElasticNet:
     def test_separable_accuracy(self, rng):
         X, y = two_blobs(rng, sep=4.0)
         model = train(ModelSpec("elastic_net", alpha=1e-3), X, y)
-        assert np.mean(model.predict(X) == y) >= 0.95
+        assert np.mean(predict(model, X) == y) >= 0.95
 
     def test_huge_alpha_zeroes_weights(self, rng):
         X, y = two_blobs(rng)
@@ -196,6 +197,20 @@ class TestElasticNetSolver:
         assert again.meta["n_iter"] == 0
         assert again.params["w"].tobytes() == fit.params["w"].tobytes()
         assert again.params["b"] == fit.params["b"]
+
+    def test_working_set_is_the_stable_sorts(self, rng):
+        """Scores with many ties, positive ones at the boundary included,
+        zeros, and some infinite (nonzero weights): the partial selection
+        picks the set a stable descending sort would."""
+        score = rng.integers(0, 4, 300).astype(float)
+        score[[3, 50, 77]] = np.inf
+        cases = [(score, size) for size in (1, 3, 4, 10, 57, 150, 299, 300)]
+        cases.append((np.array([0.5, 2.0, 0.5, 0.5, 2.0, 0.0, 0.5]), 3))
+        cases.append((np.array([0.0, 1.0, 0.0, 0.0]), 3))
+        for score, size in cases:
+            want = np.sort(np.argsort(-score, kind="stable")[:size])
+            assert np.array_equal(models._working_set(score, size),
+                                  want[score[want] > 0])
 
     def test_budget_exhausted_raises(self, rng, monkeypatch):
         X, y = wide_sparse(rng, n=60, p=200)
@@ -343,7 +358,7 @@ class TestLda:
     def test_separable_accuracy(self, rng):
         X, y = two_blobs(rng, sep=4.0)
         model = train(ModelSpec("lda"), X, y)
-        assert np.mean(model.predict(X) == y) >= 0.95
+        assert np.mean(predict(model, X) == y) >= 0.95
 
     def test_class_size_minimum(self, rng):
         X = rng.standard_normal((3, 2))
@@ -388,7 +403,7 @@ class TestSvmRbf:
         X = X + 0.05 * rng.standard_normal(X.shape)
         y = (np.round(X[:, 0]) != np.round(X[:, 1])).astype(int)
         model = train(ModelSpec("svm_rbf", C=10.0, gamma=2.0), X, y)
-        assert np.mean(model.predict(X) == y) == 1.0
+        assert np.mean(predict(model, X) == y) == 1.0
 
     def test_kkt_feasibility(self, rng):
         X, y = two_blobs(rng, n_per=20, p=3, sep=1.5)
@@ -537,7 +552,7 @@ class TestNeuralTraining:
         X, y = two_blobs(rng, n_per=30, p=4, sep=4.0)
         cfg = TrainConfig(learning_rate=0.05, max_epochs=300, seed=1)
         model = train(ModelSpec("ffn", hidden_sizes=(), train=cfg), X, y)
-        assert np.mean(model.predict(X) == y) >= 0.9
+        assert np.mean(predict(model, X) == y) >= 0.9
 
     def test_cnn_learns_separable(self, rng):
         n_per, C, T = 30, 2, 20
@@ -549,7 +564,7 @@ class TestNeuralTraining:
         spec = ModelSpec("cnn", kernel=10, stride=10, filters_per_channel=4,
                          train=cfg)
         model = train(spec, X, y, n_channels=C, n_times=T)
-        assert np.mean(model.predict(X) == y) >= 0.9
+        assert np.mean(predict(model, X) == y) >= 0.9
 
     def test_early_stopping_invariants(self, rng):
         X, y = two_blobs(rng, n_per=25, p=4, sep=2.0)
@@ -763,7 +778,7 @@ class TestPredictContract:
         X, y = two_blobs(rng, n_per=15, p=3)
         model = train(ModelSpec("lda"), X, y)
         proba = model.predict_proba(X)[:, 1]
-        assert np.array_equal(model.predict(X), (proba >= 0.5).astype(int))
+        assert np.array_equal(predict(model, X), (proba >= 0.5).astype(int))
 
     def test_stateless_prediction(self, rng):
         X, y = two_blobs(rng, n_per=15, p=3)
