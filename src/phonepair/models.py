@@ -613,8 +613,20 @@ def _softmax_ce(logits, y):
     return loss, probs / n
 
 
+def _row_blocks(n_rows, n_cols):
+    """Row slices of an [n_rows, n_cols] weight gradient: blocks of
+    GRAD_BLOCK elements, in a multiple of 64 rows, the last also taking the
+    remaining rows.  So every block is a GEMM of at least 64 rows, whose
+    sums BLAS rounds as in the whole product; a 1-row block would go to gemv
+    and round differently.  A layer below two blocks is one block."""
+    step = max(64, GRAD_BLOCK // n_cols // 64 * 64)
+    bounds = [i * step for i in range(max(n_rows // step, 1))] + [n_rows]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 class _Net:
-    """What FfnNet and CnnNet share: inputs as given, and prediction."""
+    """What FfnNet and CnnNet share: inputs as given, prediction, and whole
+    gradients gathered from ``backward``."""
 
     def prepare(self, X):
         return X
@@ -625,9 +637,22 @@ class _Net:
         logits, _ = self.forward(params, X.astype(dtype, copy=False))
         return _softmax(logits.astype(np.float64))
 
+    def loss_and_grads(self, params, X, y):
+        """Mean cross-entropy and its whole gradient in each parameter."""
+        logits, cache = self.forward(params, X)
+        loss, dlogits = _softmax_ce(logits, y)
+        grads = {k: np.empty_like(p) for k, p in params.items()}
+        for k, rows, g in self.backward(params, cache, dlogits):
+            grads[k][rows] = g
+        return loss, grads
+
 
 class FfnNet(_Net):
-    """Fully connected net: input -> hidden ReLU layers -> 2 logits."""
+    """Fully connected net: input -> hidden ReLU layers -> 2 logits.
+
+    ``backward`` yields each weight gradient in ``_row_blocks``, so a
+    trainer that updates each block as it arrives never holds a layer's
+    whole gradient (W0's is 52 MB in float32 at 6,324 inputs)."""
 
     def __init__(self, n_features: int, hidden_sizes: tuple):
         self.sizes = [n_features, *hidden_sizes, 2]
@@ -653,18 +678,21 @@ class FfnNet(_Net):
             acts.append(h)
         return h, acts
 
-    def loss_and_grads(self, params, X, y):
-        logits, acts = self.forward(params, X)
-        loss, dlogits = _softmax_ce(logits, y)
-        grads = {}
+    def backward(self, params, acts, dlogits):
+        """(name, rows, gradient block) of every parameter, from the last
+        layer to the first, given the forward's activations ``acts`` and the
+        gradient in the logits.  The delta below layer i is taken from W_i
+        before any block of W_i is yielded, so a caller may update each
+        block in place as it arrives.  W_i comes in ``_row_blocks`` of
+        h_in^T delta, b_i whole."""
         delta = dlogits
         for i in reversed(range(self.n_layers())):
-            h_in = acts[i]
-            grads[f"W{i}"] = h_in.T @ delta
-            grads[f"b{i}"] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ params[f"W{i}"].T) * (acts[i] > 0)
-        return loss, grads
+            h_in, W = acts[i], params[f"W{i}"]
+            yield f"b{i}", slice(None), delta.sum(axis=0)
+            below = (delta @ W.T) * (h_in > 0) if i > 0 else None
+            for rows in _row_blocks(*W.shape):
+                yield f"W{i}", rows, h_in[:, rows].T @ delta
+            delta = below
 
     def weight_names(self):
         return [f"W{i}" for i in range(self.n_layers())]
@@ -676,6 +704,8 @@ class CnnNet(_Net):
     Kernel/stride 10 with no padding maps each channel's time axis from T
     samples to P = (T - kernel) // stride + 1 positions; the [channel,
     position, filter] activations feed a linear layer with 2 outputs.
+    ``backward`` yields each gradient whole; the largest, the linear
+    layer's, is [C*P*F, 2].
     """
 
     def __init__(self, n_channels, n_times, kernel=10, stride=10, filters=8):
@@ -722,17 +752,17 @@ class CnnNet(_Net):
         h = conv.reshape(len(Xw), -1)                      # order: C, P, F
         return h @ params["Wl"] + params["bl"], (Xw, h)
 
-    def loss_and_grads(self, params, X, y):
-        logits, (Xw, h) = self.forward(params, X)
-        loss, dlogits = _softmax_ce(logits, y)
-        grads = {
-            "Wl": h.T @ dlogits,
-            "bl": dlogits.sum(axis=0),
-        }
+    def backward(self, params, cache, dlogits):
+        """(name, rows, gradient) of every parameter, each whole, given the
+        forward's (windows, conv activations) and the gradient in the
+        logits; the conv's delta is taken before Wl is yielded."""
+        Xw, h = cache
         dh = (dlogits @ params["Wl"].T).reshape(len(h), self.C, self.P, self.F)
-        grads["bc"] = dh.sum(axis=(0, 1, 2))
-        grads["Wc"] = dh.reshape(-1, self.F).T @ Xw.reshape(-1, self.k)
-        return loss, grads
+        yield "Wl", slice(None), h.T @ dlogits
+        yield "bl", slice(None), dlogits.sum(axis=0)
+        yield "bc", slice(None), dh.sum(axis=(0, 1, 2))
+        yield "Wc", slice(None), (dh.reshape(-1, self.F).T
+                                  @ Xw.reshape(-1, self.k))
 
     def weight_names(self):
         return ["Wc", "Wl"]
@@ -758,6 +788,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # (6 x 128 KiB in float32) stay in a 1 MiB L2 cache between the ufuncs of
 # one block.
 ADAMW_BLOCK = 1 << 15
+# Elements per block of a weight gradient (``_row_blocks``), 1 MiB in
+# float32, so that no layer's gradient is held whole.
+GRAD_BLOCK = 1 << 18
 
 
 def _adamw_step(p, g, m, v, scratch, t, lr, decay=None):
@@ -772,10 +805,13 @@ def _adamw_step(p, g, m, v, scratch, t, lr, decay=None):
 
     with the same operations in the same order (a scalar times an array
     commutes exactly), so it is bitwise equal, and allocates nothing.
-    ``p``, ``m`` and ``v`` are C-contiguous, so their flat reshapes are
-    views; each is walked in ADAMW_BLOCK pieces.  ``scratch`` is [2, >=
-    min(p.size, ADAMW_BLOCK)].
+    ``p``, ``g``, ``m`` and ``v`` must be C-contiguous, so that their flat
+    reshapes are views (a copy would take the update and drop it); each is
+    walked in ADAMW_BLOCK pieces.  ``scratch`` is [2, >= min(p.size,
+    ADAMW_BLOCK)].
     """
+    if not all(a.flags.c_contiguous for a in (p, g, m, v)):
+        raise DataError("_adamw_step needs C-contiguous p, g, m and v")
     c1, c2 = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
     pf, gf, mf, vf = (a.reshape(-1) for a in (p, g, m, v))
     for lo in range(0, pf.size, ADAMW_BLOCK):
@@ -829,16 +865,21 @@ def _train_neural(net, X, y, spec: ModelSpec, fold=None, start=None):
     """Full-batch AdamW in float32 on the training split; keeps the
     parameters of the epoch with the lowest validation loss and stops after
     ``patience`` epochs without improvement.  A non-finite training or
-    validation loss raises ConvergenceError naming its epoch.
+    validation loss raises ConvergenceError naming its epoch; the training
+    loss is checked before any weight moves.
 
     The initial weights and the generator of the validation split come from
     ``start``, a NetStart shared with the other folds of the dataset, or
     from a new one.  The net's inputs (the CNN's windows) are built once.
-    Allocates nothing per epoch outside the forward and backward passes: the
-    moments, two scratch blocks for ``_adamw_step`` and the best parameters
-    (refreshed with ``np.copyto``) are allocated once.  The model keeps the
-    NetStart; its meta holds the best epoch, epochs run and what stopped it.
-    With ``fold``, it fits the fold's z-scored training rows."""
+    Each gradient block from ``net.backward`` goes through ``_adamw_step``
+    as it arrives, so no layer's gradient is ever held whole: a fit holds
+    the NetStart's weights, the weights, m, v, the best weights and one
+    block.  Allocates nothing per epoch outside the forward and backward
+    passes: the moments, two scratch blocks for ``_adamw_step`` and the best
+    parameters (refreshed with ``np.copyto``, first at epoch 1) are
+    allocated once.  The model keeps the NetStart; its meta holds the best
+    epoch, epochs run and what stopped it.  With ``fold``, it fits the
+    fold's z-scored training rows."""
     X, y, stats = _zscored_rows(X, y, fold)
     if len(y) < 10:
         raise DataError("need at least 10 samples to hold out a validation set")
@@ -851,15 +892,17 @@ def _train_neural(net, X, y, spec: ModelSpec, fold=None, start=None):
     decay = {k: cfg.learning_rate * cfg.weight_decay
              for k in net.weight_names()}
 
-    m = {k: np.zeros_like(p) for k, p in params.items()}
-    v = {k: np.zeros_like(p) for k, p in params.items()}
+    # np.zeros maps zero pages; np.zeros_like would write every one of them
+    m = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
+    v = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
     scratch = np.empty(
         (2, min(ADAMW_BLOCK, max(p.size for p in params.values()))),
         dtype=np.float32)
 
     train_log, val_log = [], []
     best_loss = np.inf
-    best_params = {k: p.copy() for k, p in params.items()}
+    # a finite first validation loss is below inf, so epoch 1 fills it
+    best_params = {k: np.empty_like(p) for k, p in params.items()}
     best_epoch = 0
     since_best = 0
     stopped_by = "max_epochs"
@@ -870,13 +913,14 @@ def _train_neural(net, X, y, spec: ModelSpec, fold=None, start=None):
                                    f"{loss} at epoch {epoch}")
 
     for epoch in range(1, cfg.max_epochs + 1):
-        loss, grads = net.loss_and_grads(params, Xt, yt)
+        logits, cache = net.forward(params, Xt)
+        loss, dlogits = _softmax_ce(logits, yt)
         check_finite(loss, "training", epoch)
         train_log.append(float(loss))
-        for k, p in params.items():
-            _adamw_step(p, grads[k], m[k], v[k], scratch, epoch,
-                        cfg.learning_rate, decay.get(k))
-        del grads  # so the next epoch's gradients do not coexist with them
+        for k, rows, g in net.backward(params, cache, dlogits):
+            _adamw_step(params[k][rows], g, m[k][rows], v[k][rows], scratch,
+                        epoch, cfg.learning_rate, decay.get(k))
+            del g  # freed before the next block is computed
         vlogits, _ = net.forward(params, Xv)
         vloss, _ = _softmax_ce(vlogits, yv)
         check_finite(vloss, "validation", epoch)

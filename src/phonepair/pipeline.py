@@ -3,6 +3,8 @@ recording plus (configuration, model) runs give per-fold metric rows."""
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -77,6 +79,24 @@ def resolve_pairs(phone_pairs, selected) -> list[tuple[str, str]]:
     return pairs
 
 
+def _pairs_with_epochs(pairs, labels, min_count, where):
+    """The ``pairs`` whose phones both have ``min_count`` epochs among the
+    epoch ``labels``; each other pair is left out with a warning on stderr.
+    Events whose window leaves the recording have no epoch."""
+    kept = Counter(labels.tolist())
+    fewest = {pair: min(pair, key=kept.__getitem__) for pair in pairs}
+    full = [pair for pair in pairs if kept[fewest[pair]] >= min_count]
+    if not full:
+        raise DataError(f"no phone pairs to evaluate: every pair has a phone "
+                        f"with fewer than {min_count} epochs")
+    for (a, b), phone in fewest.items():
+        if kept[phone] < min_count:
+            print(f"warning: skipping pair {a}-{b} for {where}: phone "
+                  f"{phone!r} has {kept[phone]} epochs, below min_count "
+                  f"{min_count}", file=sys.stderr)
+    return full
+
+
 def evaluate_recording(
     prec: dataio.Recording,
     events: dataio.EventTable,
@@ -89,11 +109,16 @@ def evaluate_recording(
     window: EpochWindow,
 ) -> list[dict]:
     """Metric rows for every (pair, run, fold) of one preprocessed recording;
-    each pair's dataset and folds are built once for all runs."""
+    each pair's dataset and folds are built once for all runs.  "auto" pairs
+    are those of the phones with ``min_count`` events, less those left out
+    by ``_pairs_with_epochs``; explicit pairs are evaluated as given."""
     eps, _skipped = extract_epochs(prec, events, window.tmin, window.tmax)
     pairs = resolve_pairs(phone_pairs, count_phones(events, min_count))
     if not pairs:
         raise DataError("no phone pairs to evaluate (inventory too small?)")
+    if phone_pairs == "auto":
+        pairs = _pairs_with_epochs(pairs, eps.labels, min_count,
+                                   f"subject {subject} task {task}")
     rows = []
     for pair in pairs:
         ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed)

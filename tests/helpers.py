@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from phonepair import dataio, pipeline
+from phonepair import dataio, models, pipeline
 from phonepair.cli import EXIT_OK, main
 from phonepair.dataio import ChannelInfo, Recording
 
@@ -28,6 +28,68 @@ def elastic_net_objective(X, ypm, w, b, alpha, l1_ratio):
     loss = np.mean(np.logaddexp(0.0, -ypm * (X @ w + b)))
     return loss + alpha * (l1_ratio * np.abs(w).sum()
                            + 0.5 * (1 - l1_ratio) * w @ w)
+
+
+def adamw_out_of_place(p, g, m, v, t, lr, wd, is_weight):
+    """The AdamW update written with whole-array temporaries."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = beta1 * m + (1 - beta1) * g
+    v = beta2 * v + (1 - beta2) * g * g
+    mhat = m / (1 - beta1 ** t)
+    vhat = v / (1 - beta2 ** t)
+    p = p - lr * mhat / (np.sqrt(vhat) + eps)
+    if is_weight:
+        p = p - lr * wd * p
+    return p, m, v
+
+
+def whole_gradients(net, params, X, y):
+    """The mean cross-entropy of an FfnNet or CnnNet and its gradient in
+    each parameter, each taken whole: one product per weight matrix, all
+    from the parameters as given."""
+    logits, cache = net.forward(params, X)
+    loss, delta = models._softmax_ce(logits, y)
+    if isinstance(net, models.CnnNet):
+        Xw, h = cache
+        dh = (delta @ params["Wl"].T).reshape(len(h), net.C, net.P, net.F)
+        return loss, {"Wl": h.T @ delta, "bl": delta.sum(axis=0),
+                      "bc": dh.sum(axis=(0, 1, 2)),
+                      "Wc": dh.reshape(-1, net.F).T @ Xw.reshape(-1, net.k)}
+    grads = {}
+    for i in reversed(range(net.n_layers())):
+        grads[f"W{i}"] = cache[i].T @ delta
+        grads[f"b{i}"] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ params[f"W{i}"].T) * (cache[i] > 0)
+    return loss, grads
+
+
+def fit_with_whole_gradients(net, X, y, cfg):
+    """The best parameters of a net fit to every row of X as given, as
+    ``models.train`` fits them without a fold (same start, split, early
+    stopping), but from ``whole_gradients`` and ``adamw_out_of_place``:
+    the oracle for the trainer's block-by-block update."""
+    params, rng = models.NetStart().take(net, cfg.seed)
+    train, val = models._stratified_holdout(y, cfg.val_fraction, rng)
+    X = X.astype(np.float32)
+    Xt, Xv = net.prepare(X[train]), net.prepare(X[val])
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    best, best_loss, since_best = None, np.inf, 0
+    for t in range(1, cfg.max_epochs + 1):
+        _, grads = whole_gradients(net, params, Xt, y[train])
+        for k in params:
+            params[k], m[k], v[k] = adamw_out_of_place(
+                params[k], grads[k], m[k], v[k], t, cfg.learning_rate,
+                cfg.weight_decay, k in net.weight_names())
+        vloss, _ = models._softmax_ce(net.forward(params, Xv)[0], y[val])
+        if vloss < best_loss - 1e-12:
+            best, best_loss, since_best = dict(params), vloss, 0
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
+    return best
 
 
 def make_recording(n_channels=4, n_samples=1000, fs=1000.0, kinds=None, seed=0):

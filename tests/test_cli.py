@@ -457,7 +457,8 @@ class TestExitCodes:
     # a seconds x rate product that overflows a float ends as a finite one
     # that is too long for the data does
     @pytest.mark.parametrize("command,change,message", [
-        ("ablate", {"epoch_window": {"tmin": -1e307}}, "no epochs for phone"),
+        ("ablate", {"epoch_window": {"tmin": -1e307}},
+         "no phone pairs to evaluate"),
         ("align", {"window": 1e308},
          "alignment window exceeds half the shorter signal")])
     def test_products_beyond_float_range(self, cli_corpus, tmp_path, capsys,

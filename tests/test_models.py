@@ -22,7 +22,13 @@ from phonepair.models import (
     train,
 )
 
-from helpers import elastic_net_objective, predict
+from helpers import (
+    adamw_out_of_place,
+    elastic_net_objective,
+    fit_with_whole_gradients,
+    predict,
+    whole_gradients,
+)
 
 
 def two_blobs(rng, n_per=30, p=4, sep=3.0):
@@ -637,19 +643,6 @@ class TestNeuralTraining:
         assert np.all(np.bincount(y[train_mask]) == 1)
 
 
-def adamw_out_of_place(p, g, m, v, t, lr, wd, is_weight):
-    """The AdamW update written with whole-array temporaries."""
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m = beta1 * m + (1 - beta1) * g
-    v = beta2 * v + (1 - beta2) * g * g
-    mhat = m / (1 - beta1 ** t)
-    vhat = v / (1 - beta2 ** t)
-    p = p - lr * mhat / (np.sqrt(vhat) + eps)
-    if is_weight:
-        p = p - lr * wd * p
-    return p, m, v
-
-
 class TestInPlaceUpdate:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("is_weight", [True, False])
@@ -673,6 +666,19 @@ class TestInPlaceUpdate:
             for got, want in zip((p, m, v), (rp, rm, rv)):
                 assert got.dtype == want.dtype == dtype
                 assert got.tobytes() == want.tobytes()
+
+    def test_adamw_step_refuses_arrays_that_are_not_c_contiguous(self):
+        # a flat reshape of a column slice is a copy: the update would be
+        # written there and lost
+        scratch = np.empty((2, 12), np.float32)
+        for i in range(4):
+            arrays = [np.ones((4, 3), np.float32) for _ in range(4)]
+            arrays[i] = np.ones((4, 6), np.float32)[:, :3]
+            before = [a.copy() for a in arrays]
+            with pytest.raises(DataError, match="C-contiguous"):
+                models._adamw_step(*arrays, scratch, 1, 1e-3, 1e-6)
+            for a, b in zip(arrays, before):
+                assert np.array_equal(a, b)
 
     def test_early_stopped_params_are_not_touched_by_later_epochs(self, rng):
         X, y = two_blobs(rng, n_per=25, p=4, sep=2.0)
@@ -731,7 +737,8 @@ class TestInPlaceUpdate:
         err = np.max(np.abs(grads["Wc"] - want))
         assert err <= 1e-12 * np.max(np.abs(want))
 
-    def test_ffn_memory_peak_stays_below_seven_parameter_copies(self, rng):
+    def test_ffn_memory_peak_stays_below_five_and_a_half_parameter_copies(
+            self, rng):
         X, y = two_blobs(rng, n_per=30, p=400)
         spec = ModelSpec("ffn", hidden_sizes=(2048, 1024), train=TrainConfig(
             learning_rate=1e-3, max_epochs=5, patience=5))
@@ -743,8 +750,70 @@ class TestInPlaceUpdate:
             tracemalloc.stop()
         assert len(model.val_log) == 5
         param_bytes = sum(p.nbytes for p in model.params.values())
-        # params, moments, best copy and one set of gradients make 5
-        assert peak < 7 * param_bytes
+        # the start's weights, the weights, m, v and the best copy make 5;
+        # a whole set of gradients would make 6
+        assert peak < 5.5 * param_bytes
+
+
+class TestBlockwiseBackward:
+    @pytest.mark.parametrize("n_features,hidden,n", [
+        (300, (2048, 1024), 12),        # W0 in 128 and 128 + 44 rows
+        # a 1-row remainder, which numpy alone would send to gemv
+        (257, (2048,), 86),
+        (1, (1024,), 12),               # a 1-column input, one block
+        (2 * 131072 + 37, (), 12)])     # the 2-logit layer in 2 blocks
+    def test_blocks_are_the_whole_products_bytes(self, rng, n_features,
+                                                 hidden, n):
+        net = FfnNet(n_features, hidden)
+        params = {k: p.astype(np.float32)
+                  for k, p in net.init_params(rng).items()}
+        X = rng.standard_normal((n, n_features), dtype=np.float32)
+        y = np.arange(n) % 2
+        _, want = whole_gradients(net, params, X, y)
+        logits, acts = net.forward(params, X)
+        _, dlogits = models._softmax_ce(logits, y)
+        rows_seen = {k: [] for k in params}
+        for k, rows, g in net.backward(params, acts, dlogits):
+            assert g.tobytes() == want[k][rows].tobytes(), (k, rows)
+            rows_seen[k].append(rows)
+            # a block updated as it arrives must not reach a later block
+            params[k][rows] = np.nan
+        for k in net.weight_names():
+            seen = rows_seen[k]
+            stops = [0] + [r.stop for r in seen]
+            assert [r.start for r in seen] == stops[:-1]
+            assert stops[-1] == len(params[k])
+            assert all((r.stop - r.start) % 64 == 0 for r in seen[:-1])
+        assert len(rows_seen["W0"]) == (2 if n_features > 1 else 1)
+
+    def test_loss_and_grads_gathers_the_blocks(self, rng):
+        net = FfnNet(300, (2048, 1024))
+        params = net.init_params(rng)
+        X = rng.standard_normal((10, 300))
+        y = np.arange(10) % 2
+        loss, grads = net.loss_and_grads(params, X, y)
+        want_loss, want = whole_gradients(net, params, X, y)
+        assert loss == want_loss and grads.keys() == want.keys()
+        for k in grads:
+            assert grads[k].tobytes() == want[k].tobytes(), k
+
+    @pytest.mark.parametrize("variant", ["ffn", "cnn"])
+    def test_fit_equals_the_whole_gradient_oracle(self, rng, variant):
+        X, y = two_blobs(rng, n_per=25, p=300)
+        cfg = TrainConfig(learning_rate=1e-3, max_epochs=12, patience=4,
+                          seed=3)
+        if variant == "ffn":
+            spec = ModelSpec("ffn", hidden_sizes=(2048, 1024), train=cfg)
+            net = FfnNet(300, (2048, 1024))
+        else:
+            spec = ModelSpec("cnn", kernel=10, stride=10,
+                             filters_per_channel=4, train=cfg)
+            net = CnnNet(10, 30, kernel=10, stride=10, filters=4)
+        model = train(spec, X, y, n_channels=10, n_times=30)
+        want = fit_with_whole_gradients(net, X, y, cfg)
+        assert model.params.keys() == want.keys()
+        for k in want:
+            assert model.params[k].tobytes() == want[k].tobytes(), k
 
 
 # ---------------------------------------------------------------------------

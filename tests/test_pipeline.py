@@ -211,6 +211,45 @@ class TestEvaluateRecording:
                 phone_pairs="auto", min_count=1000, window=EpochWindow(),
             )
 
+    def test_auto_pairs_leave_out_a_phone_short_of_epochs(self, capsys):
+        # 12 events of each phone, but 5 of i's windows leave the recording
+        rec = make_recording(n_channels=4, n_samples=4000, fs=100.0)
+        onsets = {"a": 1.0 + 3 * np.arange(12), "e": 2.0 + 3 * np.arange(12),
+                  "i": np.r_[1.5 + 3 * np.arange(7),
+                             39.9 + 0.01 * np.arange(5)]}
+        events = dataio.EventTable(tuple(
+            dataio.Event(t, t + 0.05, label)
+            for label, ts in onsets.items() for t in ts.tolist()))
+
+        def pairs(phone_pairs):
+            rows = evaluate_recording(
+                rec, events, subject="s01", task="production", runs=EN_RUNS,
+                cv=FAST_CV, phone_pairs=phone_pairs, min_count=10,
+                window=EpochWindow())
+            return sorted({r["pair"] for r in rows})
+
+        assert pairs("auto") == ["a-e"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: skipping pair {pair} for subject s01 task production: "
+            "phone 'i' has 7 epochs, below min_count 10"
+            for pair in ("a-i", "e-i")]
+        # explicit pairs are evaluated as given
+        assert pairs([["i", "a"]]) == ["a-i"]
+        assert capsys.readouterr().err == ""
+
+    def test_no_auto_pair_with_epochs_is_one_error(self, capsys):
+        rec = make_recording(n_channels=4, n_samples=1000, fs=100.0)
+        events = dataio.EventTable(tuple(
+            dataio.Event(9.95, 9.99, label) for label in "ae" for _ in
+            range(10)))
+        with pytest.raises(DataError, match="no phone pairs to evaluate: "
+                           "every pair has a phone with fewer than 10"):
+            evaluate_recording(
+                rec, events, subject="s01", task="production", runs=EN_RUNS,
+                cv=FAST_CV, phone_pairs="auto", min_count=10,
+                window=EpochWindow())
+        assert capsys.readouterr().err == ""
+
 
 @pytest.fixture(scope="session")
 def mag_corpus(tmp_path_factory):
