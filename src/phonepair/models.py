@@ -4,11 +4,13 @@
 
 All variants are deterministic given (X, y, spec), and need numpy only.
 Elastic net is solved to a KKT tolerance by orthant-projected Newton steps
-over a growing working set of columns.  Neural models use hand-derived
-backpropagation with AdamW and validation-based early stopping; no
-autodiff dependency.  They train and predict in float32; the other
-families work in float64.  ``fit_folds`` fits all the folds of one dataset
-in one call.
+over a growing working set of columns, the SVM's dual to a gap tolerance by
+SMO, and its Platt link to a gradient tolerance by Newton steps; each
+raises ConvergenceError short of its tolerance.  Neural models use
+hand-derived backpropagation with AdamW and validation-based early
+stopping; no autodiff dependency.  They train and predict in float32; the
+other families work in float64.  ``fit_folds`` fits all the folds of one
+dataset in one call.
 """
 
 from __future__ import annotations
@@ -463,8 +465,12 @@ def train_lda(X, y, spec: ModelSpec, fold=None, *_) -> TrainedModel:
 # C-SVC with RBF kernel, solved by SMO
 # ---------------------------------------------------------------------------
 
-SVM_TOL = 1e-3
-SVM_MAX_PASSES = 200
+SVM_TOL = 1e-3          # dual optimality gap m(alpha) - M(alpha)
+SVM_MAX_ITER = 100000
+SVM_TAU = 1e-12         # least curvature of a pair step
+PLATT_TOL = 1e-5        # largest gradient entry of the link's log loss
+PLATT_MAX_ITER = 100
+PLATT_MIN_STEP = 1e-10
 
 
 def _rbf_kernel(A, B, gamma):
@@ -474,30 +480,57 @@ def _rbf_kernel(A, B, gamma):
     return np.exp(-gamma * d2)
 
 
-def _fit_platt(decision, y, iters=100):
-    """Two-parameter logistic link p = sigmoid(a*f + c), Newton iterations."""
-    a, c = 1.0, 0.0
-    f = decision
-    for _ in range(iters):
-        z = a * f + c
-        p = _sigmoid(z)
-        g = p - y
-        ga, gc = f @ g, g.sum()
-        wgt = np.maximum(p * (1 - p), 1e-12)
-        haa = (wgt * f) @ f + 1e-9
-        hac = wgt @ f
-        hcc = wgt.sum() + 1e-9
-        det = haa * hcc - hac * hac
-        da = (hcc * ga - hac * gc) / det
-        dc = (haa * gc - hac * ga) / det
-        a, c = a - da, c - dc
-        if max(abs(da), abs(dc)) < 1e-10:
+def _fit_platt(f, y):
+    """Platt's (1999) link p = sigmoid(a*f + c) on decision values f, fitted
+    to the smoothed targets (N+ + 1)/(N+ + 2) and 1/(N- + 2), whose optimum
+    is finite even when f separates the classes, by Newton steps with
+    backtracking (Lin, Lin & Weng 2007).  Returns (a, c, steps taken), or
+    raises ConvergenceError short of PLATT_TOL within PLATT_MAX_ITER steps."""
+    n1 = int(y.sum())
+    n0 = len(y) - n1
+    t = np.where(y == 1, (n1 + 1) / (n1 + 2), 1 / (n0 + 2))
+    F = np.column_stack([f, np.ones_like(f)])
+
+    def loss(theta):
+        z = F @ theta
+        return np.sum(np.logaddexp(0.0, z) - t * z)
+
+    theta = np.array([0.0, np.log((n1 + 1) / (n0 + 1))])
+    for n_iter in range(PLATT_MAX_ITER + 1):
+        value, p = loss(theta), _sigmoid(F @ theta)
+        g = F.T @ (p - t)
+        if np.abs(g).max() <= PLATT_TOL:
+            return float(theta[0]), float(theta[1]), n_iter
+        if n_iter == PLATT_MAX_ITER:
             break
-    return a, c
+        d = -np.linalg.solve((F.T * (p * (1 - p))) @ F + 1e-12 * np.eye(2), g)
+        step = 1.0
+        # halve until Armijo's sufficient decrease holds
+        while loss(theta + step * d) > value + 1e-4 * step * (g @ d):
+            step /= 2
+            if step < PLATT_MIN_STEP:
+                break
+        if step < PLATT_MIN_STEP:
+            break
+        theta = theta + step * d
+    raise ConvergenceError(
+        f"Platt link gradient {np.abs(g).max():.2e} > {PLATT_TOL} after "
+        f"{n_iter} Newton steps (limit {PLATT_MAX_ITER})")
 
 
 def train_svm_rbf(X, y, spec: ModelSpec, fold=None, *_) -> TrainedModel:
+    """C-SVC with the RBF kernel exp(-gamma |x - x'|^2), gamma = 1 / (p *
+    var(X)) unless set, and a Platt link fitted to its training decision
+    values.  The dual, min 1/2 a'Qa - sum(a), 0 <= a <= C, y'a = 0, is
+    solved by SMO with Fan, Chen & Lin's (2005) second-order working-set
+    rule on s = -y * gradient: i = argmax s over I_up, j the I_low row with
+    s_j < s_i of largest gain, a_i += y_i t and a_j -= y_j t clipped exactly
+    to the box.  It stops when max s over I_up - min s over I_low <= SVM_TOL
+    and raises ConvergenceError after SVM_MAX_ITER steps.  b is the mean of
+    s over the free support vectors, else the midpoint of the two bounds."""
     X, y, stats = _zscored_rows(X, y, fold)
+    if np.unique(y).size < 2:
+        raise DataError("svm_rbf needs rows of both classes")
     n, p = X.shape
     ypm = 2.0 * y - 1.0
     gamma = spec.gamma
@@ -506,69 +539,33 @@ def train_svm_rbf(X, y, spec: ModelSpec, fold=None, *_) -> TrainedModel:
         gamma = 1.0 / (p * v) if v > 0 else 1.0
     C = spec.C
     K = _rbf_kernel(X, X, gamma)
-    alphas = np.zeros(n)
-    b = 0.0
-    rng = np.random.default_rng(spec.train.seed)
-
-    def f_all():
-        return (alphas * ypm) @ K + b
-
-    def take_step(i, j, E):
-        nonlocal b
-        if i == j:
-            return False
-        ai, aj = alphas[i], alphas[j]
-        yi, yj = ypm[i], ypm[j]
-        if yi != yj:
-            L, H = max(0.0, aj - ai), min(C, C + aj - ai)
-        else:
-            L, H = max(0.0, ai + aj - C), min(C, ai + aj)
-        if H - L < 1e-12:
-            return False
-        eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-        if eta >= 0:
-            return False
-        aj_new = aj - yj * (E[i] - E[j]) / eta
-        aj_new = min(max(aj_new, L), H)
-        if abs(aj_new - aj) < 1e-12 * (aj_new + aj + 1e-12):
-            return False
-        ai_new = ai + yi * yj * (aj - aj_new)
-        b1 = b - E[i] - yi * (ai_new - ai) * K[i, i] - yj * (aj_new - aj) * K[i, j]
-        b2 = b - E[j] - yi * (ai_new - ai) * K[i, j] - yj * (aj_new - aj) * K[j, j]
-        if 0 < ai_new < C:
-            b = b1
-        elif 0 < aj_new < C:
-            b = b2
-        else:
-            b = 0.5 * (b1 + b2)
-        alphas[i], alphas[j] = ai_new, aj_new
-        return True
-
-    passes = 0
-    while passes < SVM_MAX_PASSES:
-        E = f_all() - ypm
-        changed = 0
-        for i in range(n):
-            r = E[i] * ypm[i]
-            if (r < -SVM_TOL and alphas[i] < C) or (r > SVM_TOL and alphas[i] > 0):
-                j = int(np.argmax(np.abs(E - E[i])))
-                if not take_step(i, j, E):
-                    j = int(rng.integers(n))
-                    if not take_step(i, j, E):
-                        continue
-                changed += 1
-                E = f_all() - ypm
-        if changed == 0:
+    diag = K.diagonal()
+    alphas, s = np.zeros(n), ypm.copy()
+    for n_iter in range(SVM_MAX_ITER + 1):
+        up = np.where(ypm > 0, alphas < C, alphas > 0)
+        low = np.where(ypm > 0, alphas > 0, alphas < C)
+        i = int(np.argmax(np.where(up, s, -np.inf)))
+        top, bottom = s[i], np.min(s[low])
+        if top - bottom <= SVM_TOL:
             break
-        passes += 1
-    else:
-        raise ConvergenceError(
-            f"SMO did not satisfy KKT tolerance {SVM_TOL} in {SVM_MAX_PASSES} passes"
-        )
-
-    decision = f_all()
-    a_link, c_link = _fit_platt(decision, y.astype(float))
-    sv = alphas > 1e-12
+        if n_iter == SVM_MAX_ITER:
+            raise ConvergenceError(
+                f"SMO dual gap {top - bottom:.2e} > {SVM_TOL} after "
+                f"{SVM_MAX_ITER} iterations")
+        diff = top - s
+        curv = np.maximum(diag[i] + diag - 2.0 * K[i], SVM_TAU)
+        j = int(np.argmax(np.where(low & (diff > 0), diff * diff / curv, -1.0)))
+        # the bound each of a_i, a_j moves towards, and its distance
+        to_i, to_j = C * (ypm[i] > 0), C * (ypm[j] < 0)
+        room_i, room_j = abs(to_i - alphas[i]), abs(to_j - alphas[j])
+        t = min(diff[j] / curv[j], room_i, room_j)
+        alphas[i] = to_i if t == room_i else alphas[i] + ypm[i] * t
+        alphas[j] = to_j if t == room_j else alphas[j] - ypm[j] * t
+        s -= t * (K[i] - K[j])
+    free = (alphas > 0) & (alphas < C)
+    b = float(s[free].mean() if free.any() else 0.5 * (top + bottom))
+    a_link, c_link, platt_iter = _fit_platt(ypm - s + b, y)
+    sv = alphas > 0
     return TrainedModel(_predict_svm, {
         "support_vectors": X[sv],
         "dual_coef": (alphas * ypm)[sv],
@@ -577,7 +574,8 @@ def train_svm_rbf(X, y, spec: ModelSpec, fold=None, *_) -> TrainedModel:
         "link_a": a_link,
         "link_c": c_link,
         "alphas": alphas,   # the dual solution, one per training row
-    }, p, meta={"n_support": int(sv.sum())}, zscore=stats)
+    }, p, meta={"n_support": int(sv.sum()), "smo_iter": n_iter,
+                "platt_iter": platt_iter}, zscore=stats)
 
 
 def svm_decision(params: dict, X: np.ndarray) -> np.ndarray:

@@ -128,6 +128,19 @@ class TestRunModels:
         assert err.startswith("numeric failure: fold 0: ")
         assert err.count("\n") == 1
 
+    def test_unconverged_svm_exits_numeric(self, cli_corpus, tmp_path,
+                                           monkeypatch, capsys):
+        _, manifests = cli_corpus
+        monkeypatch.setattr(models, "SVM_MAX_ITER", 1)
+        doc = run_config(manifests)
+        doc["models"] = [{"variant": "svm_rbf"}]
+        cfg = write_json(tmp_path / "run.json", doc)
+        assert main(["run-models", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: fold 0: SMO dual gap ")
+        assert err.count("\n") == 1
+
     def test_diverging_net_exits_numeric(self, cli_corpus, tmp_path):
         """In a child process, so that stderr is what a user sees: the
         error line and no numpy warning."""

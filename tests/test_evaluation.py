@@ -254,7 +254,7 @@ def zscored_folds(ds, folds):
     """Each fold's (training X, training y, test X, test y), z-scored with
     its training rows' statistics.  They are ``models.FoldSplit``'s, which
     ``TestElasticNetOnRawX.test_fold_statistics_match_numpy`` bounds against
-    numpy's: the SVM's SMO stops at a KKT tolerance, so a rounding-level
+    numpy's: the SVM's SMO stops at a dual-gap tolerance, so a rounding-level
     change of its inputs can move which pairs it updates and its scores."""
     split = models.FoldSplit(ds.X, folds)
     for fold in range(folds.max() + 1):
@@ -363,9 +363,12 @@ class TestFitFolds:
                     continue
                 assert state == model.meta
                 if variant == "svm_rbf":
-                    assert set(state) == {"n_support"}
+                    assert set(state) == {"n_support", "smo_iter",
+                                          "platt_iter"}
                     assert 0 < state["n_support"] <= len(
                         model.params["alphas"])
+                    assert 0 < state["smo_iter"] < models.SVM_MAX_ITER
+                    assert 0 <= state["platt_iter"] < models.PLATT_MAX_ITER
                 elif variant == "lda":
                     assert state == {}
                 else:

@@ -11,6 +11,7 @@ from phonepair.dataio import ConfigError, DataError
 from phonepair.models import (
     EN_KKT_TOL,
     EN_MAX_ITER,
+    SVM_TOL,
     VARIANTS,
     CnnNet,
     ConvergenceError,
@@ -376,6 +377,41 @@ class TestLda:
 # SVM with RBF kernel
 # ---------------------------------------------------------------------------
 
+def rbf_gram(X, gamma):
+    aa = np.sum(X * X, axis=1)
+    return np.exp(-gamma * np.maximum(
+        aa[:, None] + aa[None, :] - 2 * X @ X.T, 0.0))
+
+
+def svm_gap(model, X, y, C):
+    """The dual optimality gap m(alpha) - M(alpha) of a fit of (X, y): the
+    largest s = y - K (alpha * y) over the rows that may move up along y,
+    minus the least over those that may move down."""
+    alphas, ypm = model.params["alphas"], 2.0 * y - 1.0
+    s = ypm - rbf_gram(X, model.params["gamma"]) @ (alphas * ypm)
+    up = np.where(ypm > 0, alphas < C, alphas > 0)
+    low = np.where(ypm > 0, alphas > 0, alphas < C)
+    return s[up].max() - s[low].min()
+
+
+def platt_targets(y):
+    n1 = y.sum()
+    return np.where(y == 1, (n1 + 1) / (n1 + 2), 1 / (len(y) - n1 + 2))
+
+
+def platt_gradient(f, y, a, c):
+    """The gradient in (a, c) of the log loss of sigmoid(a*f + c) against
+    Platt's smoothed targets."""
+    r = expit(a * f + c) - platt_targets(y)
+    return np.array([f @ r, r.sum()])
+
+
+# decision values that separate their classes: the unsmoothed link's
+# maximum-likelihood slope is infinite
+SEPARABLE_F = np.array([-2.0, -1.5, -1.2, -0.8, 0.3, 0.7, 1.1, 1.6, 2.2])
+SEPARABLE_Y = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1])
+
+
 def svm_dual_objective(alphas, K, ypm):
     Q = (ypm[:, None] * ypm[None, :]) * K
     return alphas.sum() - 0.5 * alphas @ Q @ alphas
@@ -427,10 +463,8 @@ class TestSvmRbf:
         alphas = model.params["alphas"]
         ypm = 2.0 * y - 1.0
         margins = ypm * svm_decision(model.params, X)
-        # SMO stops when no productive pair update remains, so residual
-        # violations well above the working tolerance can survive; the
-        # dual-objective oracle below is the tight optimality check
-        tol = 0.15
+        # a dual gap of at most SVM_TOL bounds every row's violation by it
+        tol = SVM_TOL + 1e-9
         for i in range(len(y)):
             if alphas[i] < 1e-9:
                 assert margins[i] >= 1.0 - tol
@@ -444,9 +478,7 @@ class TestSvmRbf:
         C, gamma = 1.0, 0.8
         model = train(ModelSpec("svm_rbf", C=C, gamma=gamma), X, y)
         ypm = 2.0 * y - 1.0
-        aa = np.sum(X * X, axis=1)
-        K = np.exp(-gamma * np.maximum(
-            aa[:, None] + aa[None, :] - 2 * X @ X.T, 0.0))
+        K = rbf_gram(X, gamma)
         obj_smo = svm_dual_objective(model.params["alphas"], K, ypm)
         a_star = svm_dual_oracle(K, ypm, C)
         obj_star = svm_dual_objective(a_star, K, ypm)
@@ -466,6 +498,87 @@ class TestSvmRbf:
         diffs = np.diff(p1[order])
         # Platt link is monotone, so probabilities follow the decision order
         assert np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)
+
+    def test_returns_within_the_dual_gap(self, rng):
+        for n_per, p, sep in [(12, 2, 1.0), (20, 3, 1.5), (30, 4, 3.0),
+                              (40, 6, 2.0)]:
+            X, y = two_blobs(rng, n_per, p, sep)
+            model = train(ModelSpec("svm_rbf"), X, y)
+            assert svm_gap(model, X, y, 1.0) <= SVM_TOL + 1e-9
+            assert 0 < model.meta["smo_iter"] < models.SVM_MAX_ITER
+
+    def test_the_train_seed_moves_no_byte(self, rng):
+        X, y = two_blobs(rng, n_per=20, p=3, sep=1.5)
+        a, b = (train(ModelSpec("svm_rbf", train=TrainConfig(seed=seed)),
+                      X, y) for seed in (0, 7))
+        assert a.params.keys() == b.params.keys()
+        for key, value in a.params.items():
+            assert (np.asarray(value).tobytes()
+                    == np.asarray(b.params[key]).tobytes()), key
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_is_a_data_error(self, rng, label):
+        X = rng.standard_normal((10, 3))
+        with pytest.raises(DataError, match="both classes"):
+            train(ModelSpec("svm_rbf"), X, np.full(10, label))
+
+    def test_platt_link_on_separable_values_is_the_smoothed_optimum(self):
+        """The smoothed targets make the optimum finite; an oracle finds it
+        from the loss alone."""
+        f, y = SEPARABLE_F, SEPARABLE_Y
+        a, c = models._fit_platt(f, y)[:2]
+        t = platt_targets(y)
+
+        def loss(theta):
+            z = theta[0] * f + theta[1]
+            return np.sum(np.logaddexp(0.0, z) - t * z)
+
+        res = optimize.minimize(
+            loss, np.zeros(2), method="BFGS",
+            jac=lambda theta: platt_gradient(f, y, *theta),
+            options={"gtol": 1e-9})
+        assert np.abs(res.jac).max() <= 1e-8, res.message
+        np.testing.assert_allclose([a, c], res.x, rtol=0, atol=1e-4)
+        assert np.abs(platt_gradient(f, y, a, c)).max() <= models.PLATT_TOL
+
+
+def en_solver(rng):
+    X, y = wide_sparse(rng, n=60, p=200)
+    model = train(ModelSpec("elastic_net"), X, y)
+    return en_kkt_violation(X, y, model.params["w"], model.params["b"],
+                            1e-2, 0.5)
+
+
+def smo_solver(rng):
+    X, y = two_blobs(rng)
+    return svm_gap(train(ModelSpec("svm_rbf"), X, y), X, y, 1.0)
+
+
+def platt_solver(rng):
+    a, c, _ = models._fit_platt(SEPARABLE_F, SEPARABLE_Y)
+    return np.abs(platt_gradient(SEPARABLE_F, SEPARABLE_Y, a, c)).max()
+
+
+# every iterative solver in models.py: (its tolerance, its iteration cap,
+# a fit that returns the violation the tolerance bounds, recomputed here)
+SOLVERS = [("EN_KKT_TOL", "EN_MAX_ITER", en_solver),
+           ("SVM_TOL", "SVM_MAX_ITER", smo_solver),
+           ("PLATT_TOL", "PLATT_MAX_ITER", platt_solver)]
+
+
+class TestEverySolver:
+    def test_the_list_names_every_tolerance(self):
+        assert (sorted(name for name in vars(models) if name.endswith("_TOL"))
+                == sorted(tol for tol, _, _ in SOLVERS))
+
+    @pytest.mark.parametrize("tol,cap,solve", SOLVERS,
+                             ids=[cap for _, cap, _ in SOLVERS])
+    def test_meets_its_tolerance_or_raises(self, monkeypatch, tol, cap,
+                                           solve):
+        assert solve(np.random.default_rng(0)) <= getattr(models, tol) + 1e-9
+        monkeypatch.setattr(models, cap, 0)
+        with pytest.raises(ConvergenceError):
+            solve(np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
