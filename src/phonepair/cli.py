@@ -32,13 +32,16 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _write_corpus(out_dir: str, sessions, suffix: str = "") -> int:
+def _write_corpus(out_dir: str, sessions, error, suffix: str = "") -> int:
     """Save each (subject, task, recording, events) with its manifest as
-    ``<subject>_<task><suffix>``, then ``corpus.json``; returns the count."""
+    ``<subject>_<task><suffix>``, then ``corpus.json``; returns the count.
+    A stem met twice raises ``error`` before its files are written."""
     os.makedirs(out_dir, exist_ok=True)
     manifests = []
     for subject, task, rec, events in sessions:
         stem = os.path.join(out_dir, f"{subject}_{task}{suffix}")
+        if stem + ".manifest.json" in manifests:
+            raise error(f"subject {subject} has two {task} recordings")
         dataio.save_recording(rec, stem + ".nrd")
         dataio.save_events(events, stem + ".events.tsv")
         dataio.save_manifest(dataio.Manifest(
@@ -71,7 +74,7 @@ def _cmd_synth(args) -> int:
                 raise ConfigError(f"bad synth spec #{i}: {exc}") from exc
             yield subject, task, rec, events
 
-    n = _write_corpus(args.out, sessions())
+    n = _write_corpus(args.out, sessions(), ConfigError)
     print(f"wrote {n} recordings to {args.out}")
     return EXIT_OK
 
@@ -116,7 +119,7 @@ def _cmd_preprocess(args) -> int:
                  preprocess(dataio.load_recording(man.recording_path), toggles),
                  dataio.load_events(man.events_path))
                 for man in map(dataio.load_manifest, manifests))
-    n = _write_corpus(args.out, sessions, suffix="_preprocessed")
+    n = _write_corpus(args.out, sessions, DataError, suffix="_preprocessed")
     print(f"preprocessed {n} recordings into {args.out}")
     return EXIT_OK
 

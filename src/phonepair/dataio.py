@@ -201,22 +201,19 @@ class Manifest:
 
 
 def save_recording(rec: Recording, path: str) -> None:
-    """Write ``path`` (raw f32 LE, channel-major) plus its JSON sidecar."""
+    """Write ``path`` (raw f32 LE, channel-major, from the cast array's own
+    buffer, not a bytes copy) plus its JSON sidecar."""
     # before the cast, which turns a larger sample into inf; max and min
     # copy nothing
     limit = np.finfo("<f4").max
     if rec.data.max() > limit or rec.data.min() < -limit:
         raise DataError(f"{path}: a sample exceeds the float32 range")
     payload = np.ascontiguousarray(rec.data, dtype="<f4")
-    header = {
-        "sample_rate": rec.sample_rate,
-        "n_samples": rec.n_samples,
-        "channels": [
-            {"name": c.name, "kind": c.kind, "unit": c.unit} for c in rec.channels
-        ],
-    }
+    header = {"sample_rate": rec.sample_rate, "n_samples": rec.n_samples,
+              "channels": [{"name": c.name, "kind": c.kind, "unit": c.unit}
+                           for c in rec.channels]}
     with open(path, "wb") as f:
-        f.write(payload.tobytes())
+        f.write(payload)
     write_json(path + ".json", header)
 
 

@@ -1,6 +1,6 @@
-"""Synthetic-recording generator: 1/f background noise plus planted,
-band-limited, label-specific activity.  Serves as the independent oracle
-for end-to-end pipeline tests."""
+"""Synthetic-recording generator: 1/f background noise, made in row blocks
+of ``_NOISE_BLOCK`` samples, plus planted, band-limited, label-specific
+activity.  Serves as the independent oracle for end-to-end pipeline tests."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ HEAD_MARGIN = 0.15      # silence before the first onset (covers epoch tmin)
 EVENT_LENGTH = 0.08     # seconds, mean event duration
 EVENT_JITTER = 0.02     # seconds, largest deviation from EVENT_LENGTH
 PATTERN_MAX_COSINE = 0.9
+_NOISE_BLOCK = 1 << 20  # samples of noise made at a time, at least one row
 
 
 @dataclass(frozen=True)
@@ -56,16 +57,20 @@ class SynthSpec:
                    self.duration * self.fs, "the recording", ConfigError)
 
 
-def _one_over_f_noise(rng: np.random.Generator, n: int, fs: float) -> np.ndarray:
-    """Unit-RMS noise with a 1/f amplitude spectrum (flattened below 0.5 Hz)."""
-    white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    f0 = 0.5
-    scale = 1.0 / np.maximum(freqs, f0)
+def _one_over_f_noise(rng: np.random.Generator, data: np.ndarray, fs: float):
+    """Fill each row of ``data`` with unit-RMS noise whose amplitude
+    spectrum is 1/f (flattened below 0.5 Hz), ``_NOISE_BLOCK`` samples at a
+    time: the rows draw, and come out, as if made one by one."""
+    n = data.shape[1]
+    scale = 1.0 / np.maximum(np.fft.rfftfreq(n, 1.0 / fs), 0.5)
     scale[0] = 0.0
-    x = np.fft.irfft(spec * scale, n)
-    return x / x.std()
+    step = max(1, _NOISE_BLOCK // n)
+    for r in range(0, len(data), step):
+        block = data[r: r + step]
+        x = np.fft.rfft(rng.standard_normal(block.shape), axis=1)
+        x *= scale
+        x = np.fft.irfft(x, n, axis=1)
+        np.divide(x, x.std(axis=1, keepdims=True), out=block)
 
 
 def _band_template(rng: np.random.Generator, band: str, fs: float) -> np.ndarray:
@@ -148,33 +153,25 @@ def generate(spec: SynthSpec) -> tuple[Recording, EventTable]:
         raise DataError(f"planted activity peak {peak:.3g} exceeds the "
                         f"float32 range of a saved recording")
 
-    n_grad = spec.n_channels
-    n_mag = spec.n_magnetometers
-    n_active = max(1, int(round(spec.active_fraction * n_grad)))
-    active = np.sort(rng.choice(n_grad, size=n_active, replace=False))
-    grad_patterns = _sign_patterns(rng, len(labels), n_active)
-    if n_mag:
-        n_active_mag = max(1, int(round(spec.active_fraction * n_mag)))
-        active_mag = np.sort(rng.choice(n_mag, size=n_active_mag, replace=False))
-        mag_patterns = _sign_patterns(rng, len(labels), n_active_mag)
+    n_grad, n_mag = spec.n_channels, spec.n_magnetometers
+    planted = []  # (rows, sign patterns times gain) of each active sensor kind
+    for first, count, gain in ((0, n_grad, spec.snr),
+                               (n_grad, n_mag, spec.snr * spec.mag_signal_scale)):
+        if count:
+            n_active = max(1, int(round(spec.active_fraction * count)))
+            rows = np.sort(rng.choice(count, size=n_active, replace=False))
+            planted.append((first + rows,
+                            gain * _sign_patterns(rng, len(labels), n_active)))
 
     data = np.empty((n_grad + n_mag, n_samples))
-    for ch in range(n_grad + n_mag):
-        data[ch] = _one_over_f_noise(rng, n_samples, spec.fs)
+    _one_over_f_noise(rng, data, spec.fs)
 
-    tlen = len(next(iter(templates.values())))
     for ev in events:
         start = int(round(ev.onset * spec.fs))
         tpl = templates[ev.label]
         li = labels.index(ev.label)
-        data[active, start: start + tlen] += (
-            spec.snr * grad_patterns[li][:, None] * tpl[None, :]
-        )
-        if n_mag:
-            data[n_grad + active_mag, start: start + tlen] += (
-                spec.snr * spec.mag_signal_scale
-                * mag_patterns[li][:, None] * tpl[None, :]
-            )
+        for rows, patterns in planted:
+            data[rows, start: start + len(tpl)] += patterns[li][:, None] * tpl
 
     channels = [
         ChannelInfo(f"GRAD{i + 1:04d}", "gradiometer", "T/m") for i in range(n_grad)

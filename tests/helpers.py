@@ -92,6 +92,18 @@ def fit_with_whole_gradients(net, X, y, cfg):
     return best
 
 
+def noise_by_rows(rng, data, fs):
+    """``synth._one_over_f_noise`` made one row at a time, each with its own
+    draw, FFT pair and std: the oracle for its row blocks."""
+    n = data.shape[1]
+    for row in data:
+        white = rng.standard_normal(n)
+        scale = 1.0 / np.maximum(np.fft.rfftfreq(n, 1.0 / fs), 0.5)
+        scale[0] = 0.0
+        x = np.fft.irfft(np.fft.rfft(white) * scale, n)
+        row[:] = x / x.std()
+
+
 def make_recording(n_channels=4, n_samples=1000, fs=1000.0, kinds=None, seed=0):
     rng = np.random.default_rng(seed)
     if kinds is None:

@@ -528,6 +528,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    def test_repeated_synth_recording(self, tmp_path, capsys):
+        first = dict(SYNTH_DOC["recordings"][0], duration=5,
+                     phones=[["a", 5], ["e", 5]], n_channels=2)
+        once, twice = str(tmp_path / "once"), str(tmp_path / "twice")
+        cfg = write_json(tmp_path / "once.json", {"recordings": [first]})
+        assert main(["synth", "--config", cfg, "--out", once]) == EXIT_OK
+        cfg = write_json(tmp_path / "twice.json",
+                         {"recordings": [first, dict(first, seed=12)]})
+        assert main(["synth", "--config", cfg, "--out", twice]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("config error: subject s01 has two production "
+                       "recordings\n")
+        # the first recording was written, and the second did not replace it
+        name = "s01_production.nrd"
+        assert (open(os.path.join(twice, name), "rb").read()
+                == open(os.path.join(once, name), "rb").read())
+        assert not os.path.exists(os.path.join(twice, "corpus.json"))
+
+    def test_repeated_preprocess_manifest(self, cli_corpus, tmp_path, capsys):
+        _, manifests = cli_corpus
+        cfg = write_json(tmp_path / "pre.json",
+                         {"manifests": [manifests[0], manifests[0]]})
+        out = str(tmp_path / "out")
+        assert main(["preprocess", "--config", cfg, "--out", out]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: subject s01 has two production recordings\n"
+        assert not os.path.exists(os.path.join(out, "corpus.json"))
+
     def test_samples_beyond_float32(self, tmp_path, capsys):
         # valid for the generator, but not storable as float32; 1e308 would
         # also overflow float64 in the planted-activity product

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -75,13 +76,29 @@ class TestRecordingRoundTrip:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_samples_beyond_float32_not_written(self, tmp_path, sign):
-        # checked before the cast, which would write inf
+        # checked before the cast, which would write inf and warn
         rec = make_recording(2, 50)
         rec = rec.with_data(rec.data * np.r_[1.0, sign * 1e39][:, None])
         path = str(tmp_path / "big.nrd")
-        with pytest.raises(DataError, match="float32 range"):
-            save_recording(rec, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="float32 range"):
+                save_recording(rec, path)
         assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("layout", [
+        lambda x: x, np.asfortranarray, lambda x: x[:, 3:41:2],
+        lambda x: x.astype(np.float32)],
+        ids=["c_order", "fortran_order", "column_slice", "float32"])
+    def test_payload_is_the_little_endian_float32_bytes(self, tmp_path,
+                                                        layout):
+        data = layout(make_recording(3, 60).data)
+        rec = Recording(1000.0, make_recording(3, 1).channels, data)
+        path = tmp_path / "rec.nrd"
+        save_recording(rec, str(path))
+        expected = np.ascontiguousarray(data, "<f4").tobytes()
+        assert path.read_bytes() == expected
+        assert load_recording(str(path)).data.tobytes() == expected
 
 
 class TestEvents:

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phonepair import synth
 from phonepair.dataio import ConfigError
 from phonepair.synth import MIN_GAP, TEMPLATE_SPAN, SynthSpec, generate
+
+from helpers import noise_by_rows
 
 
 class TestGenerate:
@@ -120,3 +124,52 @@ class TestGenerate:
         kinds = [c.kind for c in rec.channels]
         assert kinds.count("gradiometer") == 6
         assert kinds.count("magnetometer") == 3
+
+
+class TestNoiseBlocks:
+    """The 1/f noise is made ``_NOISE_BLOCK`` samples at a time; each
+    recording must be the one the row-by-row generator makes, bit for bit."""
+
+    @pytest.mark.parametrize("duration", [5.0, 5.001])  # even and odd n
+    @pytest.mark.parametrize("rows,n_mag", [
+        (lambda block: 1, 0), (lambda block: block - 1, 0),
+        (lambda block: block, 0), (lambda block: block + 1, 0),
+        (lambda block: 153, 51),
+        # the second block starts among the magnetometers
+        (lambda block: block + 1, 21)],
+        ids=["one_row", "block_minus_one", "block", "block_plus_one",
+             "153_with_mags", "block_plus_one_with_mags"])
+    def test_blocks_equal_the_rows_one_by_one(self, monkeypatch, duration,
+                                               rows, n_mag):
+        block = synth._NOISE_BLOCK // int(round(duration * 1000))
+        spec = SynthSpec(duration=duration, phones=(("a", 5), ("e", 5)),
+                         n_channels=rows(block) - n_mag, n_magnetometers=n_mag,
+                         snr=2.0, active_fraction=0.5, seed=7)
+        rec, events = generate(spec)
+        monkeypatch.setattr(synth, "_one_over_f_noise", noise_by_rows)
+        oracle, oracle_events = generate(spec)
+        assert rec.data.tobytes() == oracle.data.tobytes()
+        assert events == oracle_events
+
+    def test_a_row_longer_than_the_budget_is_one_block(self, monkeypatch):
+        spec = SynthSpec(duration=5.001, phones=(("a", 5), ("e", 5)),
+                         n_channels=3, n_magnetometers=2, seed=4)
+        monkeypatch.setattr(synth, "_NOISE_BLOCK", 1000)
+        rec, _ = generate(spec)
+        monkeypatch.setattr(synth, "_one_over_f_noise", noise_by_rows)
+        assert rec.data.tobytes() == generate(spec)[0].data.tobytes()
+
+    def test_memory_peak_stays_within_a_few_blocks(self):
+        spec = SynthSpec(duration=32, phones=(("a", 60), ("e", 60)),
+                         n_channels=204, seed=0)
+        tracemalloc.start()
+        try:
+            rec, _ = generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = synth._NOISE_BLOCK // rec.n_samples * rec.n_samples * 8
+        assert 4 * block_bytes < rec.data.nbytes
+        # one block's noise, the next block's draw and its spectrum make 3;
+        # the noise of the whole matrix at once would add 2 data.nbytes
+        assert peak < rec.data.nbytes + 4 * block_bytes
