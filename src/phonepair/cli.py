@@ -21,7 +21,7 @@ from .align import align
 from .config import build, load_json, nonempty_list, parse_experiment, write_echo
 from .dataio import ConfigError, DataError, check_field
 from .models import ConvergenceError
-from .pipeline import PreprocessingToggles, preprocess
+from .pipeline import PreprocessingToggles, preprocess_file
 from .report import write_inventory_csv, write_reports
 from .studies import (run_ablation, run_band_sweep, run_model_comparison,
                       run_task_comparison)
@@ -114,9 +114,10 @@ def _cmd_preprocess(args) -> int:
         toggles = build(PreprocessingToggles, doc.get("preprocessing", {}))
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"invalid preprocess config: {exc}") from exc
-    # no name holds a raw recording while its output is written
+    # each recording is read and preprocessed a channel group at a time,
+    # and only its output is held while it is written
     sessions = ((man.subject_id, man.task,
-                 preprocess(dataio.load_recording(man.recording_path), toggles),
+                 preprocess_file(man.recording_path, toggles),
                  dataio.load_events(man.events_path))
                 for man in map(dataio.load_manifest, manifests))
     n = _write_corpus(args.out, sessions, DataError, suffix="_preprocessed")

@@ -232,23 +232,40 @@ def _read_header(sidecar: str) -> tuple[float, int, tuple[ChannelInfo, ...]]:
                         f"{type(exc).__name__}: {exc}") from exc
 
 
-def load_recording(path: str) -> Recording:
-    """Load a ``.nrd`` recording, validating header/payload consistency."""
+def read_header(path: str) -> tuple[float, int, tuple[ChannelInfo, ...]]:
+    """Sample rate, sample count and channels of the ``.nrd`` recording at
+    ``path``, whose payload must exist; no sample is read."""
     sidecar = path + ".json"
     if not os.path.exists(path):
         raise DataError(f"recording payload not found: {path}")
     if not os.path.exists(sidecar):
         raise DataError(f"recording sidecar not found: {sidecar}")
-    sample_rate, n_samples, channels = _read_header(sidecar)
-    raw = np.fromfile(path, dtype="<f4")
+    return _read_header(sidecar)
+
+
+def load_recording(path: str, rows: slice = slice(None),
+                   header=None) -> Recording:
+    """Load the channels ``rows`` (a step-1 slice; all by default) of a
+    ``.nrd`` recording.  Before any sample is read, the payload's byte size
+    must be the one its header implies; ``header`` is :func:`read_header`'s
+    result, for a caller that reads one file in several calls."""
+    sample_rate, n_samples, channels = header or read_header(path)
+    start, stop, _ = rows.indices(len(channels))
     expected = len(channels) * n_samples
-    if raw.size != expected:
+    count = max(stop - start, 0) * n_samples
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 4 * expected:
+            f.seek(4 * start * n_samples)
+            raw = np.fromfile(f, dtype="<f4", count=count)
+            if raw.size == count:
+                return Recording(sample_rate=sample_rate,
+                                 channels=channels[start:stop],
+                                 data=raw.reshape(-1, n_samples))
+        # a payload of the wrong size, or one that shrank after the check
         raise DataError(
             f"sample-count mismatch: header implies {expected} values, "
-            f"payload holds {raw.size}"
+            f"payload holds {os.fstat(f.fileno()).st_size} bytes"
         )
-    data = raw.reshape(len(channels), n_samples)
-    return Recording(sample_rate=sample_rate, channels=channels, data=data)
 
 
 def load_events(path: str) -> EventTable:
@@ -281,16 +298,22 @@ def save_events(table: EventTable, path: str) -> None:
             f.write(f"{e.onset:.6f}\t{e.offset:.6f}\t{e.label}\n")
 
 
-def select_channels(rec: Recording, kinds) -> Recording:
-    """Keep only channels whose kind is in ``kinds``, order preserved; a
-    recording that keeps every channel is returned as it is, not copied."""
+def channel_indices(channels, kinds) -> list[int]:
+    """Indices of the ``channels`` whose kind is in ``kinds``, in order."""
     kinds = set(kinds)
     unknown = kinds - set(CHANNEL_KINDS)
     if unknown:
         raise DataError(f"unknown channel kinds: {sorted(unknown)}")
-    idx = [i for i, c in enumerate(rec.channels) if c.kind in kinds]
+    idx = [i for i, c in enumerate(channels) if c.kind in kinds]
     if not idx:
         raise DataError(f"no channels of kind {sorted(kinds)} present")
+    return idx
+
+
+def select_channels(rec: Recording, kinds) -> Recording:
+    """Keep only channels whose kind is in ``kinds``, order preserved; a
+    recording that keeps every channel is returned as it is, not copied."""
+    idx = channel_indices(rec.channels, kinds)
     if len(idx) == rec.n_channels:
         return rec
     return Recording(

@@ -3,6 +3,8 @@ two-level db4 wavelet denoising, canonical band table, and z-scoring."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +24,45 @@ BANDS = {
 }
 
 BAND_ORDER = ("Delta", "Theta", "Alpha", "Beta", "Gamma", "HGA")
+
+
+# ---------------------------------------------------------------------------
+# Constants shared by the channel groups of one recording
+# ---------------------------------------------------------------------------
+
+_shared = None  # {key: value} inside shared_constants(), else None
+
+
+@contextlib.contextmanager
+def shared_constants():
+    """Inside this block, each filter design, kept-sample matrix and filter
+    spectrum is computed once per distinct input and then reused, as when
+    one recording is filtered a channel group at a time; all are dropped
+    when the block ends."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def _shareable(build):
+    """``build``, whose result inside :func:`shared_constants` is computed
+    once per distinct arguments (arrays compared by their bytes)."""
+    def frozen(v):
+        return v.tobytes() if isinstance(v, np.ndarray) else v
+
+    @functools.wraps(build)
+    def shared(*args, **kwargs):
+        if _shared is None:
+            return build(*args, **kwargs)
+        key = (build, *map(frozen, args),
+               *sorted((k, frozen(v)) for k, v in kwargs.items()))
+        if key not in _shared:
+            _shared[key] = build(*args, **kwargs)
+        return _shared[key]
+    return shared
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +95,7 @@ def _windowed_sinc_lowpass(cutoff: float, fs: float, numtaps: int) -> np.ndarray
     return h / h.sum()  # unit DC gain
 
 
+@_shareable
 def design_fir(lo: float | None, hi: float, fs: float) -> FirFilter:
     """Hamming-windowed sinc filter: low-pass (lo=None) or band-pass.
 
@@ -112,6 +154,11 @@ _BLOCK = 32  # kept outputs per row of one matrix product
 _CHUNK = 8   # channels padded at a time
 
 
+@_shareable
+def _spectrum(h: np.ndarray, nfft: int) -> np.ndarray:
+    return np.fft.rfft(h, nfft)
+
+
 def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     """Filter with no net delay: reflect-pad, convolve once, crop center.
 
@@ -133,7 +180,7 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     pad = (m - 1) // 2
     n_pad = n + 2 * pad
     nfft = _next_fast_len(n_pad + m - 1)
-    h_spec = np.fft.rfft(h, nfft)
+    h_spec = _spectrum(h, nfft)
     y = np.empty(x.shape)
     for c in range(0, len(x), _CHUNK):
         padded = np.pad(x[c: c + _CHUNK].astype(float, copy=False),
@@ -142,6 +189,23 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
         spec *= h_spec
         y[c: c + _CHUNK] = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad]
     return y[0] if one_d else y
+
+
+@_shareable
+def _kept_matrix(h: np.ndarray, factor: int, wavelet: bool) -> np.ndarray:
+    """The banded Toeplitz matrix that takes one input window to ``_BLOCK``
+    kept outputs of the reversed taps ``h``; with ``wavelet``, each input
+    phase's taps are ``h`` convolved with the denoiser's row there."""
+    m = len(h)
+    taps, shift = h[None], 0
+    if wavelet:
+        taps = np.array([np.convolve(h, e[::-1]) for e in _DENOISER_ROWS])
+        shift = (m - 1) // 2 + _REACH
+    k = np.arange(taps.shape[1])
+    toeplitz = np.zeros((_BLOCK * factor - factor + len(k), _BLOCK))
+    for j in range(_BLOCK):
+        toeplitz[j * factor + k, j] = taps[(j * factor + k - shift) % len(taps), k]
+    return toeplitz
 
 
 def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int,
@@ -162,20 +226,16 @@ def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int,
     step = _BLOCK * factor
     width = step - factor + m  # padded samples under one block
     pad = (m - 1) // 2
-    # the blocks the loop computes, the taps at each input phase, and how far
-    # a block's input starts before its padded window
-    first, stop, taps, shift = 0, -(-n_out // _BLOCK), h[None], 0
+    # the blocks the loop computes, and how far a block's input starts
+    # before its padded window
+    first, stop, shift = 0, -(-n_out // _BLOCK), 0
     if wavelet:
         first = -(-(pad + _REACH) // step)
         stop = max(first, (n - width - _REACH + pad) // step + 1)
         if first == stop:
             return _filter_kept(filt, _denoise_rows(x), factor)
-        taps = np.array([np.convolve(h, e[::-1]) for e in _DENOISER_ROWS])
         shift = pad + _REACH
-    k = np.arange(taps.shape[1])
-    toeplitz = np.zeros((width + len(k) - m, _BLOCK))
-    for j in range(_BLOCK):
-        toeplitz[j * factor + k, j] = taps[(j * factor + k - shift) % len(taps), k]
+    toeplitz = _kept_matrix(h, factor, wavelet)
     out = np.empty((n_channels, n_out))
     if wavelet:
         head = (first - 1) * step - pad + width + _REACH

@@ -63,6 +63,31 @@ def preprocess(rec: dataio.Recording, toggles: PreprocessingToggles) -> dataio.R
     return rec
 
 
+def preprocess_file(path: str, toggles: PreprocessingToggles) -> dataio.Recording:
+    """``preprocess(dataio.load_recording(path), toggles)``, byte for byte,
+    read from disk and run ``dsp._CHUNK`` selected channels at a time into
+    one output.  These are the groups ``dsp`` cuts a matrix into anyway, so
+    every product and transform sees the same input; filter constants are
+    computed once for all groups.  Neither the raw recording nor any
+    full-size intermediate exists whole, and only the rows from each
+    group's first channel to its last are read."""
+    header = dataio.read_header(path)
+    channels = header[2]
+    idx = dataio.channel_indices(channels, toggles.sensor_kinds)
+    with dsp.shared_constants():
+        for c in range(0, len(idx), dsp._CHUNK):
+            rows = idx[c: c + dsp._CHUNK]
+            part = preprocess(dataio.load_recording(
+                path, slice(rows[0], rows[-1] + 1), header), toggles)
+            if len(rows) == len(idx):
+                return part  # one group is the whole output
+            if c == 0:
+                out = np.empty((len(idx), part.n_samples), part.data.dtype)
+            out[c: c + len(rows)] = part.data
+    return dataio.Recording(part.sample_rate,
+                            tuple(channels[i] for i in idx), out)
+
+
 def resolve_pairs(phone_pairs, selected) -> list[tuple[str, str]]:
     """Explicit pairs of two distinct labels, each sorted, or "auto": all
     pairs over the ``selected`` labels."""

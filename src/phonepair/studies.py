@@ -45,9 +45,9 @@ def _eval_unit(args):
     """Load one recording, preprocess it once, then evaluate the runs of
     each band-pass (None = unfiltered) on it."""
     manifest, toggles, passes, cv, pairs, min_count, window = args
-    # no name holds the raw recording, so it is freed once channels are picked
-    rec = pipeline.preprocess(
-        dataio.load_recording(manifest.recording_path), toggles)
+    # read and preprocessed a channel group at a time, so only the output
+    # is ever held whole
+    rec = pipeline.preprocess_file(manifest.recording_path, toggles)
     events = dataio.load_events(manifest.events_path)
     rows = []
     for band_pass, runs in passes:

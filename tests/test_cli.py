@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -305,6 +306,105 @@ class TestOtherStudies:
         assert man.sample_rate == 100.0
         rec = dataio.load_recording(man.recording_path)
         assert rec.sample_rate == 100.0
+
+
+class TestStreamedPreprocessing:
+    """``preprocess`` and every study read each recording from disk a
+    channel group at a time."""
+
+    def test_holds_the_output_and_a_few_channel_groups(self, tmp_path):
+        # 40 gradiometers x 40 s at 1 kHz: 6.4 MB of float32 on disk and a
+        # 1.28 MB float64 output; one 8-channel group is 2.56 MB in float64
+        # at the input rate.  Read a group at a time, the peak is about the
+        # output plus 3.2 groups (a group's float32 rows and its float64
+        # kept-sample windows); with the whole raw recording held, 4.9.
+        n_channels, n_samples = 40, 40000
+        channels = tuple(dataio.ChannelInfo(f"G{i:03d}", "gradiometer")
+                         for i in range(n_channels))
+        data = np.random.default_rng(0).standard_normal(
+            (n_channels, n_samples)).astype(np.float32)
+        rec_path = str(tmp_path / "r.nrd")
+        dataio.save_recording(dataio.Recording(1000.0, channels, data),
+                              rec_path)
+        del data
+        dataio.save_events(dataio.EventTable(()), str(tmp_path / "r.tsv"))
+        man_path = str(tmp_path / "r.manifest.json")
+        dataio.save_manifest(dataio.Manifest(
+            "s01", "production", rec_path, str(tmp_path / "r.tsv"), 1000.0),
+            man_path)
+        cfg = write_json(tmp_path / "pre.json", {"manifests": [man_path]})
+        tracemalloc.start()
+        try:
+            code = main(["preprocess", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        output = n_channels * n_samples // 10 * 8
+        group = 8 * n_samples * 8
+        assert peak < output + 4 * group
+
+    BREAKAGES = {
+        "nan_in_the_last_group": "recording contains non-finite samples",
+        "shrinks_after_the_size_check": "sample-count mismatch: header "
+        "implies 240000 values, payload holds 959996 bytes",
+        "absent_kind": "no channels of kind ['magnetometer'] present",
+        "unknown_kind": "malformed header ",
+    }
+
+    @pytest.mark.parametrize("command", ["preprocess", "ablate"])
+    @pytest.mark.parametrize("breakage", list(BREAKAGES))
+    def test_exits_data_error(self, cli_corpus, tmp_path, capsys,
+                              monkeypatch, command, breakage):
+        _, manifests = cli_corpus
+        man = dataio.load_manifest(manifests[0])
+        rec_path = str(tmp_path / "r.nrd")
+        ev_path = str(tmp_path / "r.events.tsv")
+        for src, dst in ((man.recording_path, rec_path),
+                         (man.recording_path + ".json", rec_path + ".json"),
+                         (man.events_path, ev_path)):
+            shutil.copy(src, dst)
+        real_fromfile = np.fromfile
+        if breakage == "nan_in_the_last_group":
+            # 12 gradiometers: rows 8-11 are the last group
+            data = real_fromfile(rec_path, "<f4").reshape(12, -1)
+            data[11, 5] = np.nan
+            data.tofile(rec_path)
+        elif breakage == "shrinks_after_the_size_check":
+            def fromfile_after_shrink(file, dtype, count):
+                end = file.tell() + 4 * count
+                if end == os.fstat(file.fileno()).st_size:
+                    os.truncate(rec_path, end - 4)
+                return real_fromfile(file, dtype=dtype, count=count)
+
+            monkeypatch.setattr(np, "fromfile", fromfile_after_shrink)
+        elif breakage == "unknown_kind":
+            header = json.load(open(rec_path + ".json", encoding="utf-8"))
+            header["channels"][-1]["kind"] = "eeg"
+            write_json(rec_path + ".json", header)
+        man_path = str(tmp_path / "m.manifest.json")
+        dataio.save_manifest(dataio.Manifest(man.subject_id, man.task,
+                                             rec_path, ev_path,
+                                             man.sample_rate), man_path)
+        if command == "preprocess":
+            argv, doc = ["preprocess"], {"manifests": [man_path]}
+            if breakage == "absent_kind":
+                doc["preprocessing"] = {"sensor_kinds": ["magnetometer"]}
+            if breakage in ("absent_kind", "unknown_kind"):
+                def no_read(*args, **kw):
+                    raise AssertionError("a sample was read")
+
+                monkeypatch.setattr(np, "fromfile", no_read)
+        else:
+            # the ablation's magnetometers_only unit finds no magnetometer
+            argv, doc = ["ablate", "--jobs", "2"], run_config([man_path])
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main([*argv, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " + self.BREAKAGES[breakage])
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestExitCodes:

@@ -58,6 +58,55 @@ class TestRecordingRoundTrip:
         with pytest.raises(DataError, match="sample-count mismatch"):
             load_recording(path)
 
+    @pytest.mark.parametrize("extra", [1, 2, 3, 4, -4, -1])
+    def test_a_payload_not_of_the_header_size_is_refused(self, tmp_path,
+                                                         monkeypatch, extra):
+        # np.fromfile alone would drop 1-3 stray trailing bytes
+        rec = make_recording(1, 10)
+        path = str(tmp_path / "r.nrd")
+        save_recording(rec, path)
+        with open(path, "r+b") as f:
+            f.truncate(40 + extra)
+
+        def no_read(*args, **kw):
+            raise AssertionError("a sample was read")
+
+        monkeypatch.setattr(np, "fromfile", no_read)
+        with pytest.raises(DataError, match="sample-count mismatch: header "
+                           f"implies 10 values, payload holds {40 + extra} "
+                           "bytes"):
+            load_recording(path)
+
+    def test_a_row_range(self, tmp_path):
+        rec = make_recording(5, 30)
+        path = str(tmp_path / "r.nrd")
+        save_recording(rec, path)
+        whole = load_recording(path)
+        for rows in (slice(1, 4), slice(4, 5), slice(0, 5), slice(3, None)):
+            part = load_recording(path, rows, dataio.read_header(path))
+            assert part.channels == whole.channels[rows]
+            assert part.data.tobytes() == whole.data[rows].tobytes()
+        with pytest.raises(DataError, match="at least one channel"):
+            load_recording(path, slice(3, 3))
+
+    def test_a_range_that_reads_back_short(self, tmp_path, monkeypatch):
+        rec = make_recording(3, 10)
+        path = str(tmp_path / "r.nrd")
+        save_recording(rec, path)
+        real = np.fromfile
+
+        def fromfile_after_shrink(file, dtype, count):
+            os.truncate(path, 116)  # after the size check
+            return real(file, dtype=dtype, count=count)
+
+        monkeypatch.setattr(np, "fromfile", fromfile_after_shrink)
+        # the last value is lost: the first two rows still read back whole
+        assert load_recording(path, slice(0, 2)).n_channels == 2
+        save_recording(rec, path)
+        with pytest.raises(DataError, match="sample-count mismatch: header "
+                           "implies 30 values, payload holds 116 bytes"):
+            load_recording(path, slice(1, 3))
+
     def test_non_finite_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
             Recording(

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from collections import Counter
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
@@ -130,6 +131,133 @@ class TestPreprocess:
         with pytest.raises(ConfigError,
                            match="decimation_factor must be an integer and >= 1"):
             PreprocessingToggles(decimation_factor=0)
+
+
+def interleaved_recording(path, n_selected, n_samples, fs=100.0, seed=0):
+    """Write a recording of misc, then (magnetometer, gradiometer,
+    gradiometer) triplets holding ``n_selected`` gradiometers, then misc."""
+    kinds = ["misc"]
+    for i in range(n_selected):
+        kinds += ["gradiometer"] if i % 2 else ["magnetometer", "gradiometer"]
+    kinds.append("misc")
+    rec = make_recording(len(kinds), n_samples, fs=fs, kinds=kinds, seed=seed)
+    dataio.save_recording(rec, path)
+    return path
+
+
+def outcome(fn, *args):
+    """The data bytes and dtype, channels and rate of ``fn(*args)``, or the
+    class and message of the DataError it raises."""
+    try:
+        rec = fn(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return rec.data.tobytes(), rec.data.dtype, rec.channels, rec.sample_rate
+
+
+class TestPreprocessFile:
+    """``preprocess_file(path, toggles)`` against the oracle
+    ``preprocess(load_recording(path), toggles)``."""
+
+    @pytest.fixture(scope="class")
+    def recordings(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("interleaved")
+        return {k: interleaved_recording(str(root / f"g{k}.nrd"), k, 2003,
+                                         seed=k)
+                for k in (1, 7, 8, 9, 17)}
+
+    @pytest.mark.parametrize("band_limit", [2.0, None])
+    @pytest.mark.parametrize("factor", [1, 3, 10])
+    @pytest.mark.parametrize("wavelet", [True, False])
+    @pytest.mark.parametrize("n_selected", [1, 7, 8, 9, 17])
+    def test_the_same_bytes_as_the_whole_recording(
+            self, recordings, n_selected, wavelet, factor, band_limit):
+        path = recordings[n_selected]
+        toggles = PreprocessingToggles(wavelet=wavelet,
+                                       decimation_factor=factor,
+                                       band_limit=band_limit)
+        want = outcome(lambda: preprocess(dataio.load_recording(path),
+                                          toggles))
+        assert isinstance(want[0], bytes)
+        assert outcome(pipeline.preprocess_file, path, toggles) == want
+
+    @pytest.mark.parametrize("n_samples,toggles,error", [
+        (7, dict(decimation_factor=1, band_limit=None), "below the filter"),
+        (8, dict(decimation_factor=1, band_limit=None), None),
+        (7, dict(band_limit=None), "below the filter length 8"),
+        (10, dict(wavelet=False, band_limit=None), "fewer than 2 samples"),
+        (165, dict(wavelet=False, band_limit=None),
+         "signal length 165 must exceed filter length 165"),
+        (166, dict(band_limit=None), None),
+        (1651, dict(wavelet=False, decimation_factor=1, band_limit=2.0),
+         "signal length 1651 must exceed filter length 1651"),
+        (1652, dict(decimation_factor=1, band_limit=2.0), None),
+        (3000, dict(), "high edge 31.0 Hz must be below Nyquist 5.0 Hz"),
+    ])
+    def test_the_same_errors_at_the_length_limits(self, tmp_path, n_samples,
+                                                  toggles, error):
+        # fs 100: decimation by 10 is a 165-tap filter, and the 0.2-2 Hz
+        # band-pass at the full rate 1651 taps
+        path = interleaved_recording(str(tmp_path / "r.nrd"), 9, n_samples)
+        toggles = PreprocessingToggles(**toggles)
+        want = outcome(lambda: preprocess(dataio.load_recording(path),
+                                          toggles))
+        got = outcome(pipeline.preprocess_file, path, toggles)
+        assert got == want
+        if error is None:
+            assert isinstance(got[0], bytes)
+        else:
+            assert got[0] is DataError and error in got[1]
+
+    def test_reads_only_the_rows_its_groups_span(self, tmp_path, monkeypatch):
+        path = interleaved_recording(str(tmp_path / "r.nrd"), 9, 2003)
+        spans = []
+        real_load = dataio.load_recording
+
+        def spy(path, rows, header):
+            spans.append((rows.start, rows.stop))
+            return real_load(path, rows, header)
+
+        monkeypatch.setattr(dataio, "load_recording", spy)
+        pipeline.preprocess_file(path, PreprocessingToggles(band_limit=2.0))
+        # gradiometers 1-8 sit in rows 2..12, the 9th in row 14 (after the
+        # magnetometer in row 13); neither misc row is read
+        assert spans == [(2, 13), (14, 15)]
+
+    def test_filter_constants_are_computed_once_per_recording(
+            self, recordings, monkeypatch):
+        made = []
+
+        def spy(module, name, counts):
+            real = getattr(module, name)
+
+            def counted(*args, **kw):
+                if counts(*args):
+                    made.append(name)
+                return real(*args, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(np, "hamming", lambda n: True)  # one per low-pass of a design
+        spy(np, "zeros", lambda shape, *rest: np.ndim(shape) == 1 and len(
+            shape) == 2 and shape[1] == dsp._BLOCK)  # a kept-sample matrix
+        spy(np.fft, "rfft", lambda a, *rest: np.ndim(a) == 1)  # a spectrum
+        pipeline.preprocess_file(recordings[17],
+                                 PreprocessingToggles(band_limit=2.0))
+        # for all three groups: the decimation design and the band-pass
+        # (two low-passes), the plain and the wavelet kept-sample matrix,
+        # and the band-pass spectrum
+        assert Counter(made) == {"hamming": 3, "zeros": 2, "rfft": 1}
+
+    def test_shared_constants_last_as_long_as_their_block(self):
+        with dsp.shared_constants():
+            a = dsp.design_fir(0.2, 2.0, 100.0)
+            assert dsp.design_fir(0.2, 2.0, 100.0) is a
+            with dsp.shared_constants():
+                assert dsp.design_fir(0.2, 2.0, 100.0) is not a
+            assert dsp.design_fir(0.2, 2.0, 100.0) is a
+        assert dsp._shared is None
+        assert dsp.design_fir(0.2, 2.0, 100.0) is not a
 
 
 class TestRowHelpers:
@@ -403,13 +531,15 @@ class TestStudies:
         real_preprocess = pipeline.preprocess
 
         def counting_preprocess(rec, toggles):
-            calls.append(toggles)
+            calls.append((toggles, rec.channels))
             return real_preprocess(rec, toggles)
 
         monkeypatch.setattr(pipeline, "preprocess", counting_preprocess)
         studies.run_ablation(exp_config(mag_corpus[:1]))
-        # no_l1_ridge and no_l2_lasso preprocess as full_model does
-        assert len(calls) == 6
+        # no_l1_ridge and no_l2_lasso preprocess as full_model does; each
+        # toggle set runs once on each channel group it reads
+        assert len({toggles for toggles, _ in calls}) == 6
+        assert len(set(calls)) == len(calls) == 11
 
         starts = []
         real_pool = studies.ProcessPoolExecutor
