@@ -134,8 +134,6 @@ class Recording:
             )
         if data.shape[1] == 0:
             raise DataError("recording must contain at least one sample")
-        if not np.all(np.isfinite(data)):
-            raise DataError("recording contains non-finite samples")
         object.__setattr__(self, "data", data)
 
     @property
@@ -246,9 +244,10 @@ def read_header(path: str) -> tuple[float, int, tuple[ChannelInfo, ...]]:
 def load_recording(path: str, rows: slice = slice(None),
                    header=None) -> Recording:
     """Load the channels ``rows`` (a step-1 slice; all by default) of a
-    ``.nrd`` recording.  Before any sample is read, the payload's byte size
-    must be the one its header implies; ``header`` is :func:`read_header`'s
-    result, for a caller that reads one file in several calls."""
+    ``.nrd`` recording, refusing non-finite samples (the one scan for them).
+    Before any sample is read, the payload's byte size must be the one its
+    header implies; ``header`` is :func:`read_header`'s result, for a caller
+    that reads one file in several calls."""
     sample_rate, n_samples, channels = header or read_header(path)
     start, stop, _ = rows.indices(len(channels))
     expected = len(channels) * n_samples
@@ -258,6 +257,8 @@ def load_recording(path: str, rows: slice = slice(None),
             f.seek(4 * start * n_samples)
             raw = np.fromfile(f, dtype="<f4", count=count)
             if raw.size == count:
+                if not np.isfinite(raw).all():
+                    raise DataError("recording contains non-finite samples")
                 return Recording(sample_rate=sample_rate,
                                  channels=channels[start:stop],
                                  data=raw.reshape(-1, n_samples))

@@ -183,9 +183,10 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     h_spec = _spectrum(h, nfft)
     y = np.empty(x.shape)
     for c in range(0, len(x), _CHUNK):
-        padded = np.pad(x[c: c + _CHUNK].astype(float, copy=False),
-                        ((0, 0), (pad, pad)), mode="reflect")
-        spec = np.fft.rfft(padded, nfft, axis=1)
+        # the padded block is dropped as soon as it is transformed
+        spec = np.fft.rfft(np.pad(x[c: c + _CHUNK].astype(float, copy=False),
+                                  ((0, 0), (pad, pad)), mode="reflect"),
+                           nfft, axis=1)
         spec *= h_spec
         y[c: c + _CHUNK] = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad]
     return y[0] if one_d else y
@@ -254,9 +255,11 @@ def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int,
                          ((0, 0), (pad, pad + step)), mode="reflect")
         windows = np.lib.stride_tricks.sliding_window_view(
             src, len(toeplitz), axis=1)[:, ::step][:, :stop - first]
-        y = np.ascontiguousarray(windows, dtype=float) @ toeplitz
-        out[c: c + _CHUNK, first * _BLOCK: stop * _BLOCK] = \
-            y.reshape(len(y), -1)[:, :n_out - first * _BLOCK]
+        # one row's overlapping windows copied at a time; numpy's stacked
+        # product is one gemm per row anyway, so the bytes are the same
+        for row, dst in zip(windows, out[c: c + _CHUNK]):
+            y = np.ascontiguousarray(row, dtype=float) @ toeplitz
+            dst[first * _BLOCK: stop * _BLOCK] = y.ravel()[:n_out - first * _BLOCK]
     return out
 
 

@@ -1,5 +1,5 @@
-"""Preprocessing chain and per-recording evaluation: a preprocessed
-recording plus (configuration, model) runs give per-fold metric rows."""
+"""Preprocessing chain and per-recording evaluation: a recording's epochs
+plus (configuration, model) runs give per-fold metric rows."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import dataio, dsp, evaluation
 from .dataio import ConfigError, DataError
-from .epochs import build_pair_dataset, count_phones, extract_epochs
+from .epochs import Epochs, build_pair_dataset, count_phones, extract_epochs
 
 BAND_PASS_LO = 0.2  # Hz, low edge used whenever a band limit is set
 
@@ -63,29 +63,50 @@ def preprocess(rec: dataio.Recording, toggles: PreprocessingToggles) -> dataio.R
     return rec
 
 
-def preprocess_file(path: str, toggles: PreprocessingToggles) -> dataio.Recording:
-    """``preprocess(dataio.load_recording(path), toggles)``, byte for byte,
-    read from disk and run ``dsp._CHUNK`` selected channels at a time into
-    one output.  These are the groups ``dsp`` cuts a matrix into anyway, so
-    every product and transform sees the same input; filter constants are
-    computed once for all groups.  Neither the raw recording nor any
-    full-size intermediate exists whole, and only the rows from each
-    group's first channel to its last are read."""
+def preprocessed_groups(path: str, toggles: PreprocessingToggles):
+    """(selected channels, a group's slice of them, the group preprocessed)
+    for each ``dsp._CHUNK`` selected channels read from disk.  Stacked, the
+    groups are ``preprocess(dataio.load_recording(path), toggles)`` byte for
+    byte: ``dsp`` cuts a matrix into these groups anyway.  Filter constants
+    are computed once for all groups and for what the caller filters."""
     header = dataio.read_header(path)
-    channels = header[2]
-    idx = dataio.channel_indices(channels, toggles.sensor_kinds)
+    idx = dataio.channel_indices(header[2], toggles.sensor_kinds)
+    selected = tuple(header[2][i] for i in idx)
     with dsp.shared_constants():
         for c in range(0, len(idx), dsp._CHUNK):
             rows = idx[c: c + dsp._CHUNK]
-            part = preprocess(dataio.load_recording(
-                path, slice(rows[0], rows[-1] + 1), header), toggles)
-            if len(rows) == len(idx):
-                return part  # one group is the whole output
-            if c == 0:
-                out = np.empty((len(idx), part.n_samples), part.data.dtype)
-            out[c: c + len(rows)] = part.data
-    return dataio.Recording(part.sample_rate,
-                            tuple(channels[i] for i in idx), out)
+            yield selected, slice(c, c + len(rows)), preprocess(
+                dataio.load_recording(path, slice(rows[0], rows[-1] + 1),
+                                      header), toggles)
+
+
+def preprocess_file(path: str, toggles: PreprocessingToggles) -> dataio.Recording:
+    """``preprocess(dataio.load_recording(path), toggles)``, byte for byte,
+    from :func:`preprocessed_groups`: only the output is held whole."""
+    for selected, rows, part in preprocessed_groups(path, toggles):
+        if rows.start == 0:
+            out = np.empty((len(selected), part.n_samples), part.data.dtype)
+        out[rows] = part.data
+    return dataio.Recording(part.sample_rate, selected, out)
+
+
+def file_epochs(path: str, toggles: PreprocessingToggles, band_pass,
+                events: dataio.EventTable, window: EpochWindow):
+    """``extract_epochs`` of ``preprocess_file(path, toggles)`` band-passed
+    by ``band_pass`` ((lo, hi) Hz, or None), byte for byte: each group of
+    :func:`preprocessed_groups` is filtered and cut into its rows of one
+    [n, C, T] array, as baseline and gather work per channel."""
+    for selected, rows, group in preprocessed_groups(path, toggles):
+        if band_pass is not None:
+            filt = dsp.design_fir(*band_pass, group.sample_rate)
+            group = group.with_data(dsp.apply_zero_phase(filt, group.data))
+        eps, skipped = extract_epochs(group, events, window.tmin, window.tmax)
+        if group.n_channels == len(selected):
+            return eps, skipped  # one group holds every channel
+        if rows.start == 0:
+            data = np.empty((len(eps), len(selected), eps.data.shape[2]))
+        data[:, rows] = eps.data
+    return Epochs(data, eps.labels), skipped
 
 
 def resolve_pairs(phone_pairs, selected) -> list[tuple[str, str]]:
@@ -123,7 +144,7 @@ def _pairs_with_epochs(pairs, labels, min_count, where):
 
 
 def evaluate_recording(
-    prec: dataio.Recording,
+    eps: Epochs,
     events: dataio.EventTable,
     subject: str,
     task: str,
@@ -131,13 +152,11 @@ def evaluate_recording(
     cv: CvConfig,
     phone_pairs,                # "auto" or pairs of labels
     min_count: int,
-    window: EpochWindow,
 ) -> list[dict]:
-    """Metric rows for every (pair, run, fold) of one preprocessed recording;
+    """Metric rows for every (pair, run, fold) of one recording's epochs;
     each pair's dataset and folds are built once for all runs.  "auto" pairs
     are those of the phones with ``min_count`` events, less those left out
     by ``_pairs_with_epochs``; explicit pairs are evaluated as given."""
-    eps, _skipped = extract_epochs(prec, events, window.tmin, window.tmax)
     pairs = resolve_pairs(phone_pairs, count_phones(events, min_count))
     if not pairs:
         raise DataError("no phone pairs to evaluate (inventory too small?)")

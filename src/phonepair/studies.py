@@ -42,23 +42,19 @@ class ExperimentConfig:
 
 
 def _eval_unit(args):
-    """Load one recording, preprocess it once, then evaluate the runs of
-    each band-pass (None = unfiltered) on it."""
+    """Evaluate the runs of each band-pass (None = unfiltered) on one
+    recording's epochs."""
     manifest, toggles, passes, cv, pairs, min_count, window = args
-    # read and preprocessed a channel group at a time, so only the output
-    # is ever held whole
-    rec = pipeline.preprocess_file(manifest.recording_path, toggles)
     events = dataio.load_events(manifest.events_path)
     rows = []
     for band_pass, runs in passes:
-        filtered = rec
-        if band_pass is not None:
-            filt = dsp.design_fir(band_pass[0], band_pass[1], rec.sample_rate)
-            filtered = rec.with_data(dsp.apply_zero_phase(filt, rec.data))
+        # cut a channel group at a time from disk; a band's epochs are
+        # dropped before the next band's are cut
         rows += pipeline.evaluate_recording(
-            filtered, events, subject=manifest.subject_id,
-            task=manifest.task, runs=runs, cv=cv, phone_pairs=pairs,
-            min_count=min_count, window=window)
+            pipeline.file_epochs(manifest.recording_path, toggles, band_pass,
+                                 events, window)[0],
+            events, subject=manifest.subject_id, task=manifest.task,
+            runs=runs, cv=cv, phone_pairs=pairs, min_count=min_count)
     return rows
 
 
@@ -182,7 +178,8 @@ def run_band_sweep(cfg: ExperimentConfig):
     configs += [(band, dsp.BANDS[band]) for band in dsp.BAND_ORDER]
     for task in sorted(by_task):
         mans = by_task[task]
-        fs = mans[0].sample_rate
+        # a band the task's lowest rate can take, every rate can take
+        fs = min(m.sample_rate for m in mans)
         for conf_name, band_pass in configs:
             if band_pass is not None:
                 # skip bands whose upper transition exceeds Nyquist

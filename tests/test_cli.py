@@ -295,6 +295,33 @@ class TestOtherStudies:
         for conf in ("unfiltered", "Delta", "Theta", "HGA"):
             assert conf in text
 
+    def test_sweep_bands_skips_a_band_in_any_manifest_order(self, tmp_path,
+                                                            capsys):
+        # s02's 500 Hz cannot take HGA's 300 Hz edge; s01's 1000 Hz can
+        recs = [{"subject_id": subject, "task": "production", "duration": 20,
+                 "phones": [["a", 30], ["e", 30]], "n_channels": 4, "fs": fs,
+                 "seed": seed}
+                for subject, fs, seed in (("s01", 1000, 31), ("s02", 500, 32))]
+        data = str(tmp_path / "data")
+        cfg = write_json(tmp_path / "synth.json", {"recordings": recs})
+        assert main(["synth", "--config", cfg, "--out", data]) == EXIT_OK
+        manifests = json.load(open(os.path.join(data, "corpus.json"),
+                                   encoding="utf-8"))["manifests"]
+        capsys.readouterr()
+        outputs = []
+        for order in (manifests, manifests[::-1]):
+            cfg = write_json(tmp_path / "sweep.json", run_config(order))
+            out = tmp_path / f"out{len(outputs)}"
+            assert main(["sweep-bands", "--config", cfg,
+                         "--out", str(out)]) == EXIT_OK
+            assert capsys.readouterr().err == (
+                "warning: skipping band HGA for task production: high edge "
+                "300.0 Hz must be below Nyquist 250.0 Hz\n")
+            # the config echo lists the manifests in their given order
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "config_echo.json"})
+        assert outputs[0] == outputs[1]
+
     def test_preprocess_command(self, cli_corpus, tmp_path):
         _, manifests = cli_corpus
         cfg = write_json(tmp_path / "pre.json", {"manifests": manifests[:1]})
@@ -346,6 +373,8 @@ class TestStreamedPreprocessing:
         assert peak < output + 4 * group
 
     BREAKAGES = {
+        "nan_in_the_first_group": "recording contains non-finite samples",
+        "inf_in_the_middle_group": "recording contains non-finite samples",
         "nan_in_the_last_group": "recording contains non-finite samples",
         "shrinks_after_the_size_check": "sample-count mismatch: header "
         "implies 240000 values, payload holds 959996 bytes",
@@ -371,6 +400,20 @@ class TestStreamedPreprocessing:
             data = real_fromfile(rec_path, "<f4").reshape(12, -1)
             data[11, 5] = np.nan
             data.tofile(rec_path)
+        elif breakage == "nan_in_the_first_group":
+            data = real_fromfile(rec_path, "<f4").reshape(12, -1)
+            data[0, -1] = np.nan
+            data.tofile(rec_path)
+        elif breakage == "inf_in_the_middle_group":
+            # the 12 gradiometers twice: rows 8-15 are the middle group
+            data = np.tile(real_fromfile(rec_path, "<f4").reshape(12, -1),
+                           (2, 1))
+            data[12, 0] = np.inf
+            data.tofile(rec_path)
+            header = json.load(open(rec_path + ".json", encoding="utf-8"))
+            header["channels"] += [dict(ch, name=ch["name"] + "b")
+                                   for ch in header["channels"]]
+            write_json(rec_path + ".json", header)
         elif breakage == "shrinks_after_the_size_check":
             def fromfile_after_shrink(file, dtype, count):
                 end = file.tell() + 4 * count

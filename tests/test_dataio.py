@@ -107,13 +107,21 @@ class TestRecordingRoundTrip:
                            "implies 30 values, payload holds 116 bytes"):
             load_recording(path, slice(1, 3))
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(DataError, match="non-finite"):
-            Recording(
-                sample_rate=100.0,
-                channels=(ChannelInfo("A", "gradiometer"),),
-                data=np.array([[1.0, np.nan]]),
-            )
+    def test_non_finite_rejected(self, tmp_path):
+        # loading is the one finiteness scan: a row range that holds a NaN
+        # or an infinity is refused, and the rows around it still load
+        path = str(tmp_path / "r.nrd")
+        save_recording(make_recording(3, 10), path)
+        finite = np.fromfile(path, "<f4").reshape(3, 10)
+        for bad in (np.nan, np.inf, -np.inf):
+            data = finite.copy()
+            data[1, 4] = bad
+            data.tofile(path)
+            for rows in (slice(None), slice(1, 2), slice(0, 2)):
+                with pytest.raises(DataError, match="non-finite"):
+                    load_recording(path, rows)
+            for rows in (slice(0, 1), slice(2, 3)):
+                assert load_recording(path, rows).n_channels == 1
 
     def test_row_count_mismatch(self):
         with pytest.raises(DataError):

@@ -304,6 +304,45 @@ class TestDecimate:
         want32 = apply_zero_phase(filt, x.astype(np.float32))[:, ::factor]
         assert np.abs(y32 - want32).max() <= 1e-12 * np.abs(want32).max()
 
+    @staticmethod
+    def stacked_interior(filt, x, factor, wavelet):
+        """The first column and the bytes of ``_filter_kept``'s interior
+        blocks as one stacked product of every row's windows."""
+        h = filt.coefficients[::-1]
+        m, n = len(h), x.shape[1]
+        step, pad = dsp._BLOCK * factor, (len(h) - 1) // 2
+        n_out = -(-n // factor)
+        toeplitz = dsp._kept_matrix(h, factor, wavelet)
+        if wavelet:
+            first = -(-(pad + dsp._REACH) // step)
+            stop = (n - (step - factor + m) - dsp._REACH + pad) // step + 1
+            src = x[:, first * step - pad - dsp._REACH:]
+        else:
+            first, stop = 0, -(-n_out // dsp._BLOCK)
+            src = np.pad(x.astype(float), ((0, 0), (pad, pad + step)),
+                         mode="reflect")
+        windows = np.lib.stride_tricks.sliding_window_view(
+            src, len(toeplitz), axis=1)[:, ::step][:, :stop - first]
+        y = np.ascontiguousarray(windows, dtype=float) @ toeplitz
+        return first * dsp._BLOCK, y.reshape(len(x), -1)[
+            :, :min(n_out, stop * dsp._BLOCK) - first * dsp._BLOCK]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks", [40, 400])
+    @pytest.mark.parametrize("wavelet", [False, True])
+    @pytest.mark.parametrize("factor", [1, 3, 10])
+    def test_row_by_row_products_give_the_stacked_bytes(self, factor,
+                                                        wavelet, blocks,
+                                                        dtype):
+        # 11 rows, two channel groups
+        filt = design_fir(None, 0.4 * 500.0 / factor, 1000.0)
+        n = dsp._BLOCK * factor * blocks + 7
+        x = np.random.default_rng(n).standard_normal((11, n)).astype(dtype)
+        first, want = self.stacked_interior(filt, x, factor, wavelet)
+        assert want.shape[1] >= dsp._BLOCK * (blocks - 4)
+        got = dsp._filter_kept(filt, x, factor, wavelet)
+        assert got[:, first: first + want.shape[1]].tobytes() == want.tobytes()
+
     def test_memory_stays_near_the_input_size(self):
         rec = make_recording(153, 40000, fs=1000.0)
         for wavelet in (False, True):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import MISSING, fields, is_dataclass, replace
 
@@ -10,6 +11,7 @@ import pytest
 from phonepair import config as configmod
 from phonepair import dataio, dsp, evaluation, pipeline, report, studies, synth
 from phonepair.dataio import ConfigError, DataError
+from phonepair.epochs import extract_epochs
 from phonepair.models import ModelSpec, TrainConfig
 from phonepair.pipeline import (
     CvConfig,
@@ -260,6 +262,103 @@ class TestPreprocessFile:
         assert dsp.design_fir(0.2, 2.0, 100.0) is not a
 
 
+def epochs_outcome(fn, *args):
+    """The epoch bytes, shape and labels and the skip count of ``fn(*args)``,
+    or the class and message of the DataError it raises."""
+    try:
+        eps, skipped = fn(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return (eps.data.tobytes(), eps.data.dtype, eps.data.shape,
+            eps.labels.tolist(), skipped)
+
+
+class TestFileEpochs:
+    """``file_epochs``, cut a channel group at a time, against the oracle
+    ``extract_epochs`` of the whole recording preprocessed and band-passed."""
+
+    # 20.03 s at 100 Hz: windows and baselines that leave either end
+    EVENTS = dataio.EventTable(tuple(
+        dataio.Event(t, t + 0.05, label) for t, label in
+        [(0.02, "a"), (0.3, "e"), (19.9, "a"), (20.0, "e"), (20.1, "a")]
+        + [(1.0 + 0.5 * i, "ae"[i % 2]) for i in range(37)]))
+
+    @pytest.fixture(scope="class")
+    def recordings(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("epochs")
+        return {k: interleaved_recording(str(root / f"g{k}.nrd"), k, 2003,
+                                         seed=k)
+                for k in (1, 7, 8, 9, 17)}
+
+    # the baseline of (-0.5, -0.2) is longer than its window
+    @pytest.mark.parametrize("window", [EpochWindow(),
+                                        EpochWindow(-0.5, -0.2)])
+    @pytest.mark.parametrize("band_pass", [None, dsp.BANDS["Delta"],
+                                           dsp.BANDS["Alpha"]])
+    @pytest.mark.parametrize("band_limit", [2.0, None])
+    @pytest.mark.parametrize("factor", [1, 10])
+    @pytest.mark.parametrize("wavelet", [True, False])
+    @pytest.mark.parametrize("n_selected", [1, 7, 8, 9, 17])
+    def test_the_same_bytes_as_the_whole_recording(
+            self, recordings, n_selected, wavelet, factor, band_limit,
+            band_pass, window):
+        path = recordings[n_selected]
+        toggles = PreprocessingToggles(wavelet=wavelet,
+                                       decimation_factor=factor,
+                                       band_limit=band_limit)
+
+        def whole():
+            rec = preprocess(dataio.load_recording(path), toggles)
+            if band_pass is not None:
+                filt = dsp.design_fir(*band_pass, rec.sample_rate)
+                rec = rec.with_data(dsp.apply_zero_phase(filt, rec.data))
+            return extract_epochs(rec, self.EVENTS, window.tmin, window.tmax)
+
+        want = epochs_outcome(whole)
+        got = epochs_outcome(pipeline.file_epochs, path, toggles, band_pass,
+                             self.EVENTS, window)
+        assert got == want
+        assert dsp._shared is None  # also after a one-group early return
+        # Alpha's 13 Hz edge is past the decimated rate's 5 Hz Nyquist
+        assert isinstance(want[0], bytes) == (
+            factor == 1 or band_pass != dsp.BANDS["Alpha"])
+        if isinstance(want[0], bytes):
+            assert 0 < len(want[3]) < len(self.EVENTS)
+
+    def test_a_unit_holds_its_epochs_and_a_few_groups(self, tmp_path):
+        # a band_sweep unit at the native rate: 40 gradiometers x 60 s at
+        # 1 kHz and 60 epochs of 301 samples, 5.8 MB in float64, as is the
+        # pair's X; one 8-channel group is 3.84 MB in float64.  Cut a group
+        # at a time, the unit peaks at about its epochs, X and 2.5 groups;
+        # holding the full-rate recording and its band-passed copy, 9.4.
+        n_channels, fs, n_samples = 40, 1000.0, 60000
+        channels = tuple(dataio.ChannelInfo(f"G{i:03d}", "gradiometer")
+                         for i in range(n_channels))
+        data = np.random.default_rng(0).standard_normal(
+            (n_channels, n_samples)).astype(np.float32)
+        rec_path, ev_path = str(tmp_path / "r.nrd"), str(tmp_path / "r.tsv")
+        dataio.save_recording(dataio.Recording(fs, channels, data), rec_path)
+        del data
+        dataio.save_events(dataio.EventTable(tuple(
+            dataio.Event(0.5 + 0.95 * i, 0.55 + 0.95 * i, "ae"[i % 2])
+            for i in range(60))), ev_path)
+        man = dataio.Manifest("s01", "production", rec_path, ev_path, fs)
+        toggles = PreprocessingToggles(wavelet=False, decimation_factor=1,
+                                       band_limit=None)
+        passes = ((dsp.BANDS["Beta"], (("Beta", ModelSpec("elastic_net")),)),)
+        tracemalloc.start()
+        try:
+            rows = studies._eval_unit((man, toggles, passes, CvConfig(k=2),
+                                       (("a", "e"),), 20, EpochWindow()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2
+        epochs = 60 * n_channels * 301 * 8
+        group = 8 * n_samples * 8
+        assert peak < 2 * epochs + 4 * group
+
+
 class TestRowHelpers:
     def make_rows(self):
         return [
@@ -313,15 +412,19 @@ class TestRowHelpers:
             resolve_pairs([("a", "a")], None)
 
 
+def epochs_of(rec, events, window=EpochWindow()):
+    return extract_epochs(rec, events, window.tmin, window.tmax)[0]
+
+
 class TestEvaluateRecording:
     def test_rows_complete_and_decodable(self, corpus):
         man = dataio.load_manifest(corpus["production"][0])
         rec = dataio.load_recording(man.recording_path)
         events = dataio.load_events(man.events_path)
         rows = evaluate_recording(
-            preprocess(rec, PreprocessingToggles()), events,
-            subject=man.subject_id, task=man.task, runs=EN_RUNS, cv=FAST_CV,
-            phone_pairs="auto", min_count=20, window=EpochWindow(),
+            epochs_of(preprocess(rec, PreprocessingToggles()), events),
+            events, subject=man.subject_id, task=man.task, runs=EN_RUNS,
+            cv=FAST_CV, phone_pairs="auto", min_count=20,
         )
         assert len(rows) == 3  # one pair, three folds
         assert {r["fold"] for r in rows} == {0, 1, 2}
@@ -334,9 +437,9 @@ class TestEvaluateRecording:
         events = dataio.load_events(man.events_path)
         with pytest.raises(DataError, match="pairs"):
             evaluate_recording(
-                preprocess(rec, PreprocessingToggles()), events,
-                subject="s", task="t", runs=EN_RUNS, cv=FAST_CV,
-                phone_pairs="auto", min_count=1000, window=EpochWindow(),
+                epochs_of(preprocess(rec, PreprocessingToggles()), events),
+                events, subject="s", task="t", runs=EN_RUNS, cv=FAST_CV,
+                phone_pairs="auto", min_count=1000,
             )
 
     def test_auto_pairs_leave_out_a_phone_short_of_epochs(self, capsys):
@@ -351,9 +454,9 @@ class TestEvaluateRecording:
 
         def pairs(phone_pairs):
             rows = evaluate_recording(
-                rec, events, subject="s01", task="production", runs=EN_RUNS,
-                cv=FAST_CV, phone_pairs=phone_pairs, min_count=10,
-                window=EpochWindow())
+                epochs_of(rec, events), events, subject="s01",
+                task="production", runs=EN_RUNS, cv=FAST_CV,
+                phone_pairs=phone_pairs, min_count=10)
             return sorted({r["pair"] for r in rows})
 
         assert pairs("auto") == ["a-e"]
@@ -373,9 +476,9 @@ class TestEvaluateRecording:
         with pytest.raises(DataError, match="no phone pairs to evaluate: "
                            "every pair has a phone with fewer than 10"):
             evaluate_recording(
-                rec, events, subject="s01", task="production", runs=EN_RUNS,
-                cv=FAST_CV, phone_pairs="auto", min_count=10,
-                window=EpochWindow())
+                epochs_of(rec, events), events, subject="s01",
+                task="production", runs=EN_RUNS, cv=FAST_CV,
+                phone_pairs="auto", min_count=10)
         assert capsys.readouterr().err == ""
 
 
