@@ -15,13 +15,14 @@ import argparse
 import os
 import sys
 from collections import Counter
+from operator import itemgetter
 
 from . import dataio, synth as synthmod
 from .align import align
 from .config import build, load_json, nonempty_list, parse_experiment, write_echo
 from .dataio import ConfigError, DataError, check_field
 from .models import ConvergenceError
-from .pipeline import PreprocessingToggles, preprocess_file
+from .pipeline import PreprocessingToggles, preprocessed_groups
 from .report import write_inventory_csv, write_reports
 from .studies import (run_ablation, run_band_sweep, run_model_comparison,
                       run_task_comparison)
@@ -33,20 +34,21 @@ EXIT_NUMERIC = 4
 
 
 def _write_corpus(out_dir: str, sessions, error, suffix: str = "") -> int:
-    """Save each (subject, task, recording, events) with its manifest as
-    ``<subject>_<task><suffix>``, then ``corpus.json``; returns the count.
-    A stem met twice raises ``error`` before its files are written."""
+    """Save each (subject, task, a recording's channel groups, events)
+    with its manifest as ``<subject>_<task><suffix>``, then ``corpus.json``;
+    returns the count.  A stem met twice raises ``error`` before its files
+    are written."""
     os.makedirs(out_dir, exist_ok=True)
     manifests = []
-    for subject, task, rec, events in sessions:
+    for subject, task, groups, events in sessions:
         stem = os.path.join(out_dir, f"{subject}_{task}{suffix}")
         if stem + ".manifest.json" in manifests:
             raise error(f"subject {subject} has two {task} recordings")
-        dataio.save_recording(rec, stem + ".nrd")
+        sample_rate, _, _ = dataio.write_recording(groups, stem + ".nrd")
         dataio.save_events(events, stem + ".events.tsv")
         dataio.save_manifest(dataio.Manifest(
             subject, task, stem + ".nrd", stem + ".events.tsv",
-            rec.sample_rate), stem + ".manifest.json")
+            sample_rate), stem + ".manifest.json")
         manifests.append(stem + ".manifest.json")
     dataio.write_json(os.path.join(out_dir, "corpus.json"),
                       {"manifests": manifests})
@@ -72,7 +74,7 @@ def _cmd_synth(args) -> int:
                 rec, events = synthmod.generate(build(synthmod.SynthSpec, rdoc))
             except (TypeError, ConfigError) as exc:
                 raise ConfigError(f"bad synth spec #{i}: {exc}") from exc
-            yield subject, task, rec, events
+            yield subject, task, (rec,), events
 
     n = _write_corpus(args.out, sessions(), ConfigError)
     print(f"wrote {n} recordings to {args.out}")
@@ -114,10 +116,10 @@ def _cmd_preprocess(args) -> int:
         toggles = build(PreprocessingToggles, doc.get("preprocessing", {}))
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"invalid preprocess config: {exc}") from exc
-    # each recording is read and preprocessed a channel group at a time,
-    # and only its output is held while it is written
+    # each recording is read, preprocessed and written a group at a time
     sessions = ((man.subject_id, man.task,
-                 preprocess_file(man.recording_path, toggles),
+                 map(itemgetter(2), preprocessed_groups(man.recording_path,
+                                                        toggles)),
                  dataio.load_events(man.events_path))
                 for man in map(dataio.load_manifest, manifests))
     n = _write_corpus(args.out, sessions, DataError, suffix="_preprocessed")
@@ -125,7 +127,13 @@ def _cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _run_study(args, study, stem: str, pair_matrix: bool = False) -> int:
+    if args.jobs > 1 and not any(map(os.environ.get, BLAS_VARS)):
+        print(f"warning: --jobs {args.jobs} with BLAS threads unpinned; set "
+              "OPENBLAS_NUM_THREADS=1", file=sys.stderr)
     doc = load_json(args.config)
     cfg = parse_experiment(doc, base_dir=os.path.dirname(
         os.path.abspath(args.config)), seed=args.seed, jobs=args.jobs)

@@ -13,7 +13,7 @@ import operator
 import os
 import resource
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -198,21 +198,37 @@ class Manifest:
         check_numbers(self, DataError)
 
 
-def save_recording(rec: Recording, path: str) -> None:
-    """Write ``path`` (raw f32 LE, channel-major, from the cast array's own
-    buffer, not a bytes copy) plus its JSON sidecar."""
+def write_recording(groups, path: str) -> tuple[float, int, tuple[ChannelInfo, ...]]:
+    """Write ``path`` (raw f32 LE, channel-major), appending each of one
+    recording's consecutive channel ``groups`` (Recordings) as it arrives,
+    then its JSON sidecar; returns the header, as :func:`read_header` reads
+    it.  A recording that fails part-way leaves neither file."""
     # before the cast, which turns a larger sample into inf; max and min
     # copy nothing
     limit = np.finfo("<f4").max
-    if rec.data.max() > limit or rec.data.min() < -limit:
-        raise DataError(f"{path}: a sample exceeds the float32 range")
-    payload = np.ascontiguousarray(rec.data, dtype="<f4")
-    header = {"sample_rate": rec.sample_rate, "n_samples": rec.n_samples,
-              "channels": [{"name": c.name, "kind": c.kind, "unit": c.unit}
-                           for c in rec.channels]}
-    with open(path, "wb") as f:
-        f.write(payload)
-    write_json(path + ".json", header)
+    part, channels = path + ".part", ()
+    with open(part, "wb") as f:
+        try:
+            for group in groups:
+                if group.data.max() > limit or group.data.min() < -limit:
+                    raise DataError(f"{path}: a sample exceeds the float32 range")
+                f.write(np.ascontiguousarray(group.data, dtype="<f4"))
+                channels += group.channels
+                header = group.sample_rate, group.n_samples, channels
+                del group  # before the next group is made
+        except BaseException:
+            os.remove(part)
+            raise
+    write_json(path + ".json", {
+        "sample_rate": header[0], "n_samples": header[1],
+        "channels": [asdict(c) for c in channels]})
+    os.replace(part, path)
+    return header
+
+
+def save_recording(rec: Recording, path: str) -> None:
+    """:func:`write_recording` of a whole recording, its one group."""
+    write_recording((rec,), path)
 
 
 def _read_header(sidecar: str) -> tuple[float, int, tuple[ChannelInfo, ...]]:

@@ -302,8 +302,6 @@ _DEC_LO = np.array([
 ])
 _FILT_LEN = len(_DEC_LO)
 _REC_LO = _DEC_LO[::-1].copy()
-_DEC_HI = ((-1) ** np.arange(_FILT_LEN)) * _REC_LO
-_REC_HI = _DEC_HI[::-1].copy()
 _IDWT_OFFSET = 6  # crop start of the synthesis convolution (fixed by the
                   # symmetric-extension alignment below)
 
@@ -332,34 +330,6 @@ def _check_signal(x: np.ndarray) -> np.ndarray:
     if len(x) < _FILT_LEN:
         raise DataError(f"signal length {len(x)} is below the filter length {_FILT_LEN}")
     return x
-
-
-@dataclass(frozen=True)
-class WaveletDecomposition:
-    """Full-length branch signals of the two-level split s = a2 + d2 + d1."""
-
-    a1: np.ndarray
-    d1: np.ndarray
-    a2: np.ndarray
-    d2: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.a2 + self.d2 + self.d1
-
-
-def wavelet_decompose(x: np.ndarray) -> WaveletDecomposition:
-    """Two-level db4 analysis with symmetric extension, each component
-    reconstructed back to the input length."""
-    x = _check_signal(x)
-    n = len(x)
-    cA1, cD1 = _analysis(x, _DEC_LO), _analysis(x, _DEC_HI)
-    n1 = len(cA1)
-    return WaveletDecomposition(
-        a1=_synthesis(cA1, _REC_LO, n),
-        d1=_synthesis(cD1, _REC_HI, n),
-        a2=_synthesis(_synthesis(_analysis(cA1, _DEC_LO), _REC_LO, n1), _REC_LO, n),
-        d2=_synthesis(_synthesis(_analysis(cA1, _DEC_HI), _REC_HI, n1), _REC_LO, n),
-    )
 
 
 def wavelet_denoise(x: np.ndarray) -> np.ndarray:

@@ -80,22 +80,13 @@ def preprocessed_groups(path: str, toggles: PreprocessingToggles):
                                       header), toggles)
 
 
-def preprocess_file(path: str, toggles: PreprocessingToggles) -> dataio.Recording:
-    """``preprocess(dataio.load_recording(path), toggles)``, byte for byte,
-    from :func:`preprocessed_groups`: only the output is held whole."""
-    for selected, rows, part in preprocessed_groups(path, toggles):
-        if rows.start == 0:
-            out = np.empty((len(selected), part.n_samples), part.data.dtype)
-        out[rows] = part.data
-    return dataio.Recording(part.sample_rate, selected, out)
-
-
 def file_epochs(path: str, toggles: PreprocessingToggles, band_pass,
                 events: dataio.EventTable, window: EpochWindow):
-    """``extract_epochs`` of ``preprocess_file(path, toggles)`` band-passed
-    by ``band_pass`` ((lo, hi) Hz, or None), byte for byte: each group of
-    :func:`preprocessed_groups` is filtered and cut into its rows of one
-    [n, C, T] array, as baseline and gather work per channel."""
+    """``extract_epochs`` of ``preprocess(dataio.load_recording(path),
+    toggles)`` band-passed by ``band_pass`` ((lo, hi) Hz, or None), byte
+    for byte: each group of :func:`preprocessed_groups` is filtered and cut
+    into its rows of one [n, C, T] array, as baseline and gather work per
+    channel."""
     for selected, rows, group in preprocessed_groups(path, toggles):
         if band_pass is not None:
             filt = dsp.design_fir(*band_pass, group.sample_rate)
@@ -164,8 +155,10 @@ def evaluate_recording(
         pairs = _pairs_with_epochs(pairs, eps.labels, min_count,
                                    f"subject {subject} task {task}")
     rows = []
-    for pair in pairs:
+    for i, pair in enumerate(pairs, start=1):
         ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed)
+        if i == len(pairs):
+            del eps  # the last X is built: the fits need nothing else
         folds = evaluation.kfold(ds.y, k=cv.k, seed=cv.seed)
         for configuration, spec in runs:
             per_fold = evaluation.evaluate(spec, ds, folds)

@@ -48,8 +48,8 @@ def _eval_unit(args):
     events = dataio.load_events(manifest.events_path)
     rows = []
     for band_pass, runs in passes:
-        # cut a channel group at a time from disk; a band's epochs are
-        # dropped before the next band's are cut
+        # cut a channel group at a time from disk; no name here holds the
+        # epochs, so they go once the last pair's X is built
         rows += pipeline.evaluate_recording(
             pipeline.file_epochs(manifest.recording_path, toggles, band_pass,
                                  events, window)[0],

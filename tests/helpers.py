@@ -7,11 +7,12 @@ one loaded, so ``from conftest import ...`` is not reliable."""
 import contextlib
 import hashlib
 import io
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from phonepair import dataio, models, pipeline
+from phonepair import dataio, dsp, models, pipeline
 from phonepair.cli import EXIT_OK, main
 from phonepair.dataio import ChannelInfo, Recording
 
@@ -102,6 +103,53 @@ def noise_by_rows(rng, data, fs):
         scale[0] = 0.0
         x = np.fft.irfft(np.fft.rfft(white) * scale, n)
         row[:] = x / x.std()
+
+
+@dataclass(frozen=True)
+class WaveletDecomposition:
+    """Full-length branch signals of the two-level split s = a2 + d2 + d1."""
+
+    a1: np.ndarray
+    d1: np.ndarray
+    a2: np.ndarray
+    d2: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        return self.a2 + self.d2 + self.d1
+
+
+def wavelet_decompose(x):
+    """Two-level db4 analysis with symmetric extension, each component
+    reconstructed back to the input length, from ``dsp``'s analysis and
+    synthesis branches: the oracle for ``dsp.wavelet_denoise``, its
+    approximation ``a2``."""
+    x = dsp._check_signal(x)
+    n = len(x)
+    dec_lo, rec_lo = dsp._DEC_LO, dsp._REC_LO
+    dec_hi = (-1) ** np.arange(len(rec_lo)) * rec_lo
+    rec_hi = dec_hi[::-1].copy()
+    cA1 = dsp._analysis(x, dec_lo)
+    n1 = len(cA1)
+    return WaveletDecomposition(
+        a1=dsp._synthesis(cA1, rec_lo, n),
+        d1=dsp._synthesis(dsp._analysis(x, dec_hi), rec_hi, n),
+        a2=dsp._synthesis(dsp._synthesis(dsp._analysis(cA1, dec_lo), rec_lo,
+                                         n1), rec_lo, n),
+        d2=dsp._synthesis(dsp._synthesis(dsp._analysis(cA1, dec_hi), rec_hi,
+                                         n1), rec_lo, n),
+    )
+
+
+def preprocess_file(path, toggles):
+    """``pipeline.preprocess(dataio.load_recording(path), toggles)``, byte
+    for byte, from ``pipeline.preprocessed_groups``, copied into one whole
+    output: the oracle for the ``preprocess`` command, which writes each
+    group as it is made."""
+    for selected, rows, part in pipeline.preprocessed_groups(path, toggles):
+        if rows.start == 0:
+            out = np.empty((len(selected), part.n_samples), part.data.dtype)
+        out[rows] = part.data
+    return Recording(part.sample_rate, selected, out)
 
 
 def make_recording(n_channels=4, n_samples=1000, fs=1000.0, kinds=None, seed=0):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from phonepair import dataio, evaluation, synth
-from phonepair.dsp import apply_zero_phase, design_fir, wavelet_decompose
+from phonepair.dsp import apply_zero_phase, design_fir
 from phonepair.epochs import PairDataset, build_pair_dataset, extract_epochs
 from phonepair.evaluation import auc_score, kfold, wilcoxon
 from phonepair.models import CnnNet, FfnNet, ModelSpec, train
@@ -23,7 +23,8 @@ from phonepair.pipeline import CvConfig, PreprocessingToggles, preprocess
 from phonepair.studies import (ABLATION_BASELINE, ExperimentConfig,
                                run_ablation, run_band_sweep)
 
-from helpers import elastic_net_objective, run_every_subcommand
+from helpers import (elastic_net_objective, run_every_subcommand,
+                     wavelet_decompose)
 
 
 @contextlib.contextmanager

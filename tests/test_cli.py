@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from phonepair import dataio, models
+from phonepair import cli, dataio, dsp, models, synth
+from phonepair.config import build
 from phonepair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 SYNTH_DOC = {
@@ -58,6 +59,19 @@ class TestSynth:
             rec = dataio.load_recording(man.recording_path)
             assert rec.n_channels == 12
             assert len(dataio.load_events(man.events_path)) == 48
+
+    def test_round_trips_through_the_writer(self, cli_corpus):
+        # synth writes each recording as one channel group
+        root, manifests = cli_corpus
+        for path, doc in zip(manifests, SYNTH_DOC["recordings"]):
+            spec = {k: v for k, v in doc.items()
+                    if k not in ("subject_id", "task")}
+            rec, _ = synth.generate(build(synth.SynthSpec, spec))
+            man = dataio.load_manifest(path)
+            loaded = dataio.load_recording(man.recording_path)
+            assert man.sample_rate == loaded.sample_rate == rec.sample_rate
+            assert loaded.channels == rec.channels
+            assert loaded.data.tobytes() == rec.data.astype("<f4").tobytes()
 
     def test_seed_flag_changes_data(self, cli_corpus, tmp_path):
         root, manifests = cli_corpus
@@ -340,12 +354,12 @@ class TestStreamedPreprocessing:
     channel group at a time."""
 
     def test_holds_the_output_and_a_few_channel_groups(self, tmp_path):
-        # 40 gradiometers x 40 s at 1 kHz: 6.4 MB of float32 on disk and a
-        # 1.28 MB float64 output; one 8-channel group is 2.56 MB in float64
-        # at the input rate.  Read a group at a time, the peak is about the
-        # output plus 3.2 groups (a group's float32 rows and its float64
-        # kept-sample windows); with the whole raw recording held, 4.9.
-        n_channels, n_samples = 40, 40000
+        # 80 gradiometers x 20 s at 1 kHz, denoised at the full rate: the
+        # float64 output is 12.8 MB, ten 8-channel groups of 1.28 MB.
+        # Written a group at a time, the peak is about 2.2 groups (the
+        # group being denoised and its float32 rows); holding the whole
+        # output before writing it, about 15.
+        n_channels, n_samples = 80, 20000
         channels = tuple(dataio.ChannelInfo(f"G{i:03d}", "gradiometer")
                          for i in range(n_channels))
         data = np.random.default_rng(0).standard_normal(
@@ -359,7 +373,9 @@ class TestStreamedPreprocessing:
         dataio.save_manifest(dataio.Manifest(
             "s01", "production", rec_path, str(tmp_path / "r.tsv"), 1000.0),
             man_path)
-        cfg = write_json(tmp_path / "pre.json", {"manifests": [man_path]})
+        cfg = write_json(tmp_path / "pre.json", {
+            "manifests": [man_path],
+            "preprocessing": {"decimation_factor": 1, "band_limit": None}})
         tracemalloc.start()
         try:
             code = main(["preprocess", "--config", cfg,
@@ -368,9 +384,8 @@ class TestStreamedPreprocessing:
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
-        output = n_channels * n_samples // 10 * 8
         group = 8 * n_samples * 8
-        assert peak < output + 4 * group
+        assert peak < 3 * group
 
     BREAKAGES = {
         "nan_in_the_first_group": "recording contains non-finite samples",
@@ -448,6 +463,75 @@ class TestStreamedPreprocessing:
         err = capsys.readouterr().err
         assert err.startswith("data error: " + self.BREAKAGES[breakage])
         assert err.count("\n") == 1 and "Traceback" not in err
+        if command == "preprocess":
+            # neither the failing recording's .nrd nor its .nrd.json, nor
+            # their temporary files, stay
+            assert os.listdir(tmp_path / "o") == []
+
+    def test_overflow_in_a_middle_group_leaves_no_files(self, cli_corpus,
+                                                        tmp_path, capsys):
+        # 24 gradiometers; rows 8-15, the middle group, hold a square wave
+        # at the float32 limit, which the decimation low-pass overshoots
+        # (Gibbs) after the first group's rows were written
+        _, manifests = cli_corpus
+        man = dataio.load_manifest(manifests[0])
+        rec_path = str(tmp_path / "r.nrd")
+        data = np.tile(np.fromfile(man.recording_path, "<f4").reshape(12, -1),
+                       (2, 1))
+        data[8:16] = np.where(np.arange(data.shape[1]) % 2000 < 1000, 1, -1
+                              ) * np.finfo("<f4").max
+        data.tofile(rec_path)
+        header = json.load(open(man.recording_path + ".json",
+                                encoding="utf-8"))
+        header["channels"] += [dict(ch, name=ch["name"] + "b")
+                               for ch in header["channels"]]
+        write_json(rec_path + ".json", header)
+        man_path = str(tmp_path / "m.manifest.json")
+        dataio.save_manifest(dataio.Manifest(
+            man.subject_id, "listening", rec_path, man.events_path,
+            man.sample_rate), man_path)
+        # the first recording is written; the second fails part-way
+        cfg = write_json(tmp_path / "cfg.json", {
+            "manifests": [manifests[1], man_path],
+            "preprocessing": {"wavelet": False, "band_limit": None}})
+        out = tmp_path / "o"
+        assert main(["preprocess", "--config", cfg,
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"data error: {out}/s01_listening_preprocessed.nrd: "
+                       f"a sample exceeds the float32 range\n")
+        assert sorted(os.listdir(out)) == [
+            f"s02_production_preprocessed{suffix}" for suffix in
+            (".events.tsv", ".manifest.json", ".nrd", ".nrd.json")]
+        assert dsp._shared is None  # the stopped group loop was closed
+
+
+class TestBlasThreadWarning:
+    """A study run with ``--jobs`` > 1 warns once when no BLAS thread
+    count is pinned: each worker's BLAS would start a thread per CPU."""
+
+    @pytest.mark.parametrize("jobs,pinned,warns", [
+        (2, (), True), (3, (), True), (1, (), False),
+        *[(2, (var,), False) for var in cli.BLAS_VARS]])
+    def test_warns_when_unpinned(self, cli_corpus, tmp_path, capsys,
+                                 monkeypatch, jobs, pinned, warns):
+        _, manifests = cli_corpus
+        for var in cli.BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var in pinned:
+            monkeypatch.setenv(var, "1")
+
+        def study(cfg):  # stands in for the pool: the warning comes first
+            raise dataio.DataError("study reached")
+
+        monkeypatch.setattr(cli, "run_band_sweep", study)
+        cfg = write_json(tmp_path / "cfg.json", run_config(manifests))
+        assert main(["sweep-bands", "--jobs", str(jobs), "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_DATA
+        warning = (f"warning: --jobs {jobs} with BLAS threads unpinned; set "
+                   f"OPENBLAS_NUM_THREADS=1\n")
+        assert capsys.readouterr().err == (
+            warning * warns + "data error: study reached\n")
 
 
 class TestExitCodes:

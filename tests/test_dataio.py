@@ -25,6 +25,41 @@ class TestRecordingRoundTrip:
         reloaded = load_recording(str(tmp_path / "rec2.nrd"))
         assert np.array_equal(reloaded.data, loaded.data)
 
+    def test_groups_written_one_at_a_time_are_the_whole_recording(
+            self, tmp_path):
+        rec = make_recording(11, 37, kinds=["gradiometer", "magnetometer"] * 5
+                             + ["misc"])
+        whole, grouped = str(tmp_path / "whole.nrd"), str(tmp_path / "g.nrd")
+        save_recording(rec, whole)
+        header = dataio.write_recording(
+            (Recording(rec.sample_rate, rec.channels[c: c + 4],
+                       rec.data[c: c + 4]) for c in range(0, 11, 4)), grouped)
+        assert header == dataio.read_header(grouped)
+        assert header == (rec.sample_rate, 37, rec.channels)
+        for suffix in ("", ".json"):
+            with open(whole + suffix, "rb") as a, open(grouped + suffix,
+                                                       "rb") as b:
+                assert a.read() == b.read()
+        assert sorted(os.listdir(tmp_path)) == [
+            "g.nrd", "g.nrd.json", "whole.nrd", "whole.nrd.json"]
+
+    @pytest.mark.parametrize("fault,message", [
+        ("raise", "non-finite"), ("overflow", "float32 range")])
+    def test_a_recording_that_fails_part_way_leaves_no_files(
+            self, tmp_path, fault, message):
+        rec = make_recording(2, 20)
+
+        def groups():
+            yield Recording(rec.sample_rate, rec.channels[:1], rec.data[:1])
+            if fault == "raise":
+                raise DataError("recording contains non-finite samples")
+            yield Recording(rec.sample_rate, rec.channels[1:],
+                            np.full((1, 20), 1e39))
+
+        with pytest.raises(DataError, match=message):
+            dataio.write_recording(groups(), str(tmp_path / "r.nrd"))
+        assert os.listdir(tmp_path) == []
+
     def test_handcrafted_file(self, tmp_path):
         # 2 channels x 10 samples, values 0..19, channel-major
         path = str(tmp_path / "hand.nrd")

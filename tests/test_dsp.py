@@ -11,9 +11,9 @@ from phonepair import dsp
 from phonepair.dataio import DataError
 from phonepair.dsp import (BANDS, apply_zero_phase,
                            compute_zscore_stats, apply_zscore, decimate,
-                           design_fir, wavelet_decompose, wavelet_denoise)
+                           design_fir, wavelet_denoise)
 
-from helpers import make_recording
+from helpers import make_recording, wavelet_decompose
 
 
 def freq_response(filt, n=4096):

@@ -207,6 +207,16 @@ class TestBuildPairDataset:
         for row, label in zip(ds.X, ds.y):
             assert row.tolist() == by_label[label]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise(self, value):
+        eps = _fake_epochs({"a": 5, "e": 5, "i": 5})
+        eps.data[eps.labels == "i"] = value  # only in a phone left out
+        build_pair_dataset(eps, "a", "e", seed=0)
+        eps.data[np.flatnonzero(eps.labels == "e")[2], 1, 3] = value
+        with pytest.raises(DataError,
+                           match="pair dataset contains non-finite values"):
+            build_pair_dataset(eps, "a", "e", seed=0)
+
     @pytest.mark.parametrize("counts", [{"a": 80, "e": 50}, {"a": 7, "e": 12},
                                         {"a": 9, "e": 9}])
     def test_rows_follow_the_seeded_draws(self, counts):

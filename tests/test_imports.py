@@ -1,6 +1,7 @@
 """Every name a module under src/phonepair imports is used in that module,
-every name it defines is used somewhere, nothing in it imports scipy, and
-models.py does not branch on a variant's name.
+every name it defines is used somewhere, nothing in it imports scipy or
+passes ``out=`` to a ``numpy.fft`` function, and models.py does not branch
+on a variant's name.
 
 No linter ships with the test environment, so this walks the syntax tree
 itself: a name bound by ``import`` or ``from ... import`` must appear as a
@@ -77,6 +78,45 @@ def test_checker_finds_scipy_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_scipy_import(path):
     assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def fft_out_calls(source: str) -> list[str]:
+    """Calls of a ``numpy.fft`` function (``np.fft.f``, ``numpy.fft.f``,
+    ``fft.f``, or a name imported from ``numpy.fft``) that pass ``out=``.
+    That argument needs numpy 2.0, and pyproject.toml allows numpy 1.24."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module == "numpy.fft"
+                for alias in n.names}
+    found = []
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.Call)
+                and any(k.arg == "out" for k in n.keywords)):
+            continue
+        func = n.func
+        if ((isinstance(func, ast.Attribute)
+             and _last_name(func.value) == "fft")
+                or (isinstance(func, ast.Name) and func.id in imported)):
+            found.append(f"{ast.unparse(func)} (line {n.lineno})")
+    return found
+
+
+def test_checker_finds_fft_calls_with_out():
+    source = ("import numpy as np\n"
+              "from numpy.fft import irfft as inv, rfftfreq\n"
+              "np.fft.rfft(x, 8, out=y)\n"
+              "np.fft.rfft(x, 8)\n"
+              "np.add(x, 1, out=y)\n"
+              "inv(x, out=y)\n"
+              "rfftfreq(8)\n"
+              "numpy.fft.fft(x, axis=1, out=y)\n")
+    assert fft_out_calls(source) == ["np.fft.rfft (line 3)", "inv (line 6)",
+                                     "numpy.fft.fft (line 8)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_fft_call_passes_out(path):
+    assert fft_out_calls(path.read_text(encoding="utf-8")) == []
 
 
 # One child process imports phonepair.cli, then runs each command; it prints

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from phonepair import config as configmod
-from phonepair import dataio, dsp, evaluation, pipeline, report, studies, synth
+from phonepair import (dataio, dsp, evaluation, models, pipeline, report,
+                       studies, synth)
+from phonepair.cli import main
 from phonepair.dataio import ConfigError, DataError
 from phonepair.epochs import extract_epochs
 from phonepair.models import ModelSpec, TrainConfig
@@ -28,7 +30,7 @@ from phonepair.pipeline import (
 )
 from phonepair.report import ResultTable, format_pm
 
-from helpers import make_recording
+from helpers import make_recording, preprocess_file
 
 EN = [ModelSpec("elastic_net")]
 EN_RUNS = [("baseline", ModelSpec("elastic_net"))]
@@ -158,8 +160,11 @@ def outcome(fn, *args):
 
 
 class TestPreprocessFile:
-    """``preprocess_file(path, toggles)`` against the oracle
-    ``preprocess(load_recording(path), toggles)``."""
+    """``preprocessed_groups(path, toggles)``, through the oracle
+    ``preprocess_file`` that stacks its groups, against
+    ``preprocess(load_recording(path), toggles)``, and the files of the
+    ``preprocess`` command, which writes each group as it is made, against
+    that oracle's."""
 
     @pytest.fixture(scope="class")
     def recordings(self, tmp_path_factory):
@@ -181,7 +186,38 @@ class TestPreprocessFile:
         want = outcome(lambda: preprocess(dataio.load_recording(path),
                                           toggles))
         assert isinstance(want[0], bytes)
-        assert outcome(pipeline.preprocess_file, path, toggles) == want
+        assert outcome(preprocess_file, path, toggles) == want
+
+    @pytest.mark.parametrize("band_limit", [2.0, None])
+    @pytest.mark.parametrize("factor", [1, 10])
+    @pytest.mark.parametrize("wavelet", [True, False])
+    @pytest.mark.parametrize("n_selected", [1, 7, 8, 9, 17])
+    def test_the_command_writes_the_oracle_files(
+            self, recordings, tmp_path, n_selected, wavelet, factor,
+            band_limit):
+        path = recordings[n_selected]
+        toggles = dict(wavelet=wavelet, decimation_factor=factor,
+                       band_limit=band_limit)
+        oracle = str(tmp_path / "oracle.nrd")
+        dataio.save_recording(
+            preprocess_file(path, PreprocessingToggles(**toggles)), oracle)
+        dataio.save_events(dataio.EventTable(()), str(tmp_path / "r.tsv"))
+        man = str(tmp_path / "r.manifest.json")
+        dataio.save_manifest(dataio.Manifest(
+            "s01", "production", path, str(tmp_path / "r.tsv"), 100.0), man)
+        cfg = str(tmp_path / "pre.json")
+        dataio.write_json(cfg, {"manifests": [man], "preprocessing": toggles})
+        out = tmp_path / "out"
+        assert main(["preprocess", "--config", cfg, "--out", str(out)]) == 0
+        written = out / "s01_production_preprocessed.nrd"
+        for suffix in ("", ".json"):
+            assert (open(str(written) + suffix, "rb").read()
+                    == open(oracle + suffix, "rb").read())
+        assert sorted(p.name for p in out.iterdir()) == [
+            "corpus.json", "s01_production_preprocessed.events.tsv",
+            "s01_production_preprocessed.manifest.json",
+            "s01_production_preprocessed.nrd",
+            "s01_production_preprocessed.nrd.json"]
 
     @pytest.mark.parametrize("n_samples,toggles,error", [
         (7, dict(decimation_factor=1, band_limit=None), "below the filter"),
@@ -204,7 +240,7 @@ class TestPreprocessFile:
         toggles = PreprocessingToggles(**toggles)
         want = outcome(lambda: preprocess(dataio.load_recording(path),
                                           toggles))
-        got = outcome(pipeline.preprocess_file, path, toggles)
+        got = outcome(preprocess_file, path, toggles)
         assert got == want
         if error is None:
             assert isinstance(got[0], bytes)
@@ -221,7 +257,7 @@ class TestPreprocessFile:
             return real_load(path, rows, header)
 
         monkeypatch.setattr(dataio, "load_recording", spy)
-        pipeline.preprocess_file(path, PreprocessingToggles(band_limit=2.0))
+        preprocess_file(path, PreprocessingToggles(band_limit=2.0))
         # gradiometers 1-8 sit in rows 2..12, the 9th in row 14 (after the
         # magnetometer in row 13); neither misc row is read
         assert spans == [(2, 13), (14, 15)]
@@ -244,7 +280,7 @@ class TestPreprocessFile:
         spy(np, "zeros", lambda shape, *rest: np.ndim(shape) == 1 and len(
             shape) == 2 and shape[1] == dsp._BLOCK)  # a kept-sample matrix
         spy(np.fft, "rfft", lambda a, *rest: np.ndim(a) == 1)  # a spectrum
-        pipeline.preprocess_file(recordings[17],
+        preprocess_file(recordings[17],
                                  PreprocessingToggles(band_limit=2.0))
         # for all three groups: the decimation design and the band-pass
         # (two low-passes), the plain and the wavelet kept-sample matrix,
@@ -325,13 +361,12 @@ class TestFileEpochs:
         if isinstance(want[0], bytes):
             assert 0 < len(want[3]) < len(self.EVENTS)
 
-    def test_a_unit_holds_its_epochs_and_a_few_groups(self, tmp_path):
-        # a band_sweep unit at the native rate: 40 gradiometers x 60 s at
-        # 1 kHz and 60 epochs of 301 samples, 5.8 MB in float64, as is the
-        # pair's X; one 8-channel group is 3.84 MB in float64.  Cut a group
-        # at a time, the unit peaks at about its epochs, X and 2.5 groups;
-        # holding the full-rate recording and its band-passed copy, 9.4.
-        n_channels, fs, n_samples = 40, 1000.0, 60000
+    @staticmethod
+    def band_sweep_unit(tmp_path, n_channels=40, fs=1000.0, n_samples=60000):
+        """A band_sweep unit at the native rate, Beta-passed: 40
+        gradiometers x 60 s at 1 kHz, and 60 epochs of 301 samples, 5.8 MB
+        in float64, as is the one pair's X; one 8-channel group is 3.84 MB
+        in float64."""
         channels = tuple(dataio.ChannelInfo(f"G{i:03d}", "gradiometer")
                          for i in range(n_channels))
         data = np.random.default_rng(0).standard_normal(
@@ -346,17 +381,47 @@ class TestFileEpochs:
         toggles = PreprocessingToggles(wavelet=False, decimation_factor=1,
                                        band_limit=None)
         passes = ((dsp.BANDS["Beta"], (("Beta", ModelSpec("elastic_net")),)),)
+        return (man, toggles, passes, CvConfig(k=2), (("a", "e"),), 20,
+                EpochWindow())
+
+    EPOCHS_BYTES = 60 * 40 * 301 * 8
+    GROUP_BYTES = 8 * 60000 * 8
+
+    def test_a_unit_holds_its_epochs_and_a_few_groups(self, tmp_path):
+        # cut a group at a time, the unit peaks at about its epochs, X and
+        # 2.5 groups; holding the full-rate recording and its band-passed
+        # copy, 9.4
+        unit = self.band_sweep_unit(tmp_path)
         tracemalloc.start()
         try:
-            rows = studies._eval_unit((man, toggles, passes, CvConfig(k=2),
-                                       (("a", "e"),), 20, EpochWindow()))
+            rows = studies._eval_unit(unit)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(rows) == 2
-        epochs = 60 * n_channels * 301 * 8
-        group = 8 * n_samples * 8
-        assert peak < 2 * epochs + 4 * group
+        assert peak < 2 * self.EPOCHS_BYTES + 4 * self.GROUP_BYTES
+
+    def test_a_unit_fits_from_its_pair_x_alone(self, tmp_path, monkeypatch):
+        # the one pair's X is built from every epoch; once it is, the
+        # epochs are released, so the fits hold X and not X and the epochs
+        unit = self.band_sweep_unit(tmp_path)
+        held = []
+        real_fit_folds = models.fit_folds
+
+        def spy(spec, X, *args):
+            held.append((tracemalloc.get_traced_memory()[0], X.nbytes))
+            return real_fit_folds(spec, X, *args)
+
+        monkeypatch.setattr(models, "fit_folds", spy)
+        tracemalloc.start()
+        try:
+            rows = studies._eval_unit(unit)
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2
+        [(current, x_bytes)] = held
+        assert x_bytes == self.EPOCHS_BYTES
+        assert current < x_bytes + 2_000_000
 
 
 class TestRowHelpers:
