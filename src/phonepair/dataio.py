@@ -202,13 +202,15 @@ def write_recording(groups, path: str) -> tuple[float, int, tuple[ChannelInfo, .
     """Write ``path`` (raw f32 LE, channel-major), appending each of one
     recording's consecutive channel ``groups`` (Recordings) as it arrives,
     then its JSON sidecar; returns the header, as :func:`read_header` reads
-    it.  A recording that fails part-way leaves neither file."""
+    it.  A call that fails removes every file it made."""
     # before the cast, which turns a larger sample into inf; max and min
     # copy nothing
     limit = np.finfo("<f4").max
-    part, channels = path + ".part", ()
-    with open(part, "wb") as f:
-        try:
+    part, sidecar, channels = path + ".part", path + ".json", ()
+    made = []  # the files this call created, removed if it fails
+    try:
+        with open(part, "wb") as f:
+            made.append(part)
             for group in groups:
                 if group.data.max() > limit or group.data.min() < -limit:
                     raise DataError(f"{path}: a sample exceeds the float32 range")
@@ -216,13 +218,15 @@ def write_recording(groups, path: str) -> tuple[float, int, tuple[ChannelInfo, .
                 channels += group.channels
                 header = group.sample_rate, group.n_samples, channels
                 del group  # before the next group is made
-        except BaseException:
-            os.remove(part)
-            raise
-    write_json(path + ".json", {
-        "sample_rate": header[0], "n_samples": header[1],
-        "channels": [asdict(c) for c in channels]})
-    os.replace(part, path)
+        with open(sidecar, "w", encoding="utf-8") as f:
+            made.append(sidecar)
+            f.write(json_text({"sample_rate": header[0], "n_samples": header[1],
+                               "channels": [asdict(c) for c in channels]}))
+        os.replace(part, path)
+    except BaseException:
+        for name in made:
+            os.remove(name)
+        raise
     return header
 
 

@@ -3,7 +3,6 @@ two-level db4 wavelet denoising, canonical band table, and z-scoring."""
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -27,49 +26,10 @@ BAND_ORDER = ("Delta", "Theta", "Alpha", "Beta", "Gamma", "HGA")
 
 
 # ---------------------------------------------------------------------------
-# Constants shared by the channel groups of one recording
-# ---------------------------------------------------------------------------
-
-_shared = None  # {key: value} inside shared_constants(), else None
-
-
-@contextlib.contextmanager
-def shared_constants():
-    """Inside this block, each filter design, kept-sample matrix and filter
-    spectrum is computed once per distinct input and then reused, as when
-    one recording is filtered a channel group at a time; all are dropped
-    when the block ends."""
-    global _shared
-    outer, _shared = _shared, {}
-    try:
-        yield
-    finally:
-        _shared = outer
-
-
-def _shareable(build):
-    """``build``, whose result inside :func:`shared_constants` is computed
-    once per distinct arguments (arrays compared by their bytes)."""
-    def frozen(v):
-        return v.tobytes() if isinstance(v, np.ndarray) else v
-
-    @functools.wraps(build)
-    def shared(*args, **kwargs):
-        if _shared is None:
-            return build(*args, **kwargs)
-        key = (build, *map(frozen, args),
-               *sorted((k, frozen(v)) for k, v in kwargs.items()))
-        if key not in _shared:
-            _shared[key] = build(*args, **kwargs)
-        return _shared[key]
-    return shared
-
-
-# ---------------------------------------------------------------------------
 # FIR design and zero-phase application
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity, as a cache key
 class FirFilter:
     coefficients: np.ndarray
     lo: float | None
@@ -95,13 +55,14 @@ def _windowed_sinc_lowpass(cutoff: float, fs: float, numtaps: int) -> np.ndarray
     return h / h.sum()  # unit DC gain
 
 
-@_shareable
+@functools.cache
 def design_fir(lo: float | None, hi: float, fs: float) -> FirFilter:
     """Hamming-windowed sinc filter: low-pass (lo=None) or band-pass.
 
     Cutoffs sit half a transition-width outside the requested edges so the
     passband stays flat up to the edge and the stop band begins one
-    transition-width past it.
+    transition-width past it.  Memoised: the same arguments give the same
+    filter, whose taps are read-only.
     """
     nyq = fs / 2.0
     if hi >= nyq:
@@ -130,6 +91,7 @@ def design_fir(lo: float | None, hi: float, fs: float) -> FirFilter:
     else:
         h_lo = _windowed_sinc_lowpass(lo - tbw_lo / 2.0, fs, numtaps)
         h = h_hi - h_lo
+    h.flags.writeable = False  # one design serves every caller
     return FirFilter(
         coefficients=h, lo=lo, hi=hi, fs=fs,
         transition_lo=tbw_lo, transition_hi=tbw_hi,
@@ -154,9 +116,12 @@ _BLOCK = 32  # kept outputs per row of one matrix product
 _CHUNK = 8   # channels padded at a time
 
 
-@_shareable
-def _spectrum(h: np.ndarray, nfft: int) -> np.ndarray:
-    return np.fft.rfft(h, nfft)
+# one entry: every caller (a group loop, align's paired envelopes) filters
+# consecutive rows with one filter at one length, and at paper width a
+# spectrum is 5.1 MB
+@functools.lru_cache(maxsize=1)
+def _spectrum(filt: FirFilter, nfft: int) -> np.ndarray:
+    return np.fft.rfft(filt.coefficients, nfft)
 
 
 def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
@@ -168,19 +133,18 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     so no temporary is larger than a block.  numpy transforms row by row, so
     the bytes are those of one pass over the whole matrix.
     """
-    h = filt.coefficients
     x = np.asarray(x)
     one_d = x.ndim == 1
     if one_d:
         x = x[None, :]
     n = x.shape[1]
-    m = len(h)
+    m = len(filt)
     if n <= m:
         raise DataError(f"signal length {n} must exceed filter length {m}")
     pad = (m - 1) // 2
     n_pad = n + 2 * pad
     nfft = _next_fast_len(n_pad + m - 1)
-    h_spec = _spectrum(h, nfft)
+    h_spec = _spectrum(filt, nfft)
     y = np.empty(x.shape)
     for c in range(0, len(x), _CHUNK):
         # the padded block is dropped as soon as it is transformed
@@ -192,11 +156,12 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     return y[0] if one_d else y
 
 
-@_shareable
-def _kept_matrix(h: np.ndarray, factor: int, wavelet: bool) -> np.ndarray:
+@functools.cache
+def _kept_matrix(filt: FirFilter, factor: int, wavelet: bool) -> np.ndarray:
     """The banded Toeplitz matrix that takes one input window to ``_BLOCK``
-    kept outputs of the reversed taps ``h``; with ``wavelet``, each input
-    phase's taps are ``h`` convolved with the denoiser's row there."""
+    kept outputs of ``filt``; with ``wavelet``, each input phase's taps are
+    the reversed taps ``h`` convolved with the denoiser's row there."""
+    h = filt.coefficients[::-1]
     m = len(h)
     taps, shift = h[None], 0
     if wavelet:
@@ -218,9 +183,8 @@ def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int,
     With ``wavelet``, the same of each row's ``wavelet_denoise``: blocks whose
     input lies inside ``x`` fold the denoiser into the matrix; the end blocks
     filter the denoised head and tail (cut at a multiple of 4 and ``factor``)."""
-    h = filt.coefficients[::-1]
     n_channels, n = x.shape
-    m = len(h)
+    m = len(filt)
     if n <= m:
         raise DataError(f"signal length {n} must exceed filter length {m}")
     n_out = -(-n // factor)
@@ -236,7 +200,7 @@ def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int,
         if first == stop:
             return _filter_kept(filt, _denoise_rows(x), factor)
         shift = pad + _REACH
-    toeplitz = _kept_matrix(h, factor, wavelet)
+    toeplitz = _kept_matrix(filt, factor, wavelet)
     out = np.empty((n_channels, n_out))
     if wavelet:
         head = (first - 1) * step - pad + width + _REACH

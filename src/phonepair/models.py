@@ -623,8 +623,7 @@ def _row_blocks(n_rows, n_cols):
 
 
 class _Net:
-    """What FfnNet and CnnNet share: inputs as given, prediction, and whole
-    gradients gathered from ``backward``."""
+    """What FfnNet and CnnNet share: inputs as given, and prediction."""
 
     def prepare(self, X):
         return X
@@ -634,15 +633,6 @@ class _Net:
         dtype = next(iter(params.values())).dtype
         logits, _ = self.forward(params, X.astype(dtype, copy=False))
         return _softmax(logits.astype(np.float64))
-
-    def loss_and_grads(self, params, X, y):
-        """Mean cross-entropy and its whole gradient in each parameter."""
-        logits, cache = self.forward(params, X)
-        loss, dlogits = _softmax_ce(logits, y)
-        grads = {k: np.empty_like(p) for k, p in params.items()}
-        for k, rows, g in self.backward(params, cache, dlogits):
-            grads[k][rows] = g
-        return loss, grads
 
 
 class FfnNet(_Net):

@@ -67,17 +67,15 @@ def preprocessed_groups(path: str, toggles: PreprocessingToggles):
     """(selected channels, a group's slice of them, the group preprocessed)
     for each ``dsp._CHUNK`` selected channels read from disk.  Stacked, the
     groups are ``preprocess(dataio.load_recording(path), toggles)`` byte for
-    byte: ``dsp`` cuts a matrix into these groups anyway.  Filter constants
-    are computed once for all groups and for what the caller filters."""
+    byte: ``dsp`` cuts a matrix into these groups anyway."""
     header = dataio.read_header(path)
     idx = dataio.channel_indices(header[2], toggles.sensor_kinds)
     selected = tuple(header[2][i] for i in idx)
-    with dsp.shared_constants():
-        for c in range(0, len(idx), dsp._CHUNK):
-            rows = idx[c: c + dsp._CHUNK]
-            yield selected, slice(c, c + len(rows)), preprocess(
-                dataio.load_recording(path, slice(rows[0], rows[-1] + 1),
-                                      header), toggles)
+    for c in range(0, len(idx), dsp._CHUNK):
+        rows = idx[c: c + dsp._CHUNK]
+        yield selected, slice(c, c + len(rows)), preprocess(
+            dataio.load_recording(path, slice(rows[0], rows[-1] + 1), header),
+            toggles)
 
 
 def file_epochs(path: str, toggles: PreprocessingToggles, band_pass,

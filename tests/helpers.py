@@ -44,6 +44,17 @@ def adamw_out_of_place(p, g, m, v, t, lr, wd, is_weight):
     return p, m, v
 
 
+def loss_and_grads(net, params, X, y):
+    """The mean cross-entropy of an FfnNet or CnnNet and its whole gradient
+    in each parameter, gathered from the blocks of ``net.backward``."""
+    logits, cache = net.forward(params, X)
+    loss, dlogits = models._softmax_ce(logits, y)
+    grads = {k: np.empty_like(p) for k, p in params.items()}
+    for k, rows, g in net.backward(params, cache, dlogits):
+        grads[k][rows] = g
+    return loss, grads
+
+
 def whole_gradients(net, params, X, y):
     """The mean cross-entropy of an FfnNet or CnnNet and its gradient in
     each parameter, each taken whole: one product per weight matrix, all

@@ -23,8 +23,8 @@ from phonepair.pipeline import CvConfig, PreprocessingToggles, preprocess
 from phonepair.studies import (ABLATION_BASELINE, ExperimentConfig,
                                run_ablation, run_band_sweep)
 
-from helpers import (elastic_net_objective, run_every_subcommand,
-                     wavelet_decompose)
+from helpers import (elastic_net_objective, loss_and_grads,
+                     run_every_subcommand, wavelet_decompose)
 
 
 @contextlib.contextmanager
@@ -200,7 +200,7 @@ def test_criterion_03_elastic_net_optimality():
 # ---------------------------------------------------------------------------
 
 def _fd_gradients(net, params, X, y, rng, max_entries=120, eps=1e-6):
-    _, grads = net.loss_and_grads(params, X, y)
+    _, grads = loss_and_grads(net, params, X, y)
     worst = 0.0
     for name in sorted(grads):
         flat = params[name].reshape(-1)
@@ -212,9 +212,9 @@ def _fd_gradients(net, params, X, y, rng, max_entries=120, eps=1e-6):
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + eps
-            lp, _ = net.loss_and_grads(params, X, y)
+            lp, _ = loss_and_grads(net, params, X, y)
             flat[i] = orig - eps
-            lm, _ = net.loss_and_grads(params, X, y)
+            lm, _ = loss_and_grads(net, params, X, y)
             flat[i] = orig
             fd = (lp - lm) / (2 * eps)
             worst = max(worst, abs(fd - gflat[i])

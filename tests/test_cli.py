@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from phonepair import cli, dataio, dsp, models, synth
+from phonepair import cli, dataio, models, synth
 from phonepair.config import build
 from phonepair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
@@ -503,7 +503,22 @@ class TestStreamedPreprocessing:
         assert sorted(os.listdir(out)) == [
             f"s02_production_preprocessed{suffix}" for suffix in
             (".events.tsv", ".manifest.json", ".nrd", ".nrd.json")]
-        assert dsp._shared is None  # the stopped group loop was closed
+
+    @pytest.mark.parametrize("taken", [".nrd.json", ".nrd"])
+    def test_a_failed_sidecar_write_or_rename_leaves_no_files(
+            self, cli_corpus, tmp_path, capsys, taken):
+        # a directory holds the sidecar's name, so its write fails, or the
+        # payload's, so the rename of the written payload onto it fails
+        _, manifests = cli_corpus
+        out = tmp_path / "o"
+        (out / f"s01_production_preprocessed{taken}").mkdir(parents=True)
+        cfg = write_json(tmp_path / "cfg.json", {"manifests": [manifests[0]]})
+        assert main(["preprocess", "--config", cfg,
+                     "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            "data error: [Errno 21] Is a directory: ")
+        # only the directory stays: no .part, and no sidecar this call wrote
+        assert os.listdir(out) == [f"s01_production_preprocessed{taken}"]
 
 
 class TestBlasThreadWarning:

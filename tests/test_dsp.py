@@ -308,11 +308,10 @@ class TestDecimate:
     def stacked_interior(filt, x, factor, wavelet):
         """The first column and the bytes of ``_filter_kept``'s interior
         blocks as one stacked product of every row's windows."""
-        h = filt.coefficients[::-1]
-        m, n = len(h), x.shape[1]
-        step, pad = dsp._BLOCK * factor, (len(h) - 1) // 2
+        m, n = len(filt), x.shape[1]
+        step, pad = dsp._BLOCK * factor, (m - 1) // 2
         n_out = -(-n // factor)
-        toeplitz = dsp._kept_matrix(h, factor, wavelet)
+        toeplitz = dsp._kept_matrix(filt, factor, wavelet)
         if wavelet:
             first = -(-(pad + dsp._REACH) // step)
             stop = (n - (step - factor + m) - dsp._REACH + pad) // step + 1

@@ -15,6 +15,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -196,7 +197,8 @@ def references(node) -> Counter:
 
 def definitions(tree) -> dict:
     """{name: defining statement} for the module-level functions, classes
-    and constants of a module, dunders excepted."""
+    and constants of a module and the methods of its classes (named
+    ``Class.method``), dunders excepted."""
     defs = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -204,24 +206,40 @@ def definitions(tree) -> dict:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defs.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            defs.update((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef))
     return {name: node for name, node in defs.items()
-            if not (name.startswith("__") and name.endswith("__"))}
+            if not re.fullmatch(r"(.*\.)?__\w*__", name)}
 
 
 def dead_definitions(modules: dict, others: list) -> list[str]:
     """Names defined in ``modules`` ({name: source}) that are used neither
-    outside their own definition in those modules nor in ``others``."""
+    outside their own definition in those modules nor in ``others``; a
+    method's uses are those of its bare name."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     total = Counter()
     for tree in [*trees.values(), *map(ast.parse, others)]:
         total.update(references(tree))
-    return sorted(f"{module}.{name} (line {node.lineno})"
-                  for module, tree in trees.items()
-                  for name, node in definitions(tree).items()
-                  if total[name] == references(node)[name])
+    dead = []
+    for module, tree in trees.items():
+        for name, node in definitions(tree).items():
+            used = name.rpartition(".")[2]
+            if total[used] == references(node)[used]:
+                dead.append(f"{module}.{name} (line {node.lineno})")
+    return sorted(dead)
 
 
-def test_checker_finds_dead_definitions():
+def reference_sources(root) -> list[str]:
+    """The sources outside ``src`` whose uses keep a definition alive:
+    perfbench's, its tests excepted.  A definition that only tests use is
+    test code, and belongs in the tests."""
+    return [p.read_text(encoding="utf-8")
+            for p in sorted((root / "perfbench").rglob("*.py"))
+            if "tests" not in p.relative_to(root).parts]
+
+
+def test_checker_finds_dead_definitions(tmp_path):
     lib = ('"""Docstring naming UNUSED."""\n'
            "import os\n"
            "LIMIT = 3\n"
@@ -231,22 +249,34 @@ def test_checker_finds_dead_definitions():
            "class Tree:\n"
            "    def grow(self):\n"
            "        return Tree()\n"
+           "    def probe(self):\n"
+           "        pass\n"
+           "    def __len__(self):\n"
+           "        return 0\n"
            "def traced():\n"
+           "    pass\n"
+           "def only_tested():\n"
            "    pass\n"
            "def __getattr__(name):\n"
            "    pass\n")
-    user = "lib.walk(2)\nTARGETS = {('lib', 'Box.traced'): None}\n"
-    assert dead_definitions({"lib": lib}, [user]) == [
-        "lib.Tree (line 7)", "lib.UNUSED (line 4)"]
+    bench = ("lib.walk(2)\nlib.Tree().grow()\n"
+             "TARGETS = {('lib', 'Box.traced'): None}\n")
+    test = "lib.only_tested()\nlib.Tree().probe()\n"
+    (tmp_path / "perfbench" / "tests").mkdir(parents=True)
+    (tmp_path / "perfbench" / "run.py").write_text(bench)
+    (tmp_path / "perfbench" / "tests" / "test_run.py").write_text(test)
+    # a method and a function that only a test file uses are dead
+    assert dead_definitions({"lib": lib}, reference_sources(tmp_path)) == [
+        "lib.Tree.probe (line 10)", "lib.UNUSED (line 4)",
+        "lib.only_tested (line 16)"]
+    assert dead_definitions({"lib": lib}, [bench, test]) == [
+        "lib.UNUSED (line 4)"]
 
 
 def test_no_dead_definitions():
     modules = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py"))}
-    others = [p.read_text(encoding="utf-8")
-              for folder in ("tests", "perfbench")
-              for p in sorted((ROOT / folder).rglob("*.py"))]
-    assert dead_definitions(modules, others) == []
+    assert dead_definitions(modules, reference_sources(ROOT)) == []
 
 
 ERRORS = ("ConfigError", "DataError", "ConvergenceError")

@@ -27,6 +27,7 @@ from helpers import (
     adamw_out_of_place,
     elastic_net_objective,
     fit_with_whole_gradients,
+    loss_and_grads,
     predict,
     whole_gradients,
 )
@@ -586,7 +587,7 @@ class TestEverySolver:
 # ---------------------------------------------------------------------------
 
 def fd_check(net, params, X, y, rng, tol=1e-4, max_entries=150, eps=1e-6):
-    _, grads = net.loss_and_grads(params, X, y)
+    _, grads = loss_and_grads(net, params, X, y)
     worst = 0.0
     for name in sorted(grads):
         flat = params[name].reshape(-1)
@@ -598,9 +599,9 @@ def fd_check(net, params, X, y, rng, tol=1e-4, max_entries=150, eps=1e-6):
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + eps
-            lp, _ = net.loss_and_grads(params, X, y)
+            lp, _ = loss_and_grads(net, params, X, y)
             flat[i] = orig - eps
-            lm, _ = net.loss_and_grads(params, X, y)
+            lm, _ = loss_and_grads(net, params, X, y)
             flat[i] = orig
             fd = (lp - lm) / (2 * eps)
             err = abs(fd - gflat[i]) / max(1.0, abs(fd), abs(gflat[i]))
@@ -841,7 +842,7 @@ class TestInPlaceUpdate:
         params = net.init_params(rng)
         X = rng.standard_normal((9, 5 * 31))
         y = rng.integers(0, 2, size=9)
-        _, grads = net.loss_and_grads(params, X, y)
+        _, grads = loss_and_grads(net, params, X, y)
         logits, (Xw, h) = net.forward(params, X)
         _, dlogits = models._softmax_ce(logits, y)
         dh = (dlogits @ params["Wl"].T).reshape(9, 5, net.P, 8)
@@ -904,7 +905,7 @@ class TestBlockwiseBackward:
         params = net.init_params(rng)
         X = rng.standard_normal((10, 300))
         y = np.arange(10) % 2
-        loss, grads = net.loss_and_grads(params, X, y)
+        loss, grads = loss_and_grads(net, params, X, y)
         want_loss, want = whole_gradients(net, params, X, y)
         assert loss == want_loss and grads.keys() == want.keys()
         for k in grads:

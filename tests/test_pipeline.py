@@ -280,22 +280,18 @@ class TestPreprocessFile:
         spy(np, "zeros", lambda shape, *rest: np.ndim(shape) == 1 and len(
             shape) == 2 and shape[1] == dsp._BLOCK)  # a kept-sample matrix
         spy(np.fft, "rfft", lambda a, *rest: np.ndim(a) == 1)  # a spectrum
-        preprocess_file(recordings[17],
-                                 PreprocessingToggles(band_limit=2.0))
+        for cache in (dsp.design_fir, dsp._kept_matrix, dsp._spectrum):
+            cache.cache_clear()  # else an earlier test's designs hide these
+        toggles = PreprocessingToggles(band_limit=2.0)
+        preprocess_file(recordings[17], toggles)
         # for all three groups: the decimation design and the band-pass
         # (two low-passes), the plain and the wavelet kept-sample matrix,
         # and the band-pass spectrum
         assert Counter(made) == {"hamming": 3, "zeros": 2, "rfft": 1}
-
-    def test_shared_constants_last_as_long_as_their_block(self):
-        with dsp.shared_constants():
-            a = dsp.design_fir(0.2, 2.0, 100.0)
-            assert dsp.design_fir(0.2, 2.0, 100.0) is a
-            with dsp.shared_constants():
-                assert dsp.design_fir(0.2, 2.0, 100.0) is not a
-            assert dsp.design_fir(0.2, 2.0, 100.0) is a
-        assert dsp._shared is None
-        assert dsp.design_fir(0.2, 2.0, 100.0) is not a
+        # and none again for another recording at the same rate
+        made.clear()
+        preprocess_file(recordings[9], toggles)
+        assert made == []
 
 
 def epochs_outcome(fn, *args):
@@ -354,12 +350,26 @@ class TestFileEpochs:
         got = epochs_outcome(pipeline.file_epochs, path, toggles, band_pass,
                              self.EVENTS, window)
         assert got == want
-        assert dsp._shared is None  # also after a one-group early return
         # Alpha's 13 Hz edge is past the decimated rate's 5 Hz Nyquist
         assert isinstance(want[0], bytes) == (
             factor == 1 or band_pass != dsp.BANDS["Alpha"])
         if isinstance(want[0], bytes):
             assert 0 < len(want[3]) < len(self.EVENTS)
+
+    def test_the_filter_caches_do_not_grow_with_the_recordings(self,
+                                                               tmp_path):
+        toggles = PreprocessingToggles(band_limit=2.0)
+        sizes = []
+        for n_samples in (2003, 2503, 3001):
+            path = interleaved_recording(str(tmp_path / f"r{n_samples}.nrd"),
+                                         9, n_samples)
+            pipeline.file_epochs(path, toggles, dsp.BANDS["Delta"],
+                                 self.EVENTS, EpochWindow())
+            # one spectrum, that of the last filter at the last length
+            assert dsp._spectrum.cache_info().currsize == 1
+            sizes.append((dsp.design_fir.cache_info().currsize,
+                          dsp._kept_matrix.cache_info().currsize))
+        assert sizes[0] == sizes[-1]
 
     @staticmethod
     def band_sweep_unit(tmp_path, n_channels=40, fs=1000.0, n_samples=60000):
