@@ -116,9 +116,10 @@ _BLOCK = 32  # kept outputs per row of one matrix product
 _CHUNK = 8   # channels padded at a time
 
 
-# one entry: every caller (a group loop, align's paired envelopes) filters
-# consecutive rows with one filter at one length, and at paper width a
-# spectrum is 5.1 MB
+# one entry: every group loop the program runs, and align's paired
+# envelopes, filter consecutive rows with one filter at one length, and at
+# paper width a spectrum is 5.1 MB; file_epochs with both a band limit and a
+# band-pass would remake its two spectra for each group
 @functools.lru_cache(maxsize=1)
 def _spectrum(filt: FirFilter, nfft: int) -> np.ndarray:
     return np.fft.rfft(filt.coefficients, nfft)

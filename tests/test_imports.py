@@ -258,18 +258,24 @@ def test_checker_finds_dead_definitions(tmp_path):
            "def only_tested():\n"
            "    pass\n"
            "def __getattr__(name):\n"
-           "    pass\n")
+           "    pass\n"
+           "class Leaf:\n"
+           "    def sprout(self):\n"
+           "        return Leaf()\n")
     bench = ("lib.walk(2)\nlib.Tree().grow()\n"
              "TARGETS = {('lib', 'Box.traced'): None}\n")
     test = "lib.only_tested()\nlib.Tree().probe()\n"
     (tmp_path / "perfbench" / "tests").mkdir(parents=True)
     (tmp_path / "perfbench" / "run.py").write_text(bench)
     (tmp_path / "perfbench" / "tests" / "test_run.py").write_text(test)
-    # a method and a function that only a test file uses are dead
+    # a method and a function that only a test file uses are dead, and so
+    # is a class that only its own method uses
     assert dead_definitions({"lib": lib}, reference_sources(tmp_path)) == [
+        "lib.Leaf (line 20)", "lib.Leaf.sprout (line 21)",
         "lib.Tree.probe (line 10)", "lib.UNUSED (line 4)",
         "lib.only_tested (line 16)"]
     assert dead_definitions({"lib": lib}, [bench, test]) == [
+        "lib.Leaf (line 20)", "lib.Leaf.sprout (line 21)",
         "lib.UNUSED (line 4)"]
 
 

@@ -356,17 +356,25 @@ class TestFileEpochs:
         if isinstance(want[0], bytes):
             assert 0 < len(want[3]) < len(self.EVENTS)
 
-    def test_the_filter_caches_do_not_grow_with_the_recordings(self,
-                                                               tmp_path):
-        toggles = PreprocessingToggles(band_limit=2.0)
+    def test_the_filter_caches_do_not_grow_with_the_recordings(
+            self, tmp_path, monkeypatch):
+        spectra = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: (
+            spectra.append(np.ndim(a) == 1), rfft(a, *args, **kw))[1])
+        for cache in (dsp.design_fir, dsp._kept_matrix, dsp._spectrum):
+            cache.cache_clear()  # else an earlier test's spectrum is reused
+        # as the band sweep does: no band limit, so a group sees one filter
+        toggles = PreprocessingToggles(band_limit=None)
         sizes = []
         for n_samples in (2003, 2503, 3001):
             path = interleaved_recording(str(tmp_path / f"r{n_samples}.nrd"),
                                          9, n_samples)
+            spectra.clear()
             pipeline.file_epochs(path, toggles, dsp.BANDS["Delta"],
                                  self.EVENTS, EpochWindow())
-            # one spectrum, that of the last filter at the last length
-            assert dsp._spectrum.cache_info().currsize == 1
+            # one band-pass spectrum, made for the first of the two groups
+            assert sum(spectra) == 1
             sizes.append((dsp.design_fir.cache_info().currsize,
                           dsp._kept_matrix.cache_info().currsize))
         assert sizes[0] == sizes[-1]
