@@ -22,7 +22,7 @@ class AlignmentResult:
     delay: float                    # seconds; positive = audio lags misc
     peak_correlation: float
     low_confidence: bool
-    iterations: tuple[tuple[float, float, float], ...]  # (window_s, band_hi, delay_s)
+    iterations: tuple[dict, ...]  # delay_window, band_hi, delay_estimate
 
 
 def _envelope(x: np.ndarray, cutoff: float, fs: float) -> np.ndarray:
@@ -92,7 +92,8 @@ def align(misc: np.ndarray, audio: np.ndarray, fs: float, window: float) -> Alig
         hi = min(w0, estimate + w)
         lags = np.arange(lo, hi + 1)
         estimate, peak = _ncc_peak(env_m, env_a, lags)
-        trace.append((w / fs, min(cutoff, 0.4 * fs), estimate / fs))
+        trace.append({"delay_window": w / fs, "band_hi": min(cutoff, 0.4 * fs),
+                      "delay_estimate": estimate / fs})
 
     return AlignmentResult(
         delay=estimate / fs,

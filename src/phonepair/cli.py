@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from dataclasses import asdict
 from operator import itemgetter
 
 from . import dataio, synth as synthmod
@@ -91,17 +92,8 @@ def _cmd_align(args) -> int:
     misc, audio = (dataio.load_recording(doc[k]) for k in ("misc", "audio"))
     if misc.sample_rate != audio.sample_rate:
         raise DataError("misc and audio must share a sampling rate")
-    result = align(misc.data[0], audio.data[0], misc.sample_rate,
-                   float(window))
-    out_doc = {
-        "delay": result.delay,
-        "peak_correlation": result.peak_correlation,
-        "low_confidence": result.low_confidence,
-        "iterations": [
-            {"delay_window": w, "band_hi": b, "delay_estimate": d}
-            for w, b, d in result.iterations
-        ],
-    }
+    out_doc = asdict(align(misc.data[0], audio.data[0], misc.sample_rate,
+                           float(window)))
     sys.stdout.write(dataio.json_text(out_doc))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -85,14 +85,14 @@ def _binary_f1(y_true, y_pred, positive):
     return 2.0 * tp / (2 * tp + fp + fn)
 
 
-def metrics(y_true, scores, threshold: float = 0.5) -> dict:
+def metrics(y_true, scores) -> dict:
     """Accuracy, macro-averaged F1 and rank AUC from class-1 scores, as
-    ``{"accuracy", "f1", "auc"}``."""
+    ``{"accuracy", "f1", "auc"}``; a score of 0.5 or more predicts 1."""
     y_true = np.asarray(y_true)
     scores = np.asarray(scores, dtype=float)
     if len(y_true) != len(scores):
         raise DataError("y_true and scores length mismatch")
-    y_pred = (scores >= threshold).astype(int)
+    y_pred = (scores >= 0.5).astype(int)
     accuracy = float(np.mean(y_pred == y_true))
     f1 = 0.5 * (_binary_f1(y_true, y_pred, 0) + _binary_f1(y_true, y_pred, 1))
     return {"accuracy": accuracy, "f1": float(f1),

@@ -212,10 +212,12 @@ def paired_metric_vectors(rows_a: list[dict], rows_b: list[dict]):
     return (np.array([ia[k] for k in keys]), np.array([ib[k] for k in keys]))
 
 
-def compare_rows(rows_a, rows_b):
-    """Wilcoxon on paired accuracies; None when all diffs are zero."""
+def compare_rows(label: str, rows_a, rows_b) -> dict:
+    """Wilcoxon on paired accuracies as ``{"label", "W", "p", "method"}``;
+    W, p and method are None when all diffs are zero."""
     a, b = paired_metric_vectors(rows_a, rows_b)
     try:
-        return evaluation.wilcoxon(a, b)
+        res = evaluation.wilcoxon(a, b)
     except DataError:
-        return None
+        return {"label": label, "W": None, "p": None, "method": None}
+    return {"label": label, "W": res.W, "p": res.p, "method": res.method}

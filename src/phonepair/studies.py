@@ -25,7 +25,7 @@ class ExperimentConfig:
     phone_pairs: object = "auto"
     preprocessing: PreprocessingToggles = PreprocessingToggles()
     cv: CvConfig = CvConfig()
-    min_count: int = 50
+    min_count: int = field(default=50, metadata={"ge": 1})
     epoch_window: EpochWindow = EpochWindow()
     jobs: int = field(default=1, metadata={"ge": 1})
 
@@ -42,40 +42,42 @@ class ExperimentConfig:
 
 
 def _eval_unit(args):
-    """Evaluate the runs of each band-pass (None = unfiltered) on one
-    recording's epochs."""
-    manifest, toggles, passes, cv, pairs, min_count, window = args
+    """Evaluate the runs on one recording's epochs, preprocessed by
+    ``toggles`` and band-passed by ``band_pass`` (None = unfiltered)."""
+    cfg, manifest, toggles, band_pass, runs = args
     events = dataio.load_events(manifest.events_path)
-    rows = []
-    for band_pass, runs in passes:
-        # cut a channel group at a time from disk; no name here holds the
-        # epochs, so they go once the last pair's X is built
-        rows += pipeline.evaluate_recording(
-            pipeline.file_epochs(manifest.recording_path, toggles, band_pass,
-                                 events, window)[0],
-            events, subject=manifest.subject_id, task=manifest.task,
-            runs=runs, cv=cv, phone_pairs=pairs, min_count=min_count)
-    return rows
+    # cut a channel group at a time from disk; no name here holds the
+    # epochs, so they go once the last pair's X is built
+    return pipeline.evaluate_recording(
+        pipeline.file_epochs(manifest.recording_path, toggles, band_pass,
+                             events, cfg.epoch_window)[0],
+        events, subject=manifest.subject_id, task=manifest.task, runs=runs,
+        cv=cfg.cv, phone_pairs=cfg.phone_pairs, min_count=cfg.min_count)
 
 
-def _run_plan(cfg: ExperimentConfig, plan: list) -> list[dict]:
-    """Sorted rows of a plan of (manifest, toggles, band_pass,
-    configuration, spec) entries.  Each distinct (manifest, toggles)
-    is one unit, in plan order, and all units share one process pool."""
-    grouped = {}
+def _run_plan(cfg: ExperimentConfig, plan: list) -> tuple[dict, list[dict]]:
+    """Table groups and sorted rows of a plan of (manifest, toggles,
+    band_pass, configuration, spec) entries.  Each distinct (manifest,
+    toggles, band_pass) is one unit, in plan order, and all units share one
+    process pool.  The groups are the rows of each (task, configuration,
+    model), keyed in plan order."""
+    runs = {}
     for manifest, toggles, band_pass, configuration, spec in plan:
-        passes = grouped.setdefault((manifest, toggles), {})
-        passes.setdefault(band_pass, []).append((configuration, spec))
-    units = [(manifest, toggles, tuple(passes.items()), cfg.cv,
-              cfg.phone_pairs, cfg.min_count, cfg.epoch_window)
-             for (manifest, toggles), passes in grouped.items()]
+        runs.setdefault((manifest, toggles, band_pass), []).append(
+            (configuration, spec))
+    units = [(cfg, *chain, chain_runs) for chain, chain_runs in runs.items()]
     jobs = min(cfg.jobs, len(units))
     if jobs <= 1:
         results = map(_eval_unit, units)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_eval_unit, units))
-    return sort_rows([r for chunk in results for r in chunk])
+    rows = sort_rows([r for chunk in results for r in chunk])
+    groups = {(m.task, configuration, spec.name): []
+              for m, _, _, configuration, spec in plan}
+    for r in rows:
+        groups[r["task"], r["configuration"], r["model"]].append(r)
+    return groups, rows
 
 
 def _manifests_by_task(cfg: ExperimentConfig) -> dict:
@@ -84,22 +86,6 @@ def _manifests_by_task(cfg: ExperimentConfig) -> dict:
     for path in cfg.manifests:
         m = dataio.load_manifest(path)
         groups.setdefault(m.task, []).append(m)
-    return groups
-
-
-def _comparison(label, rows_a, rows_b):
-    res = compare_rows(rows_a, rows_b)
-    if res is None:
-        return {"label": label, "W": None, "p": None, "method": None}
-    return {"label": label, "W": res.W, "p": res.p, "method": res.method}
-
-
-def _groups(rows: list, keys) -> dict:
-    """Rows by (task, configuration, model), one group per key of ``keys``
-    and in that order, not in the order of the sorted rows."""
-    groups = {key: [] for key in keys}
-    for r in rows:
-        groups[r["task"], r["configuration"], r["model"]].append(r)
     return groups
 
 
@@ -113,7 +99,7 @@ def _table(title: str, groups: dict, versus=None) -> ResultTable:
                "configuration": configuration, **summarize(rows)}
         if versus is not None and key != versus:
             a, b = next((a, b) for a, b in zip(key, versus) if a != b)
-            comp = _comparison(f"{a} vs {b}", rows, groups[versus])
+            comp = compare_rows(f"{a} vs {b}", rows, groups[versus])
             table.comparisons.append(comp)
             row["W"], row["p"] = comp["W"], comp["p"]
         table.rows.append(row)
@@ -127,10 +113,9 @@ def run_model_comparison(cfg: ExperimentConfig):
     prod = by_task.get("production")
     if not prod:
         raise DataError("model comparison requires production-task manifests")
-    rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", spec)
-                           for m in prod for spec in cfg.models])
-    groups = _groups(rows, [("production", "baseline", spec.name)
-                            for spec in cfg.models])
+    groups, rows = _run_plan(cfg, [
+        (m, cfg.preprocessing, None, "baseline", spec)
+        for m in prod for spec in cfg.models])
     best = max(groups, key=lambda k: summarize(groups[k])["accuracy_mean"])
     return _table("Model comparison (production)", groups, versus=best), rows
 
@@ -148,18 +133,18 @@ def run_task_comparison(cfg: ExperimentConfig):
         raise DataError("need two modalities to compare")
     spec = _primary_model(cfg)
     tasks = sorted(by_task)
-    rows = _run_plan(cfg, [(m, cfg.preprocessing, None, "baseline", spec)
-                           for task in tasks for m in by_task[task]])
-    groups = _groups(rows, [(task, "baseline", spec.name) for task in tasks])
+    groups, rows = _run_plan(cfg, [
+        (m, cfg.preprocessing, None, "baseline", spec)
+        for task in tasks for m in by_task[task]])
     table = _table("Task comparison (elastic net)", groups)
     by_modality = dict(zip(tasks, groups.values()))
     for a, b in combinations(tasks, 2):
         # the same subject, pair and fold observed in both modalities
-        table.comparisons.append(_comparison(
+        table.comparisons.append(compare_rows(
             f"{a} vs {b}", by_modality[a], by_modality[b]))
     for task in tasks:
         chance = [dict(r, accuracy=CHANCE_LEVEL) for r in by_modality[task]]
-        table.comparisons.append(_comparison(
+        table.comparisons.append(compare_rows(
             f"{task} vs chance", by_modality[task], chance))
     return table, rows
 
@@ -169,11 +154,9 @@ def run_band_sweep(cfg: ExperimentConfig):
     wavelet denoising), epoch, elastic net; plus an unfiltered baseline."""
     by_task = _manifests_by_task(cfg)
     spec = _primary_model(cfg)
-    minimal = PreprocessingToggles(
-        sensor_kinds=cfg.preprocessing.sensor_kinds,
-        wavelet=False, decimation_factor=1, band_limit=None,
-    )
-    plan, kept = [], []
+    minimal = replace(cfg.preprocessing, wavelet=False, decimation_factor=1,
+                      band_limit=None)
+    plan = []
     configs = [("unfiltered", None)]
     configs += [(band, dsp.BANDS[band]) for band in dsp.BAND_ORDER]
     for task in sorted(by_task):
@@ -189,11 +172,8 @@ def run_band_sweep(cfg: ExperimentConfig):
                     print(f"warning: skipping band {conf_name} for task "
                           f"{task}: {exc}", file=sys.stderr)
                     continue
-            kept.append((task, conf_name))
             plan += [(m, minimal, band_pass, conf_name, spec) for m in mans]
-    rows = _run_plan(cfg, plan)
-    groups = _groups(rows, [(task, conf_name, spec.name)
-                            for task, conf_name in kept])
+    groups, rows = _run_plan(cfg, plan)
     return _table("Frequency-band sweep (elastic net)", groups), rows
 
 
@@ -225,10 +205,8 @@ def run_ablation(cfg: ExperimentConfig):
         raise DataError("ablation requires production-task manifests")
     spec = _primary_model(cfg)
     configs = ablation_configurations(cfg.preprocessing, spec)
-    rows = _run_plan(cfg, [(m, toggles, None, conf_name, conf_spec)
-                           for conf_name, toggles, conf_spec in configs
-                           for m in prod])
-    groups = _groups(rows, [("production", conf_name, spec.name)
-                            for conf_name, _, _ in configs])
+    groups, rows = _run_plan(cfg, [(m, toggles, None, conf_name, conf_spec)
+                                   for conf_name, toggles, conf_spec in configs
+                                   for m in prod])
     return _table("Ablation (production, elastic net)", groups,
                   versus=("production", ABLATION_BASELINE, spec.name)), rows

@@ -56,7 +56,7 @@ class TestAlign:
         rng = np.random.default_rng(3)
         x = speech_like(rng, 8000)
         res = align(x, advance(x, 100), FS, window=2.0)
-        widths = [w for w, _, _ in res.iterations]
+        widths = [it["delay_window"] for it in res.iterations]
         assert all(b < a for a, b in zip(widths, widths[1:]))
         assert abs(res.delay) <= 2.0
 

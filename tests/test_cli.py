@@ -650,6 +650,8 @@ class TestExitCodes:
         ("models", [{"variant": "svm_rbf", "C": float("inf")}]),
         # checked before any recording is preprocessed, not truncated
         ("min_count", 24.9), ("min_count", True),
+        # a phone needs at least one epoch to be evaluated
+        ("min_count", 0), ("min_count", -5),
         ("phone_pairs", "ae"), ("phone_pairs", [["a", 5]]),
         ("phone_pairs", [["a", "a"]]), ("phone_pairs", [["a", "e", "i"]]),
         # bounds that hold for every variant, not only the one that reads them

@@ -398,9 +398,11 @@ class TestFileEpochs:
         man = dataio.Manifest("s01", "production", rec_path, ev_path, fs)
         toggles = PreprocessingToggles(wavelet=False, decimation_factor=1,
                                        band_limit=None)
-        passes = ((dsp.BANDS["Beta"], (("Beta", ModelSpec("elastic_net")),)),)
-        return (man, toggles, passes, CvConfig(k=2), (("a", "e"),), 20,
-                EpochWindow())
+        cfg = studies.ExperimentConfig(
+            manifests=(), models=(), phone_pairs=(("a", "e"),),
+            cv=CvConfig(k=2), min_count=20)
+        return (cfg, man, toggles, dsp.BANDS["Beta"],
+                [("Beta", ModelSpec("elastic_net"))])
 
     EPOCHS_BYTES = 60 * 40 * 301 * 8
     GROUP_BYTES = 8 * 60000 * 8
@@ -485,7 +487,8 @@ class TestRowHelpers:
 
     def test_compare_identical_rows_is_none(self):
         rows = self.make_rows()
-        assert compare_rows(rows, list(rows)) is None
+        assert compare_rows("r vs r", rows, list(rows)) == {
+            "label": "r vs r", "W": None, "p": None, "method": None}
 
     def test_resolve_pairs(self):
         assert resolve_pairs("auto", ("e", "a", "i")) == [
@@ -742,9 +745,10 @@ class TestStudies:
         studies.run_ablation(exp_config(mag_corpus[:1], jobs=64))
         studies.run_model_comparison(exp_config(mag_corpus, jobs=64))
         studies.run_model_comparison(exp_config(mag_corpus[:1], jobs=64))
+        table, _ = studies.run_band_sweep(exp_config(mag_corpus[:1], jobs=64))
         # 6 distinct toggle sets, then 2 recordings; a single unit runs
-        # in-process
-        assert pool_sizes == [6, 2]
+        # in-process; then one unit per kept band of one recording
+        assert pool_sizes == [6, 2, len(table.rows)]
 
 
 class TestReport:
