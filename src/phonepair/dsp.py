@@ -113,7 +113,7 @@ def _next_fast_len(n: int) -> int:
 
 
 _BLOCK = 32  # kept outputs per row of one matrix product
-_CHUNK = 8   # channels padded at a time
+CHUNK = 8    # channels per group, as dsp filters and pipeline reads them
 
 
 # one entry: every group loop the program runs, and align's paired
@@ -129,7 +129,7 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     """Filter with no net delay: reflect-pad, convolve once, crop center.
 
     Accepts a 1-D signal or a [channels x samples] matrix (filtered per row),
-    convolved by real FFT (``numpy.fft``) into one float64 output, ``_CHUNK``
+    convolved by real FFT (``numpy.fft``) into one float64 output, ``CHUNK``
     rows at a time: each block is cast, padded and transformed on its own,
     so no temporary is larger than a block.  numpy transforms row by row, so
     the bytes are those of one pass over the whole matrix.
@@ -147,13 +147,13 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     nfft = _next_fast_len(n_pad + m - 1)
     h_spec = _spectrum(filt, nfft)
     y = np.empty(x.shape)
-    for c in range(0, len(x), _CHUNK):
+    for c in range(0, len(x), CHUNK):
         # the padded block is dropped as soon as it is transformed
-        spec = np.fft.rfft(np.pad(x[c: c + _CHUNK].astype(float, copy=False),
+        spec = np.fft.rfft(np.pad(x[c: c + CHUNK].astype(float, copy=False),
                                   ((0, 0), (pad, pad)), mode="reflect"),
                            nfft, axis=1)
         spec *= h_spec
-        y[c: c + _CHUNK] = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad]
+        y[c: c + CHUNK] = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad]
     return y[0] if one_d else y
 
 
@@ -211,18 +211,18 @@ def _filter_kept(filt: FirFilter, x: np.ndarray, factor: int,
         tail -= tail % math.lcm(4, factor)
         out[:, stop * _BLOCK:] = _filter_kept(
             filt, _denoise_rows(x[:, tail:]), factor)[:, stop * _BLOCK - tail // factor:]
-    for c in range(0, n_channels, _CHUNK):
+    for c in range(0, n_channels, CHUNK):
         if wavelet:
-            src = x[c: c + _CHUNK, first * step - shift:]
+            src = x[c: c + CHUNK, first * step - shift:]
         else:
             # up to a block past the reflected end, feeding only dropped outputs
-            src = np.pad(x[c: c + _CHUNK].astype(float, copy=False),
+            src = np.pad(x[c: c + CHUNK].astype(float, copy=False),
                          ((0, 0), (pad, pad + step)), mode="reflect")
         windows = np.lib.stride_tricks.sliding_window_view(
             src, len(toeplitz), axis=1)[:, ::step][:, :stop - first]
         # one row's overlapping windows copied at a time; numpy's stacked
         # product is one gemm per row anyway, so the bytes are the same
-        for row, dst in zip(windows, out[c: c + _CHUNK]):
+        for row, dst in zip(windows, out[c: c + CHUNK]):
             y = np.ascontiguousarray(row, dtype=float) @ toeplitz
             dst[first * _BLOCK: stop * _BLOCK] = y.ravel()[:n_out - first * _BLOCK]
     return out

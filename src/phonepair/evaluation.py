@@ -29,38 +29,27 @@ def kfold(y, k: int, seed: int) -> np.ndarray:
     """Deterministic stratified fold assignment: the fold index in [0, k)
     of each row.
 
-    Rows of each class are shuffled with the seed and dealt round-robin;
-    a running counter across classes keeps overall fold sizes within 1.
+    Rows of each class, in ascending class order, are shuffled with the
+    seed and dealt round-robin, the count running on across classes, so
+    overall fold sizes are within 1.
     """
     y = np.asarray(y)
     n = len(y)
     if n < k:
         raise DataError(f"cannot split {n} rows into {k} folds")
     rng = np.random.default_rng(seed)
+    order = np.concatenate([idx[rng.permutation(len(idx))] for idx in
+                            (np.flatnonzero(y == c) for c in np.unique(y))])
     assignments = np.empty(n, dtype=int)
-    counter = 0
-    for cls in sorted(np.unique(y).tolist()):
-        idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for i in idx:
-            assignments[i] = counter % k
-            counter += 1
+    assignments[order] = np.arange(n) % k
     return assignments
 
 
 def _rankdata(v: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based), ties share the mean rank."""
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v), dtype=float)
-    sv = v[order]
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Average ranks (1-based), ties share the mean rank: the last rank of
+    a run of c equal values, less (c - 1) / 2."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def auc_score(y_true: np.ndarray, scores: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,9 +73,11 @@ class ModelSpec:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown model variant {self.variant!r}")
         check_numbers(self, ConfigError)
-        # checked for every variant, so a config echo never holds a bad one
+        # checked for every variant, so a config echo never holds a bad one,
+        # and as ints: 1024.0 == 1024, but cannot shape a weight matrix
         if (not isinstance(self.hidden_sizes, (list, tuple))
-                or tuple(self.hidden_sizes) not in ALLOWED_HIDDEN_SIZES):
+                or tuple(self.hidden_sizes) not in ALLOWED_HIDDEN_SIZES
+                or any(type(h) is not int for h in self.hidden_sizes)):
             raise ConfigError(
                 f"hidden_sizes must be one of {ALLOWED_HIDDEN_SIZES}")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
@@ -160,20 +163,12 @@ class FoldSplit:
         return mean, np.maximum(np.sqrt(m2 / n), dsp.STD_FLOOR)
 
 
-@dataclass(frozen=True)
-class Fold:
-    """Fold ``index`` of a FoldSplit: a fit takes the rows of X outside it
-    (``train``), and its model scores the rows in it."""
-    split: FoldSplit
-    index: int
-
-    @property
-    def train(self) -> np.ndarray:
-        return self.split.folds != self.index
-
-    def stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """The column (mean, std) of the training rows."""
-        return self.split.stats(self.index)
+class Fold(NamedTuple):
+    """What a fit trains on: ``rows``, the indices of its training rows in
+    X, and ``stats``, their column (mean, std), which standardise those rows
+    and the rows its model scores."""
+    rows: np.ndarray
+    stats: tuple
 
 
 def _standardised(X, rows, cols, stats):
@@ -188,10 +183,8 @@ def _standardised(X, rows, cols, stats):
 
 def _zscored_rows(X, y, fold):
     """The training rows of ``fold`` in (X, y), standardised, and the fold's
-    statistics, to z-score scored rows; (X, y, None) without a fold."""
-    if fold is None:
-        return X, y, None
-    stats, rows = fold.stats(), fold.train
+    statistics, to z-score scored rows."""
+    rows, stats = fold
     return _standardised(X, rows, slice(None), stats), y[rows], stats
 
 
@@ -336,11 +329,11 @@ def _working_set(score, size):
     return np.flatnonzero(top & (score > 0))
 
 
-def train_elastic_net(X, y, spec: ModelSpec, fold=None, start=None,
+def train_elastic_net(X, y, spec: ModelSpec, fold, start=None,
                       *_) -> TrainedModel:
     """Minimise mean logistic loss + alpha*(l1*|w|_1 + (1-l1)/2*|w|^2) over
-    the rows of X, or, with ``fold``, over its training rows standardised as
-    (x - mean) / std with their column (mean, std), ``fold.stats()``.
+    the training rows of ``fold`` standardised as (x - mean) / std with
+    their column (mean, std), ``fold.stats``.
 
     Starts at ``start``, a (w, b) pair, or at w = 0, b = 0.  Each round
     takes the full gradient once and warm-starts Newton steps
@@ -361,8 +354,7 @@ def train_elastic_net(X, y, spec: ModelSpec, fold=None, start=None,
     tolerance the fit stops; for l1 = 1 the minimiser is unique only for
     X in general position.  The model's ``start`` is a copy of its (w, b)."""
     n, p = X.shape
-    rows, stats = ((np.arange(n), (np.zeros(p), np.ones(p))) if fold is None
-                   else (np.flatnonzero(fold.train), fold.stats()))
+    rows, stats = fold
     mean, std = stats
     ypm = 2.0 * y[rows] - 1.0
     alpha, l1 = spec.alpha, spec.l1_ratio
@@ -419,7 +411,7 @@ def _predict_standardised(params, X):
 # Linear discriminant analysis with shrunk pooled covariance
 # ---------------------------------------------------------------------------
 
-def train_lda(X, y, spec: ModelSpec, fold=None, *_) -> TrainedModel:
+def train_lda(X, y, spec: ModelSpec, fold, *_) -> TrainedModel:
     X, y, stats = _zscored_rows(X, y, fold)
     n, p = X.shape
     n0, n1 = int(np.sum(y == 0)), int(np.sum(y == 1))
@@ -518,7 +510,7 @@ def _fit_platt(f, y):
         f"{n_iter} Newton steps (limit {PLATT_MAX_ITER})")
 
 
-def train_svm_rbf(X, y, spec: ModelSpec, fold=None, *_) -> TrainedModel:
+def train_svm_rbf(X, y, spec: ModelSpec, fold, *_) -> TrainedModel:
     """C-SVC with the RBF kernel exp(-gamma |x - x'|^2), gamma = 1 / (p *
     var(X)) unless set, and a Platt link fitted to its training decision
     values.  The dual, min 1/2 a'Qa - sum(a), 0 <= a <= C, y'a = 0, is
@@ -849,7 +841,7 @@ class NetStart:
 # a fit that overflows ends at its first non-finite loss, with one error and
 # no numpy warning
 @np.errstate(over="ignore", invalid="ignore")
-def _train_neural(net, X, y, spec: ModelSpec, fold=None, start=None):
+def _train_neural(net, X, y, spec: ModelSpec, fold, start=None):
     """Full-batch AdamW in float32 on the training split; keeps the
     parameters of the epoch with the lowest validation loss and stops after
     ``patience`` epochs without improvement.  A non-finite training or
@@ -866,8 +858,8 @@ def _train_neural(net, X, y, spec: ModelSpec, fold=None, start=None):
     passes: the moments, two scratch blocks for ``_adamw_step`` and the best
     parameters (refreshed with ``np.copyto``, first at epoch 1) are
     allocated once.  The model keeps the NetStart; its meta holds the best
-    epoch, epochs run and what stopped it.  With ``fold``, it fits the
-    fold's z-scored training rows."""
+    epoch, epochs run and what stopped it.  It fits the z-scored training
+    rows of ``fold``."""
     X, y, stats = _zscored_rows(X, y, fold)
     if len(y) < 10:
         raise DataError("need at least 10 samples to hold out a validation set")
@@ -931,13 +923,12 @@ def _train_neural(net, X, y, spec: ModelSpec, fold=None, start=None):
         training_log=train_log, val_log=val_log, start=start, zscore=stats)
 
 
-def train_ffn(X, y, spec: ModelSpec, fold=None, start=None,
-              *_) -> TrainedModel:
+def train_ffn(X, y, spec: ModelSpec, fold, start=None, *_) -> TrainedModel:
     return _train_neural(FfnNet(X.shape[1], spec.hidden_sizes), X, y, spec,
                          fold, start)
 
 
-def train_cnn(X, y, spec: ModelSpec, fold=None, start=None, n_channels=None,
+def train_cnn(X, y, spec: ModelSpec, fold, start=None, n_channels=None,
               n_times=None) -> TrainedModel:
     if None in (n_channels, n_times) or n_channels * n_times != X.shape[1]:
         raise DataError(f"cnn needs X width {X.shape[1]} = n_channels*n_times"
@@ -950,13 +941,16 @@ def train_cnn(X, y, spec: ModelSpec, fold=None, start=None, n_channels=None,
 def train(spec: ModelSpec, X, y, n_channels=None, n_times=None,
           start=None, fold=None) -> TrainedModel:
     """Check X and y once, then fit them with ``train_<variant>``.  Every
-    trainer takes (X, y, spec, fold, start, n_channels, n_times): ``fold``
-    is None, a fit of every row as given, or a :class:`Fold`, a fit of its
-    training rows standardised with ``fold.stats()``, whose model
-    standardises the rows it scores the same way; ``start`` is where the
-    fit begins, the ``start`` of the previous fold's model or None, a cold
-    start; only ``cnn`` reads the [n_channels, n_times] layout of each row."""
+    trainer takes (X, y, spec, fold, start, n_channels, n_times): it fits
+    the training rows of the :class:`Fold` standardised with ``fold.stats``,
+    and its model standardises the rows it scores the same way; no ``fold``
+    is every row, with (mean, std) (0, 1).  ``start`` is where the fit
+    begins, the previous fold's model's ``start`` or None, a cold start;
+    only ``cnn`` reads the [n_channels, n_times] layout of each row."""
     X, y = _check_xy(X, y)
+    if fold is None:
+        n, p = X.shape
+        fold = Fold(np.arange(n), (np.zeros(p), np.ones(p)))
     # Looked up by name at each call, not from a table built at import, so
     # that a wrapper bound to the attribute later (perfbench's tracer) sees
     # every fit.
@@ -985,12 +979,12 @@ def fit_folds(spec: ModelSpec, X, y, folds, n_channels=None,
     dropped once it has scored its test rows, before the next fold trains.
     A fit or predict error, a fold's statistics included, is raised again
     with a ``fold N: `` prefix."""
-    X = np.asarray(X, dtype=float)
+    X, y = _check_xy(X, y)
     split, start, out = FoldSplit(X, folds), None, []
     for index in range(folds.max() + 1):
         try:
-            model = train(spec, X, y, n_channels, n_times, start,
-                          Fold(split, index))
+            fold = Fold(np.flatnonzero(folds != index), split.stats(index))
+            model = train(spec, X, y, n_channels, n_times, start, fold)
             out.append((model.predict_proba(X[folds == index])[:, 1],
                         model.meta))
         except (DataError, ConvergenceError) as exc:

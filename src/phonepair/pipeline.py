@@ -65,14 +65,14 @@ def preprocess(rec: dataio.Recording, toggles: PreprocessingToggles) -> dataio.R
 
 def preprocessed_groups(path: str, toggles: PreprocessingToggles):
     """(selected channels, a group's slice of them, the group preprocessed)
-    for each ``dsp._CHUNK`` selected channels read from disk.  Stacked, the
+    for each ``dsp.CHUNK`` selected channels read from disk.  Stacked, the
     groups are ``preprocess(dataio.load_recording(path), toggles)`` byte for
     byte: ``dsp`` cuts a matrix into these groups anyway."""
     header = dataio.read_header(path)
     idx = dataio.channel_indices(header[2], toggles.sensor_kinds)
     selected = tuple(header[2][i] for i in idx)
-    for c in range(0, len(idx), dsp._CHUNK):
-        rows = idx[c: c + dsp._CHUNK]
+    for c in range(0, len(idx), dsp.CHUNK):
+        rows = idx[c: c + dsp.CHUNK]
         yield selected, slice(c, c + len(rows)), preprocess(
             dataio.load_recording(path, slice(rows[0], rows[-1] + 1), header),
             toggles)

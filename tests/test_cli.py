@@ -665,7 +665,10 @@ class TestExitCodes:
         ("models", [{"variant": "elastic_net", "name": None}]),
         ("models", [{"variant": "elastic_net", "name": 5}]),
         # checked for every variant, not only ffn
-        ("models", [{"variant": "elastic_net", "hidden_sizes": "x"}])])
+        ("models", [{"variant": "elastic_net", "hidden_sizes": "x"}]),
+        # equal to an allowed size, but not an integer
+        ("models", [{"variant": "ffn", "hidden_sizes": [1024.0]}]),
+        ("models", [{"variant": "ffn", "hidden_sizes": [2048, 1024.0]}])])
     def test_malformed_study_config(self, cli_corpus, tmp_path, capsys, key,
                                     value):
         _, manifests = cli_corpus

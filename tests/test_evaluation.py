@@ -51,6 +51,27 @@ class TestKfold:
             kfold(np.array([0, 1]), k=5, seed=0)
 
 
+class TestRankdata:
+    def test_matches_scipy(self):
+        """Ranks of vectors with many ties, infinities and signed zeros
+        included, equal scipy's average ranks byte for byte."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+        from scipy.stats import rankdata
+
+        tied = st.integers(-3, 3).map(lambda i: i / 2)
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.lists(tied | st.floats(allow_nan=False), max_size=40))
+        def check(values):
+            v = np.array(values, dtype=float)
+            assert (evaluation._rankdata(v).tobytes()
+                    == rankdata(v).astype(float).tobytes())
+
+        check()
+
+
 class TestAuc:
     def test_textbook_case(self):
         y = np.array([0, 0, 1, 1])
@@ -437,16 +458,17 @@ class TestElasticNetChain:
         spec = ModelSpec("elastic_net", l1_ratio=l1)
         trainer, warm = models.train_elastic_net, []
 
-        def recorded(X, y, spec, fold=None, start=None, *layout):
+        def recorded(X, y, spec, fold, start=None, *layout):
             warm.append((start, trainer(X, y, spec, fold, start, *layout)))
             return warm[-1][1]
 
         monkeypatch.setattr(models, "train_elastic_net", recorded)
         models.fit_folds(spec, ds.X, ds.y, folds)
+        monkeypatch.undo()
         assert [start is None for start, _ in warm] == [True] + [False] * 4
         for fold, ((X, y, X_test, _), (_, model)) in enumerate(zip(
                 zscored_folds(ds, folds), warm, strict=True)):
-            cold = trainer(X, y, spec)
+            cold = models.train(spec, X, y)
             assert model.meta["kkt_violation"] <= models.EN_KKT_TOL
             f_warm, f_cold = (elastic_net_objective(
                 X, 2.0 * y - 1.0, m.params["w"], m.params["b"], spec.alpha,
@@ -499,12 +521,13 @@ class TestElasticNetOnRawX:
                 std, np.maximum(np.std(train, axis=0), dsp.STD_FLOOR),
                 rtol=1e-12)
             assert (std[5] == dsp.STD_FLOOR) == (fold == 0)
-        # every dense model z-scores the rows it scores with those bytes
+        # each fit gets its fold's training rows and those bytes, and every
+        # dense model z-scores the rows it scores with them
         trainer, fitted = models.train, []
 
         def recorded(*args):
             model = trainer(*args)
-            fitted.append((args[-1].index, model.zscore))
+            fitted.append((args[-1], model.zscore))
             return model
 
         monkeypatch.setattr(models, "train", recorded)
@@ -514,10 +537,12 @@ class TestElasticNetOnRawX:
             fitted.clear()
             models.fit_folds(spec, ds.X, ds.y, folds, ds.n_channels,
                              ds.n_times)
-            assert [fold for fold, _ in fitted] == [0, 1, 2, 3]
-            for fold, zscore in fitted:
-                assert [a.tobytes() for a in zscore] == [
-                    a.tobytes() for a in split.stats(fold)]
+            assert len(fitted) == 4
+            for k, ((rows, stats), zscore) in enumerate(fitted):
+                assert rows.tobytes() == np.flatnonzero(folds != k).tobytes()
+                want = [a.tobytes() for a in split.stats(k)]
+                assert [a.tobytes() for a in stats] == want
+                assert [a.tobytes() for a in zscore] == want
 
     @pytest.mark.parametrize("l1", [0.0, 0.5, 1.0])
     def test_scores_match_the_z_scored_oracle(self, l1):
@@ -544,6 +569,12 @@ class TestElasticNetOnRawX:
 
 
 class TestFoldErrors:
+    def test_x_and_y_of_different_lengths(self):
+        ds = tiny_dataset()
+        with pytest.raises(DataError, match="^X and y length mismatch$"):
+            models.fit_folds(ModelSpec("lda"), ds.X[:-1], ds.y,
+                             kfold(ds.y, k=5, seed=0))
+
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_too_few_training_rows_names_the_fold(self, variant):
         ds = tiny_dataset()

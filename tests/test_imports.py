@@ -1,7 +1,7 @@
 """Every name a module under src/phonepair imports is used in that module,
 every name it defines is used somewhere, nothing in it imports scipy or
-passes ``out=`` to a ``numpy.fft`` function, and models.py does not branch
-on a variant's name.
+passes ``out=`` to a ``numpy.fft`` function or reads another module's
+private name, and models.py does not branch on a variant's name.
 
 No linter ships with the test environment, so this walks the syntax tree
 itself: a name bound by ``import`` or ``from ... import`` must appear as a
@@ -118,6 +118,53 @@ def test_checker_finds_fft_calls_with_out():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_fft_call_passes_out(path):
     assert fft_out_calls(path.read_text(encoding="utf-8")) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not re.fullmatch(r"__\w*__", name)
+
+
+def private_reads(source: str) -> list[str]:
+    """Reads of a private name, ``_x`` but no dunder, of another module:
+    ``from m import _x``, and ``m._x`` or ``m.a._x`` for any name ``m`` an
+    import binds.  What a module shares it names without an underscore."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in n.names}
+        elif isinstance(n, ast.ImportFrom):
+            imported |= {a.asname or a.name for a in n.names}
+            module = "." * n.level + (n.module or "")
+            found += [f"from {module} import {a.name} (line {n.lineno})"
+                      for a in n.names if _private(a.name)]
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and _private(n.attr):
+            root = n.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                found.append(f"{ast.unparse(n)} (line {n.lineno})")
+    return found
+
+
+def test_checker_finds_private_reads():
+    source = ("import numpy as np\n"
+              "from . import dsp\n"
+              "from .models import _fit, fit\n"
+              "from .dataio import __version__\n"
+              "class Split:\n"
+              "    def size(self):\n"
+              "        return self._n + dsp.CHUNK + len(dsp.__name__)\n"
+              "x = dsp._CHUNK + np.lib._core.size\n")
+    assert private_reads(source) == [
+        "from .models import _fit (line 3)", "dsp._CHUNK (line 8)",
+        "np.lib._core (line 8)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_of_another_module(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
 
 
 # One child process imports phonepair.cli, then runs each command; it prints

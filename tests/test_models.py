@@ -200,8 +200,7 @@ class TestElasticNetSolver:
         X, y = wide_sparse(rng, n=80, p=600)
         spec = ModelSpec("elastic_net", l1_ratio=l1)
         fit = train(spec, X, y)
-        again = models.train_elastic_net(
-            X, y, spec, start=(fit.params["w"], fit.params["b"]))
+        again = train(spec, X, y, start=(fit.params["w"], fit.params["b"]))
         assert again.meta["n_iter"] == 0
         assert again.params["w"].tobytes() == fit.params["w"].tobytes()
         assert again.params["b"] == fit.params["b"]
@@ -1000,3 +999,26 @@ class TestPredictContract:
         spec = ModelSpec("lda")
         assert train(spec, X, y).predictor is models._predict_linear_logistic
         assert seen == [spec]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_trainer_gets_a_fold(self, rng, monkeypatch, variant):
+        """A raw fit is the Fold of every row with (mean, std) (0, 1), and
+        a fit of fit_folds the Fold of its training rows."""
+        X, y = two_blobs(rng, n_per=15, p=20)
+        real, seen = getattr(models, f"train_{variant}"), []
+
+        def spy(*args):
+            seen.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(models, f"train_{variant}", spy)
+        spec = ModelSpec(variant, train=TrainConfig(max_epochs=3))
+        folds = np.arange(len(y)) % 3
+        train(spec, X, y, n_channels=2, n_times=10)
+        models.fit_folds(spec, X, y, folds, 2, 10)
+        assert all(isinstance(fold, models.Fold) for fold in seen)
+        assert [fold.rows.tolist() for fold in seen] == [
+            list(range(len(y))),
+            *(np.flatnonzero(folds != k).tolist() for k in range(3))]
+        mean, std = seen[0].stats
+        assert mean.tolist() == [0.0] * 20 and std.tolist() == [1.0] * 20
