@@ -113,7 +113,8 @@ def _next_fast_len(n: int) -> int:
 
 
 _BLOCK = 32  # kept outputs per row of one matrix product
-CHUNK = 8    # channels per group, as dsp filters and pipeline reads them
+CHUNK = 8    # channels per group, as pipeline reads and _filter_kept filters
+_FFT_SAMPLES = 1 << 16  # samples of one zero-phase transform block
 
 
 # one entry: every group loop the program runs, and align's paired
@@ -129,10 +130,11 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     """Filter with no net delay: reflect-pad, convolve once, crop center.
 
     Accepts a 1-D signal or a [channels x samples] matrix (filtered per row),
-    convolved by real FFT (``numpy.fft``) into one float64 output, ``CHUNK``
-    rows at a time: each block is cast, padded and transformed on its own,
-    so no temporary is larger than a block.  numpy transforms row by row, so
-    the bytes are those of one pass over the whole matrix.
+    convolved by real FFT (``numpy.fft``) into one float64 output in blocks
+    of as many rows as fit ``_FFT_SAMPLES`` at the FFT length, at least one:
+    a long row alone, so about three FFT-length buffers are live beside the
+    output.  numpy transforms row by row, so the bytes are those of one pass
+    over the whole matrix.
     """
     x = np.asarray(x)
     one_d = x.ndim == 1
@@ -147,13 +149,14 @@ def apply_zero_phase(filt: FirFilter, x: np.ndarray) -> np.ndarray:
     nfft = _next_fast_len(n_pad + m - 1)
     h_spec = _spectrum(filt, nfft)
     y = np.empty(x.shape)
-    for c in range(0, len(x), CHUNK):
+    step = max(1, _FFT_SAMPLES // nfft)
+    for c in range(0, len(x), step):
         # the padded block is dropped as soon as it is transformed
-        spec = np.fft.rfft(np.pad(x[c: c + CHUNK].astype(float, copy=False),
+        spec = np.fft.rfft(np.pad(x[c: c + step].astype(float, copy=False),
                                   ((0, 0), (pad, pad)), mode="reflect"),
                            nfft, axis=1)
         spec *= h_spec
-        y[c: c + CHUNK] = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad]
+        y[c: c + step] = np.fft.irfft(spec, nfft, axis=1)[:, m - 1: n_pad]
     return y[0] if one_d else y
 
 

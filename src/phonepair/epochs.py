@@ -28,6 +28,7 @@ class PairDataset:
     pair: tuple[str, str]
     n_channels: int
     n_times: int
+    rows: np.ndarray | None = None  # the epoch behind each row of X
 
 
 def count_phones(events: EventTable, min_count: int) -> tuple[str, ...]:
@@ -72,13 +73,33 @@ def extract_epochs(
     return Epochs(data[:, :, :n_times], labels[kept]), int((~kept).sum())
 
 
-def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int) -> PairDataset:
+def rows_first(a: np.ndarray, rows: np.ndarray, undo: bool = False):
+    """``a[rows]`` as a view of ``a``, its rows reordered in place: ``rows``
+    first, the others after them in their order, each cycle of that
+    permutation followed with one row of scratch.  With ``undo``, the order
+    that the call without it changed is put back."""
+    perm = np.concatenate([rows, np.setdiff1d(np.arange(len(a)), rows)])
+    perm = (np.argsort(perm) if undo else perm).tolist()
+    for start in range(len(perm)):
+        if perm[start] != start:  # a cycle not yet followed
+            scratch, i = a[start].copy(), start
+            while perm[i] != start:
+                a[i] = a[perm[i]]
+                perm[i], i = i, perm[i]  # row i is in place
+            a[i], perm[i] = scratch, i
+    return a[:len(rows)]
+
+
+def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int,
+                       in_place: bool = False) -> PairDataset:
     """Balanced binary dataset for one phone pair.
 
     The majority class is down-sampled uniformly at random (seeded) and the
     rows are shuffled deterministically.  Label 0 goes to the
     lexicographically smaller phone.  A row is an epoch's data flattened
-    channel-major.
+    channel-major, and ``rows`` holds the epoch of each row.  X is a copy,
+    or with ``in_place`` the same values from ``rows_first(epochs.data,
+    rows)``, until the caller puts the epochs back with ``undo``.
     """
     pair = tuple(sorted((phone_a, phone_b)))
     groups = [np.flatnonzero(epochs.labels == phone) for phone in pair]
@@ -92,9 +113,11 @@ def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int) -> PairDat
         group if len(group) == m else np.sort(rng.choice(group, size=m, replace=False))
         for group in groups])
     order = rng.permutation(2 * m)
-    X = epochs.data[kept[order]].reshape(2 * m, -1)
+    rows = kept[order]
+    X = (rows_first(epochs.data, rows) if in_place
+         else epochs.data[rows]).reshape(2 * m, -1)
     # min and max propagate NaN and meet every infinity, and copy nothing
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):
         raise DataError("pair dataset contains non-finite values")
-    return PairDataset(X=X, y=(order >= m).astype(int), pair=pair,
+    return PairDataset(X=X, y=(order >= m).astype(int), pair=pair, rows=rows,
                        n_channels=epochs.data.shape[1], n_times=epochs.data.shape[2])

@@ -154,8 +154,6 @@ def evaluate(spec: models.ModelSpec, ds: PairDataset,
     (``models.FoldSplit``) inside the fit (no test-row leakage); the solver
     state it returns per fold is left out of the metrics.  A metric error is
     raised again with a ``fold N: `` prefix, as a fit error is."""
-    if len(folds) != len(ds.y):
-        raise DataError("fold split does not match dataset size")
     fits = models.fit_folds(spec, ds.X, ds.y, folds, ds.n_channels,
                             ds.n_times)
     out = []

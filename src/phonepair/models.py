@@ -980,6 +980,8 @@ def fit_folds(spec: ModelSpec, X, y, folds, n_channels=None,
     A fit or predict error, a fold's statistics included, is raised again
     with a ``fold N: `` prefix."""
     X, y = _check_xy(X, y)
+    if len(folds) != len(y):
+        raise DataError("fold split does not match dataset size")
     split, start, out = FoldSplit(X, folds), None, []
     for index in range(folds.max() + 1):
         try:

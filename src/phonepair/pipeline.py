@@ -12,7 +12,8 @@ import numpy as np
 
 from . import dataio, dsp, evaluation
 from .dataio import ConfigError, DataError
-from .epochs import Epochs, build_pair_dataset, count_phones, extract_epochs
+from .epochs import (Epochs, build_pair_dataset, count_phones, extract_epochs,
+                     rows_first)
 
 BAND_PASS_LO = 0.2  # Hz, low edge used whenever a band limit is set
 
@@ -67,7 +68,7 @@ def preprocessed_groups(path: str, toggles: PreprocessingToggles):
     """(selected channels, a group's slice of them, the group preprocessed)
     for each ``dsp.CHUNK`` selected channels read from disk.  Stacked, the
     groups are ``preprocess(dataio.load_recording(path), toggles)`` byte for
-    byte: ``dsp`` cuts a matrix into these groups anyway."""
+    byte: ``dsp`` filters each row on its own anyway."""
     header = dataio.read_header(path)
     idx = dataio.channel_indices(header[2], toggles.sensor_kinds)
     selected = tuple(header[2][i] for i in idx)
@@ -145,7 +146,8 @@ def evaluate_recording(
     """Metric rows for every (pair, run, fold) of one recording's epochs;
     each pair's dataset and folds are built once for all runs.  "auto" pairs
     are those of the phones with ``min_count`` events, less those left out
-    by ``_pairs_with_epochs``; explicit pairs are evaluated as given."""
+    by ``_pairs_with_epochs``; explicit pairs are evaluated as given.  Each
+    pair is fitted on the epochs reordered in place, then put back."""
     pairs = resolve_pairs(phone_pairs, count_phones(events, min_count))
     if not pairs:
         raise DataError("no phone pairs to evaluate (inventory too small?)")
@@ -153,10 +155,9 @@ def evaluate_recording(
         pairs = _pairs_with_epochs(pairs, eps.labels, min_count,
                                    f"subject {subject} task {task}")
     rows = []
-    for i, pair in enumerate(pairs, start=1):
-        ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed)
-        if i == len(pairs):
-            del eps  # the last X is built: the fits need nothing else
+    for pair in pairs:
+        ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed,
+                                in_place=True)
         folds = evaluation.kfold(ds.y, k=cv.k, seed=cv.seed)
         for configuration, spec in runs:
             per_fold = evaluation.evaluate(spec, ds, folds)
@@ -170,6 +171,7 @@ def evaluate_recording(
                     "fold": fold,
                     **m,
                 })
+        rows_first(eps.data, ds.rows, undo=True)  # the epochs back in order
     return rows
 
 

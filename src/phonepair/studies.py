@@ -46,8 +46,8 @@ def _eval_unit(args):
     ``toggles`` and band-passed by ``band_pass`` (None = unfiltered)."""
     cfg, manifest, toggles, band_pass, runs = args
     events = dataio.load_events(manifest.events_path)
-    # cut a channel group at a time from disk; no name here holds the
-    # epochs, so they go once the last pair's X is built
+    # cut a channel group at a time from disk; each pair's X is the epochs
+    # themselves, reordered in place
     return pipeline.evaluate_recording(
         pipeline.file_epochs(manifest.recording_path, toggles, band_pass,
                              events, cfg.epoch_window)[0],

@@ -7,14 +7,27 @@ one loaded, so ``from conftest import ...`` is not reliable."""
 import contextlib
 import hashlib
 import io
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from phonepair import dataio, dsp, models, pipeline
+from phonepair import dataio, dsp, epochs, evaluation, models, pipeline
 from phonepair.cli import EXIT_OK, main
 from phonepair.dataio import ChannelInfo, Recording
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory that tracemalloc traced
+    while it ran, in bytes, as (result, peak)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def predict(model, X):
@@ -161,6 +174,27 @@ def preprocess_file(path, toggles):
             out = np.empty((len(selected), part.n_samples), part.data.dtype)
         out[rows] = part.data
     return Recording(part.sample_rate, selected, out)
+
+
+def evaluate_recording_by_copies(eps, events, subject, task, runs, cv,
+                                 min_count):
+    """``pipeline.evaluate_recording`` with "auto" pairs, each pair's X a
+    copy of its epochs' rows, so the epochs never move: the oracle for the
+    pairs fitted on the epochs reordered in place."""
+    pairs = pipeline._pairs_with_epochs(
+        pipeline.resolve_pairs("auto", epochs.count_phones(events, min_count)),
+        eps.labels, min_count, f"subject {subject} task {task}")
+    rows = []
+    for pair in pairs:
+        ds = epochs.build_pair_dataset(eps, *pair, seed=cv.seed)
+        folds = evaluation.kfold(ds.y, k=cv.k, seed=cv.seed)
+        for configuration, spec in runs:
+            for fold, m in enumerate(evaluation.evaluate(spec, ds, folds)):
+                rows.append({"subject": subject, "task": task,
+                             "pair": "-".join(pair), "model": spec.name,
+                             "configuration": configuration, "fold": fold,
+                             **m})
+    return rows
 
 
 def make_recording(n_channels=4, n_samples=1000, fs=1000.0, kinds=None, seed=0):

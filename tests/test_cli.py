@@ -3,7 +3,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +11,8 @@ import pytest
 from phonepair import cli, dataio, models, synth
 from phonepair.config import build
 from phonepair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+
+from helpers import traced_peak
 
 SYNTH_DOC = {
     "recordings": [
@@ -376,13 +377,8 @@ class TestStreamedPreprocessing:
         cfg = write_json(tmp_path / "pre.json", {
             "manifests": [man_path],
             "preprocessing": {"decimation_factor": 1, "band_limit": None}})
-        tracemalloc.start()
-        try:
-            code = main(["preprocess", "--config", cfg,
-                         "--out", str(tmp_path / "out")])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["preprocess", "--config", cfg,
+                                        "--out", str(tmp_path / "out")])
         assert code == EXIT_OK
         group = 8 * n_samples * 8
         assert peak < 3 * group

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,7 @@ from phonepair.dsp import (BANDS, apply_zero_phase,
                            compute_zscore_stats, apply_zscore, decimate,
                            design_fir, wavelet_denoise)
 
-from helpers import make_recording, wavelet_decompose
+from helpers import make_recording, traced_peak, wavelet_decompose
 
 
 def freq_response(filt, n=4096):
@@ -150,7 +149,8 @@ def whole_matrix_zero_phase(filt, x):
 class TestChannelBlocks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(1, 5000), (7, 5000), (8, 5000),
-                                       (9, 5000), (51, 3001), (5000,)])
+                                       (9, 5000), (51, 3001), (3, 40000),
+                                       (5000,)])
     def test_equal_to_one_pass_over_the_whole_matrix(self, shape, dtype):
         x = np.random.default_rng(len(shape)).standard_normal(shape)
         x = x.astype(dtype)
@@ -167,13 +167,22 @@ class TestChannelBlocks:
         x = np.random.default_rng(0).standard_normal((51, 32000))
         x = x.astype(np.float32)
         filt = design_fir(4, 7, 1000)
-        tracemalloc.start()
-        try:
-            y = apply_zero_phase(filt, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        y, peak = traced_peak(apply_zero_phase, filt, x)
         assert peak <= 2.5 * y.nbytes
+
+    def test_a_row_at_a_time_holds_a_few_transforms(self):
+        # the Delta band-pass at 1 kHz: one row's padded copy, spectrum and
+        # inverse make about 2.75 buffers of the FFT length beside the
+        # output; 8 rows transformed at once, 16
+        x = np.random.default_rng(0).standard_normal((8, 32000))
+        x = x.astype(np.float32)
+        filt = design_fir(*BANDS["Delta"], 1000)
+        pad = (len(filt) - 1) // 2
+        assert pad == 8250
+        nfft = dsp._next_fast_len(32000 + 4 * pad)
+        apply_zero_phase(filt, x)  # the filter's spectrum, cached
+        y, peak = traced_peak(apply_zero_phase, filt, x)
+        assert peak < y.nbytes + 4 * nfft * 8
 
 
 class TestFftConvolution:
@@ -345,12 +354,7 @@ class TestDecimate:
     def test_memory_stays_near_the_input_size(self):
         rec = make_recording(153, 40000, fs=1000.0)
         for wavelet in (False, True):
-            tracemalloc.start()
-            try:
-                decimate(rec, 10, wavelet)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(decimate, rec, 10, wavelet)
             assert peak <= 1.5 * rec.data.nbytes, wavelet
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from phonepair.dataio import Event, EventTable
 from phonepair.dataio import DataError
-from phonepair.epochs import (Epochs, build_pair_dataset,
-                              count_phones, extract_epochs)
+from phonepair.epochs import (Epochs, build_pair_dataset, count_phones,
+                              extract_epochs, rows_first)
 
 from helpers import make_recording
 
@@ -238,3 +238,56 @@ class TestBuildPairDataset:
         order = rng.permutation(2 * m)
         assert np.array_equal(ds.X, np.array(rows)[order])
         assert np.array_equal(ds.y, np.array(labels)[order])
+
+
+def check_rows_first(a, rows):
+    """``rows_first(a, rows)`` is ``a[rows]`` byte for byte, as a view of
+    ``a``, and with ``undo`` it gives ``a`` its bytes back."""
+    rows = np.array(rows, dtype=int)
+    before, want = a.tobytes(), a[rows]
+    view = rows_first(a, rows)
+    assert view.tobytes() == want.tobytes()
+    assert np.shares_memory(view, a)
+    rows_first(a, rows, undo=True)
+    assert a.tobytes() == before
+
+
+class TestRowsFirst:
+    def test_any_rows_in_any_order(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 12))
+            rows = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+            return n, rows, draw(st.booleans())
+
+        @settings(derandomize=True, database=None, max_examples=300,
+                  deadline=None)
+        @given(cases())
+        def check(case):
+            n, rows, strided = case
+            a = np.random.default_rng(n).standard_normal((n, 2, 4))
+            check_rows_first(a[:, :, ::2] if strided else a, rows)
+
+        check()
+
+    @pytest.mark.parametrize("rows", [
+        [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [3], [2, 4, 0], [1, 2, 3, 4, 0]],
+        ids=["identity", "reversal", "single_row", "partial", "one_cycle"])
+    def test_named_cases(self, rows):
+        check_rows_first(np.arange(30.0).reshape(5, 3, 2), rows)
+
+    def test_a_pair_in_place_is_the_copy(self):
+        eps = _fake_epochs({"a": 9, "e": 7, "i": 5})
+        before = eps.data.tobytes()
+        want = build_pair_dataset(eps, "a", "e", seed=3)
+        got = build_pair_dataset(eps, "a", "e", seed=3, in_place=True)
+        assert got.X.tobytes() == want.X.tobytes()
+        assert np.shares_memory(got.X, eps.data)
+        assert (got.y.tolist(), got.rows.tolist()) == (want.y.tolist(),
+                                                       want.rows.tolist())
+        rows_first(eps.data, got.rows, undo=True)
+        assert eps.data.tobytes() == before

@@ -575,6 +575,16 @@ class TestFoldErrors:
             models.fit_folds(ModelSpec("lda"), ds.X[:-1], ds.y,
                              kfold(ds.y, k=5, seed=0))
 
+    @pytest.mark.parametrize("n_folds", [19, 21])
+    def test_a_fold_vector_of_the_wrong_length(self, n_folds):
+        # 20 rows; checked before fold 0, not met as numpy's IndexError
+        ds = tiny_dataset()
+        X, y = ds.X[:20], ds.y[:20]
+        with pytest.raises(DataError, match="^fold split does not match "
+                                            "dataset size$"):
+            models.fit_folds(ModelSpec("lda"), X, y,
+                             np.arange(n_folds) % 5)
+
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_too_few_training_rows_names_the_fold(self, variant):
         ds = tiny_dataset()

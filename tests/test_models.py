@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +28,7 @@ from helpers import (
     fit_with_whole_gradients,
     loss_and_grads,
     predict,
+    traced_peak,
     whole_gradients,
 )
 
@@ -855,12 +855,7 @@ class TestInPlaceUpdate:
         X, y = two_blobs(rng, n_per=30, p=400)
         spec = ModelSpec("ffn", hidden_sizes=(2048, 1024), train=TrainConfig(
             learning_rate=1e-3, max_epochs=5, patience=5))
-        tracemalloc.start()
-        try:
-            model = train(spec, X, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        model, peak = traced_peak(train, spec, X, y)
         assert len(model.val_log) == 5
         param_bytes = sum(p.nbytes for p in model.params.values())
         # the start's weights, the weights, m, v and the best copy make 5;

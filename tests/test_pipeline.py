@@ -30,7 +30,8 @@ from phonepair.pipeline import (
 )
 from phonepair.report import ResultTable, format_pm
 
-from helpers import make_recording, preprocess_file
+from helpers import (evaluate_recording_by_copies, make_recording,
+                     preprocess_file, traced_peak)
 
 EN = [ModelSpec("elastic_net")]
 EN_RUNS = [("baseline", ModelSpec("elastic_net"))]
@@ -408,22 +409,19 @@ class TestFileEpochs:
     GROUP_BYTES = 8 * 60000 * 8
 
     def test_a_unit_holds_its_epochs_and_a_few_groups(self, tmp_path):
-        # cut a group at a time, the unit peaks at about its epochs, X and
-        # 2.5 groups; holding the full-rate recording and its band-passed
-        # copy, 9.4
+        # cut a group at a time, and fitted on the epochs reordered in
+        # place, the unit peaks at about its epochs and 2.4 groups; with a
+        # copy of the epochs as X and 8 rows band-passed at once, its epochs,
+        # X and 2.5 groups; holding the full-rate recording and its
+        # band-passed copy, 9.4
         unit = self.band_sweep_unit(tmp_path)
-        tracemalloc.start()
-        try:
-            rows = studies._eval_unit(unit)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rows, peak = traced_peak(studies._eval_unit, unit)
         assert len(rows) == 2
-        assert peak < 2 * self.EPOCHS_BYTES + 4 * self.GROUP_BYTES
+        assert peak < self.EPOCHS_BYTES + 3 * self.GROUP_BYTES
 
     def test_a_unit_fits_from_its_pair_x_alone(self, tmp_path, monkeypatch):
-        # the one pair's X is built from every epoch; once it is, the
-        # epochs are released, so the fits hold X and not X and the epochs
+        # the one pair's X is every epoch, reordered in place, so the fits
+        # hold the epochs once, and not X and the epochs
         unit = self.band_sweep_unit(tmp_path)
         held = []
         real_fit_folds = models.fit_folds
@@ -433,11 +431,7 @@ class TestFileEpochs:
             return real_fit_folds(spec, X, *args)
 
         monkeypatch.setattr(models, "fit_folds", spy)
-        tracemalloc.start()
-        try:
-            rows = studies._eval_unit(unit)
-        finally:
-            tracemalloc.stop()
+        rows, _ = traced_peak(studies._eval_unit, unit)
         assert len(rows) == 2
         [(current, x_bytes)] = held
         assert x_bytes == self.EPOCHS_BYTES
@@ -553,6 +547,43 @@ class TestEvaluateRecording:
         # explicit pairs are evaluated as given
         assert pairs([["i", "a"]]) == ["a-i"]
         assert capsys.readouterr().err == ""
+
+    # the baseline of (-0.5, -0.2) is longer than its window, so the epochs
+    # are a strided view and X a copy of the reordered rows
+    @pytest.mark.parametrize("window", [EpochWindow(),
+                                        EpochWindow(-0.5, -0.2)])
+    def test_three_pairs_give_the_rows_of_a_copy_per_pair(self, monkeypatch,
+                                                          window):
+        # 14 a, 12 e and 10 i epochs: each pair down-samples a phone and
+        # leaves out the third one's epochs
+        rec = make_recording(n_channels=4, n_samples=4000, fs=100.0)
+        events = dataio.EventTable(tuple(
+            dataio.Event(1.0 + 0.8 * i, 1.05 + 0.8 * i, label) for i, label
+            in enumerate("aei" * 10 + "aeaeaa")))
+        eps = epochs_of(rec, events, window)
+        original = eps.data.tobytes()
+        runs = EN_RUNS + [("baseline", ModelSpec("lda"))]
+        seen, real = [], pipeline.build_pair_dataset
+
+        def spy(eps, *args, **kw):
+            # the epochs are back in their order before each pair
+            seen.append(eps.data.tobytes() == original)
+            ds = real(eps, *args, **kw)
+            assert np.shares_memory(ds.X, eps.data) == (
+                eps.data.flags.c_contiguous)
+            return ds
+
+        monkeypatch.setattr(pipeline, "build_pair_dataset", spy)
+        rows = evaluate_recording(eps, events, subject="s01",
+                                  task="production", runs=runs, cv=FAST_CV,
+                                  phone_pairs="auto", min_count=10)
+        assert seen == [True] * 3
+        assert eps.data.tobytes() == original
+        assert eps.data.flags.c_contiguous == (window == EpochWindow())
+        assert sorted({r["pair"] for r in rows}) == ["a-e", "a-i", "e-i"]
+        assert rows == evaluate_recording_by_copies(
+            eps, events, subject="s01", task="production", runs=runs,
+            cv=FAST_CV, min_count=10)
 
     def test_no_auto_pair_with_epochs_is_one_error(self, capsys):
         rec = make_recording(n_channels=4, n_samples=1000, fs=100.0)

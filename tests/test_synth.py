@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from phonepair import synth
 from phonepair.dataio import ConfigError
 from phonepair.synth import MIN_GAP, TEMPLATE_SPAN, SynthSpec, generate
 
-from helpers import noise_by_rows
+from helpers import noise_by_rows, traced_peak
 
 
 class TestGenerate:
@@ -162,12 +160,7 @@ class TestNoiseBlocks:
     def test_memory_peak_stays_within_a_few_blocks(self):
         spec = SynthSpec(duration=32, phones=(("a", 60), ("e", 60)),
                          n_channels=204, seed=0)
-        tracemalloc.start()
-        try:
-            rec, _ = generate(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (rec, _), peak = traced_peak(generate, spec)
         block_bytes = synth._NOISE_BLOCK // rec.n_samples * rec.n_samples * 8
         assert 4 * block_bytes < rec.data.nbytes
         # one block's noise, the next block's draw and its spectrum make 3;
