@@ -70,7 +70,9 @@ def extract_epochs(
     data = windows.transpose(1, 0, 2)[starts[kept]].astype(float, copy=False)
     if n_baseline > 0:  # in place: the gather copied, [n, C, width]
         data -= data[:, :, :n_baseline].mean(axis=2, keepdims=True)
-    return Epochs(data[:, :, :n_times], labels[kept]), int((~kept).sum())
+    # a baseline longer than the window leaves a strided view: copy it
+    data = np.ascontiguousarray(data[:, :, :n_times])
+    return Epochs(data, labels[kept]), int((~kept).sum())
 
 
 def rows_first(a: np.ndarray, rows: np.ndarray, undo: bool = False):
@@ -90,16 +92,16 @@ def rows_first(a: np.ndarray, rows: np.ndarray, undo: bool = False):
     return a[:len(rows)]
 
 
-def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int,
-                       in_place: bool = False) -> PairDataset:
+def build_pair_dataset(epochs, phone_a: str, phone_b: str,
+                       seed: int) -> PairDataset:
     """Balanced binary dataset for one phone pair.
 
     The majority class is down-sampled uniformly at random (seeded) and the
     rows are shuffled deterministically.  Label 0 goes to the
     lexicographically smaller phone.  A row is an epoch's data flattened
-    channel-major, and ``rows`` holds the epoch of each row.  X is a copy,
-    or with ``in_place`` the same values from ``rows_first(epochs.data,
-    rows)``, until the caller puts the epochs back with ``undo``.
+    channel-major, and ``rows`` holds the epoch of each row.  X is the
+    epochs reordered in place, ``rows_first(epochs.data, rows)``, until the
+    caller puts them back: ``rows_first(epochs.data, ds.rows, undo=True)``.
     """
     pair = tuple(sorted((phone_a, phone_b)))
     groups = [np.flatnonzero(epochs.labels == phone) for phone in pair]
@@ -114,8 +116,7 @@ def build_pair_dataset(epochs, phone_a: str, phone_b: str, seed: int,
         for group in groups])
     order = rng.permutation(2 * m)
     rows = kept[order]
-    X = (rows_first(epochs.data, rows) if in_place
-         else epochs.data[rows]).reshape(2 * m, -1)
+    X = rows_first(epochs.data, rows).reshape(2 * m, -1)
     # min and max propagate NaN and meet every infinity, and copy nothing
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):
         raise DataError("pair dataset contains non-finite values")

@@ -31,12 +31,14 @@ def kfold(y, k: int, seed: int) -> np.ndarray:
 
     Rows of each class, in ascending class order, are shuffled with the
     seed and dealt round-robin, the count running on across classes, so
-    overall fold sizes are within 1.
+    overall fold sizes are within 1.  A class of fewer than k rows would
+    leave some test fold without it, so it is an error before any fit.
     """
     y = np.asarray(y)
     n = len(y)
-    if n < k:
-        raise DataError(f"cannot split {n} rows into {k} folds")
+    fewest = np.unique(y, return_counts=True)[1].min(initial=n)
+    if fewest < k:
+        raise DataError(f"{k} folds need {k} rows of each class, not {fewest}")
     rng = np.random.default_rng(seed)
     order = np.concatenate([idx[rng.permutation(len(idx))] for idx in
                             (np.flatnonzero(y == c) for c in np.unique(y))])

@@ -938,19 +938,15 @@ def train_cnn(X, y, spec: ModelSpec, fold, start=None, n_channels=None,
     return _train_neural(net, X, y, spec, fold, start)
 
 
-def train(spec: ModelSpec, X, y, n_channels=None, n_times=None,
-          start=None, fold=None) -> TrainedModel:
+def train(spec: ModelSpec, X, y, n_channels, n_times, start,
+          fold: Fold) -> TrainedModel:
     """Check X and y once, then fit them with ``train_<variant>``.  Every
     trainer takes (X, y, spec, fold, start, n_channels, n_times): it fits
     the training rows of the :class:`Fold` standardised with ``fold.stats``,
-    and its model standardises the rows it scores the same way; no ``fold``
-    is every row, with (mean, std) (0, 1).  ``start`` is where the fit
-    begins, the previous fold's model's ``start`` or None, a cold start;
-    only ``cnn`` reads the [n_channels, n_times] layout of each row."""
+    and its model standardises the rows it scores the same way.  ``start``,
+    the previous fold's model's ``start`` or None (a cold start), is where
+    the fit begins; only ``cnn`` reads each row's [n_channels, n_times]."""
     X, y = _check_xy(X, y)
-    if fold is None:
-        n, p = X.shape
-        fold = Fold(np.arange(n), (np.zeros(p), np.ones(p)))
     # Looked up by name at each call, not from a table built at import, so
     # that a wrapper bound to the attribute later (perfbench's tracer) sees
     # every fit.

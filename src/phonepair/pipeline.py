@@ -52,6 +52,15 @@ class EpochWindow:
             raise ConfigError("epoch_window needs tmin < tmax")
 
 
+@dataclass(frozen=True)
+class Chain:
+    """Everything that shapes a study unit's epochs: the ``toggles``, then
+    a ``band_pass`` ((lo, hi) Hz, or None), cut with the epoch ``window``."""
+    toggles: PreprocessingToggles
+    band_pass: tuple | None = None
+    window: EpochWindow = EpochWindow()
+
+
 def preprocess(rec: dataio.Recording, toggles: PreprocessingToggles) -> dataio.Recording:
     """Sensor selection, wavelet denoising (at the incoming rate),
     decimation, then optional band-pass filtering.  With both on, the
@@ -79,16 +88,16 @@ def preprocessed_groups(path: str, toggles: PreprocessingToggles):
             toggles)
 
 
-def file_epochs(path: str, toggles: PreprocessingToggles, band_pass,
-                events: dataio.EventTable, window: EpochWindow):
+def file_epochs(path: str, chain: Chain, events: dataio.EventTable):
     """``extract_epochs`` of ``preprocess(dataio.load_recording(path),
-    toggles)`` band-passed by ``band_pass`` ((lo, hi) Hz, or None), byte
-    for byte: each group of :func:`preprocessed_groups` is filtered and cut
-    into its rows of one [n, C, T] array, as baseline and gather work per
-    channel."""
-    for selected, rows, group in preprocessed_groups(path, toggles):
-        if band_pass is not None:
-            filt = dsp.design_fir(*band_pass, group.sample_rate)
+    chain.toggles)`` band-passed by ``chain.band_pass`` and cut with
+    ``chain.window``, byte for byte: each group of
+    :func:`preprocessed_groups` is filtered and cut into its rows of one
+    [n, C, T] array, as baseline and gather work per channel."""
+    window = chain.window
+    for selected, rows, group in preprocessed_groups(path, chain.toggles):
+        if chain.band_pass is not None:
+            filt = dsp.design_fir(*chain.band_pass, group.sample_rate)
             group = group.with_data(dsp.apply_zero_phase(filt, group.data))
         eps, skipped = extract_epochs(group, events, window.tmin, window.tmax)
         if group.n_channels == len(selected):
@@ -156,8 +165,7 @@ def evaluate_recording(
                                    f"subject {subject} task {task}")
     rows = []
     for pair in pairs:
-        ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed,
-                                in_place=True)
+        ds = build_pair_dataset(eps, pair[0], pair[1], seed=cv.seed)
         folds = evaluation.kfold(ds.y, k=cv.k, seed=cv.seed)
         for configuration, spec in runs:
             per_fold = evaluation.evaluate(spec, ds, folds)

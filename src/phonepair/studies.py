@@ -11,7 +11,7 @@ from itertools import combinations
 from . import dataio, dsp, pipeline
 from .dataio import ConfigError, DataError
 from .models import ModelSpec
-from .pipeline import (CvConfig, EpochWindow, PreprocessingToggles,
+from .pipeline import (Chain, CvConfig, EpochWindow, PreprocessingToggles,
                        compare_rows, sort_rows, summarize)
 from .report import ResultTable
 
@@ -42,30 +42,26 @@ class ExperimentConfig:
 
 
 def _eval_unit(args):
-    """Evaluate the runs on one recording's epochs, preprocessed by
-    ``toggles`` and band-passed by ``band_pass`` (None = unfiltered)."""
-    cfg, manifest, toggles, band_pass, runs = args
+    """Evaluate the runs on one recording's epochs, shaped by its chain."""
+    cfg, manifest, chain, runs = args
     events = dataio.load_events(manifest.events_path)
     # cut a channel group at a time from disk; each pair's X is the epochs
     # themselves, reordered in place
     return pipeline.evaluate_recording(
-        pipeline.file_epochs(manifest.recording_path, toggles, band_pass,
-                             events, cfg.epoch_window)[0],
+        pipeline.file_epochs(manifest.recording_path, chain, events)[0],
         events, subject=manifest.subject_id, task=manifest.task, runs=runs,
         cv=cfg.cv, phone_pairs=cfg.phone_pairs, min_count=cfg.min_count)
 
 
 def _run_plan(cfg: ExperimentConfig, plan: list) -> tuple[dict, list[dict]]:
-    """Table groups and sorted rows of a plan of (manifest, toggles,
-    band_pass, configuration, spec) entries.  Each distinct (manifest,
-    toggles, band_pass) is one unit, in plan order, and all units share one
-    process pool.  The groups are the rows of each (task, configuration,
-    model), keyed in plan order."""
+    """Table groups and sorted rows of a plan of (manifest, chain,
+    configuration, spec) entries.  Each distinct (manifest, chain) is one
+    unit, in plan order, and all units share one process pool.  The groups
+    are the rows of each (task, configuration, model), keyed in plan order."""
     runs = {}
-    for manifest, toggles, band_pass, configuration, spec in plan:
-        runs.setdefault((manifest, toggles, band_pass), []).append(
-            (configuration, spec))
-    units = [(cfg, *chain, chain_runs) for chain, chain_runs in runs.items()]
+    for manifest, chain, configuration, spec in plan:
+        runs.setdefault((manifest, chain), []).append((configuration, spec))
+    units = [(cfg, *unit, unit_runs) for unit, unit_runs in runs.items()]
     jobs = min(cfg.jobs, len(units))
     if jobs <= 1:
         results = map(_eval_unit, units)
@@ -74,7 +70,7 @@ def _run_plan(cfg: ExperimentConfig, plan: list) -> tuple[dict, list[dict]]:
             results = list(pool.map(_eval_unit, units))
     rows = sort_rows([r for chunk in results for r in chunk])
     groups = {(m.task, configuration, spec.name): []
-              for m, _, _, configuration, spec in plan}
+              for m, _, configuration, spec in plan}
     for r in rows:
         groups[r["task"], r["configuration"], r["model"]].append(r)
     return groups, rows
@@ -113,9 +109,9 @@ def run_model_comparison(cfg: ExperimentConfig):
     prod = by_task.get("production")
     if not prod:
         raise DataError("model comparison requires production-task manifests")
-    groups, rows = _run_plan(cfg, [
-        (m, cfg.preprocessing, None, "baseline", spec)
-        for m in prod for spec in cfg.models])
+    chain = Chain(cfg.preprocessing, window=cfg.epoch_window)
+    groups, rows = _run_plan(cfg, [(m, chain, "baseline", spec)
+                                   for m in prod for spec in cfg.models])
     best = max(groups, key=lambda k: summarize(groups[k])["accuracy_mean"])
     return _table("Model comparison (production)", groups, versus=best), rows
 
@@ -133,9 +129,9 @@ def run_task_comparison(cfg: ExperimentConfig):
         raise DataError("need two modalities to compare")
     spec = _primary_model(cfg)
     tasks = sorted(by_task)
-    groups, rows = _run_plan(cfg, [
-        (m, cfg.preprocessing, None, "baseline", spec)
-        for task in tasks for m in by_task[task]])
+    chain = Chain(cfg.preprocessing, window=cfg.epoch_window)
+    groups, rows = _run_plan(cfg, [(m, chain, "baseline", spec)
+                                   for task in tasks for m in by_task[task]])
     table = _table("Task comparison (elastic net)", groups)
     by_modality = dict(zip(tasks, groups.values()))
     for a, b in combinations(tasks, 2):
@@ -157,22 +153,23 @@ def run_band_sweep(cfg: ExperimentConfig):
     minimal = replace(cfg.preprocessing, wavelet=False, decimation_factor=1,
                       band_limit=None)
     plan = []
-    configs = [("unfiltered", None)]
-    configs += [(band, dsp.BANDS[band]) for band in dsp.BAND_ORDER]
+    chains = [("unfiltered", Chain(minimal, window=cfg.epoch_window))]
+    chains += [(band, Chain(minimal, dsp.BANDS[band], cfg.epoch_window))
+               for band in dsp.BAND_ORDER]
     for task in sorted(by_task):
         mans = by_task[task]
         # a band the task's lowest rate can take, every rate can take
         fs = min(m.sample_rate for m in mans)
-        for conf_name, band_pass in configs:
-            if band_pass is not None:
+        for conf_name, chain in chains:
+            if chain.band_pass is not None:
                 # skip bands whose upper transition exceeds Nyquist
                 try:
-                    dsp.design_fir(band_pass[0], band_pass[1], fs)
+                    dsp.design_fir(*chain.band_pass, fs)
                 except DataError as exc:
                     print(f"warning: skipping band {conf_name} for task "
                           f"{task}: {exc}", file=sys.stderr)
                     continue
-            plan += [(m, minimal, band_pass, conf_name, spec) for m in mans]
+            plan += [(m, chain, conf_name, spec) for m in mans]
     groups, rows = _run_plan(cfg, plan)
     return _table("Frequency-band sweep (elastic net)", groups), rows
 
@@ -180,20 +177,21 @@ def run_band_sweep(cfg: ExperimentConfig):
 ABLATION_BASELINE = "full_model"
 
 
-def ablation_configurations(base_toggles: PreprocessingToggles, base_spec: ModelSpec):
+def ablation_configurations(base: Chain, base_spec: ModelSpec):
     """The baseline plus its seven single-component removals."""
+    def without(**toggles):
+        return replace(base, toggles=replace(base.toggles, **toggles))
     return [
-        (ABLATION_BASELINE, base_toggles, base_spec),
-        ("magnetometers_only",
-         replace(base_toggles, sensor_kinds=("magnetometer",)), base_spec),
-        ("magnetometers_and_gradiometers",
-         replace(base_toggles, sensor_kinds=("gradiometer", "magnetometer")),
+        (ABLATION_BASELINE, base, base_spec),
+        ("magnetometers_only", without(sensor_kinds=("magnetometer",)),
          base_spec),
-        ("no_wavelet", replace(base_toggles, wavelet=False), base_spec),
-        ("no_decimation", replace(base_toggles, decimation_factor=1), base_spec),
-        ("no_l1_ridge", base_toggles, replace(base_spec, l1_ratio=0.0)),
-        ("no_l2_lasso", base_toggles, replace(base_spec, l1_ratio=1.0)),
-        ("no_beta_filter", replace(base_toggles, band_limit=None), base_spec),
+        ("magnetometers_and_gradiometers",
+         without(sensor_kinds=("gradiometer", "magnetometer")), base_spec),
+        ("no_wavelet", without(wavelet=False), base_spec),
+        ("no_decimation", without(decimation_factor=1), base_spec),
+        ("no_l1_ridge", base, replace(base_spec, l1_ratio=0.0)),
+        ("no_l2_lasso", base, replace(base_spec, l1_ratio=1.0)),
+        ("no_beta_filter", without(band_limit=None), base_spec),
     ]
 
 
@@ -204,9 +202,10 @@ def run_ablation(cfg: ExperimentConfig):
     if not prod:
         raise DataError("ablation requires production-task manifests")
     spec = _primary_model(cfg)
-    configs = ablation_configurations(cfg.preprocessing, spec)
-    groups, rows = _run_plan(cfg, [(m, toggles, None, conf_name, conf_spec)
-                                   for conf_name, toggles, conf_spec in configs
+    configs = ablation_configurations(
+        Chain(cfg.preprocessing, window=cfg.epoch_window), spec)
+    groups, rows = _run_plan(cfg, [(m, chain, conf_name, conf_spec)
+                                   for conf_name, chain, conf_spec in configs
                                    for m in prod])
     return _table("Ablation (production, elastic net)", groups,
                   versus=("production", ABLATION_BASELINE, spec.name)), rows

@@ -8,7 +8,7 @@ import contextlib
 import hashlib
 import io
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,15 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def train_all_rows(spec, X, y, n_channels=None, n_times=None, start=None):
+    """``models.train`` on every row of X with the identity Fold, whose
+    (mean, std) is (0, 1) in each column, so the fit sees X as given."""
+    shape = np.shape(X)
+    fold = models.Fold(np.arange(shape[0]),
+                       (np.zeros(shape[1:]), np.ones(shape[1:])))
+    return models.train(spec, X, y, n_channels, n_times, start, fold)
 
 
 def predict(model, X):
@@ -91,7 +100,7 @@ def whole_gradients(net, params, X, y):
 
 def fit_with_whole_gradients(net, X, y, cfg):
     """The best parameters of a net fit to every row of X as given, as
-    ``models.train`` fits them without a fold (same start, split, early
+    ``train_all_rows`` fits them (same start, split, early
     stopping), but from ``whole_gradients`` and ``adamw_out_of_place``:
     the oracle for the trainer's block-by-block update."""
     params, rng = models.NetStart().take(net, cfg.seed)
@@ -176,6 +185,15 @@ def preprocess_file(path, toggles):
     return Recording(part.sample_rate, selected, out)
 
 
+def build_pair_dataset_by_copy(eps, phone_a, phone_b, seed):
+    """``epochs.build_pair_dataset`` with X a copy of the epochs' rows,
+    ``eps.data[rows]``, so the epochs never move: the oracle for X as the
+    epochs reordered in place."""
+    ds = epochs.build_pair_dataset(epochs.Epochs(eps.data.copy(), eps.labels),
+                                   phone_a, phone_b, seed)
+    return replace(ds, X=eps.data[ds.rows].reshape(len(ds.rows), -1))
+
+
 def evaluate_recording_by_copies(eps, events, subject, task, runs, cv,
                                  min_count):
     """``pipeline.evaluate_recording`` with "auto" pairs, each pair's X a
@@ -186,7 +204,7 @@ def evaluate_recording_by_copies(eps, events, subject, task, runs, cv,
         eps.labels, min_count, f"subject {subject} task {task}")
     rows = []
     for pair in pairs:
-        ds = epochs.build_pair_dataset(eps, *pair, seed=cv.seed)
+        ds = build_pair_dataset_by_copy(eps, *pair, seed=cv.seed)
         folds = evaluation.kfold(ds.y, k=cv.k, seed=cv.seed)
         for configuration, spec in runs:
             for fold, m in enumerate(evaluation.evaluate(spec, ds, folds)):

@@ -18,13 +18,13 @@ from phonepair import dataio, evaluation, synth
 from phonepair.dsp import apply_zero_phase, design_fir
 from phonepair.epochs import PairDataset, build_pair_dataset, extract_epochs
 from phonepair.evaluation import auc_score, kfold, wilcoxon
-from phonepair.models import CnnNet, FfnNet, ModelSpec, train
+from phonepair.models import CnnNet, FfnNet, ModelSpec
 from phonepair.pipeline import CvConfig, PreprocessingToggles, preprocess
 from phonepair.studies import (ABLATION_BASELINE, ExperimentConfig,
                                run_ablation, run_band_sweep)
 
 from helpers import (elastic_net_objective, loss_and_grads,
-                     run_every_subcommand, wavelet_decompose)
+                     run_every_subcommand, train_all_rows, wavelet_decompose)
 
 
 @contextlib.contextmanager
@@ -163,8 +163,8 @@ def test_criterion_03_elastic_net_optimality():
                 y[0] = 1 - y[0]
             alpha = float(rng.uniform(1e-3, 0.2))
             l1 = float(rng.uniform(0.0, 1.0))
-            model = train(ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1),
-                          X, y)
+            model = train_all_rows(
+                ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
             w, b = model.params["w"], model.params["b"]
             ypm = 2.0 * y - 1.0
             obj = elastic_net_objective(X, ypm, w, b, alpha, l1)
@@ -186,12 +186,14 @@ def test_criterion_03_elastic_net_optimality():
         y = (X @ rng.standard_normal(12) > 0).astype(int)
         nnz = []
         for alpha in (1e-3, 1e-2, 1e-1, 1.0):
-            m = train(ModelSpec("elastic_net", alpha=alpha, l1_ratio=0.9), X, y)
+            m = train_all_rows(
+                ModelSpec("elastic_net", alpha=alpha, l1_ratio=0.9), X, y)
             nnz.append(int(np.sum(np.abs(m.params["w"]) > 1e-10)))
         assert all(a >= b for a, b in zip(nnz, nnz[1:])), nnz
 
         # and an extreme penalty zeroes the weights entirely
-        m = train(ModelSpec("elastic_net", alpha=1e4, l1_ratio=1.0), X, y)
+        m = train_all_rows(ModelSpec("elastic_net", alpha=1e4, l1_ratio=1.0),
+                           X, y)
         assert np.allclose(m.params["w"], 0.0)
 
 

@@ -710,6 +710,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    def test_k_above_a_class_count_fits_no_fold(self, cli_corpus, tmp_path,
+                                                capsys, monkeypatch):
+        # with fewer than k epochs of a phone, some test fold would have
+        # none of them, so no fold is fitted
+        fitted, real_fit_folds = [], models.fit_folds
+        monkeypatch.setattr(models, "fit_folds", lambda *args: (
+            fitted.append(args), real_fit_folds(*args))[1])
+        _, manifests = cli_corpus
+        doc = dict(run_config(manifests[:1]), cv={"k": 30, "seed": 0})
+        cfg = write_json(tmp_path / "bad.json", doc)
+        assert main(["run-models", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: 30 folds need 30 rows of each class, not 24\n")
+        assert fitted == []
+
     # a seconds x rate product that overflows a float ends as a finite one
     # that is too long for the data does
     @pytest.mark.parametrize("command,change,message", [

@@ -9,7 +9,7 @@ from phonepair.dataio import DataError
 from phonepair.epochs import (Epochs, build_pair_dataset, count_phones,
                               extract_epochs, rows_first)
 
-from helpers import make_recording
+from helpers import build_pair_dataset_by_copy, make_recording
 
 
 WINDOW = (-0.1, 0.2)  # the default EpochWindow
@@ -177,9 +177,11 @@ class TestBuildPairDataset:
         assert np.sum(ds.y == 0) == np.sum(ds.y == 1) == 50
 
     def test_deterministic(self):
-        eps = _fake_epochs({"a": 80, "e": 50})
-        d1 = build_pair_dataset(eps, "a", "e", seed=1)
-        d2 = build_pair_dataset(eps, "a", "e", seed=1)
+        # each build reorders its epochs in place, so each gets its own
+        d1 = build_pair_dataset(_fake_epochs({"a": 80, "e": 50}), "a", "e",
+                                seed=1)
+        d2 = build_pair_dataset(_fake_epochs({"a": 80, "e": 50}), "a", "e",
+                                seed=1)
         assert np.array_equal(d1.X, d2.X)
         assert np.array_equal(d1.y, d2.y)
 
@@ -212,6 +214,7 @@ class TestBuildPairDataset:
         eps = _fake_epochs({"a": 5, "e": 5, "i": 5})
         eps.data[eps.labels == "i"] = value  # only in a phone left out
         build_pair_dataset(eps, "a", "e", seed=0)
+        eps = _fake_epochs({"a": 5, "e": 5, "i": 5})  # in their order again
         eps.data[np.flatnonzero(eps.labels == "e")[2], 1, 3] = value
         with pytest.raises(DataError,
                            match="pair dataset contains non-finite values"):
@@ -222,8 +225,8 @@ class TestBuildPairDataset:
     def test_rows_follow_the_seeded_draws(self, counts):
         # down-sample each class in label order, then shuffle all rows, with
         # one generator
-        eps = _fake_epochs(counts)
-        ds = build_pair_dataset(eps, "e", "a", seed=4)
+        ds = build_pair_dataset(_fake_epochs(counts), "e", "a", seed=4)
+        eps = _fake_epochs(counts)  # the same epochs, in their order
         rng = np.random.default_rng(4)
         m = min(counts.values())
         rows, labels = [], []
@@ -283,8 +286,8 @@ class TestRowsFirst:
     def test_a_pair_in_place_is_the_copy(self):
         eps = _fake_epochs({"a": 9, "e": 7, "i": 5})
         before = eps.data.tobytes()
-        want = build_pair_dataset(eps, "a", "e", seed=3)
-        got = build_pair_dataset(eps, "a", "e", seed=3, in_place=True)
+        want = build_pair_dataset_by_copy(eps, "a", "e", seed=3)
+        got = build_pair_dataset(eps, "a", "e", seed=3)
         assert got.X.tobytes() == want.X.tobytes()
         assert np.shares_memory(got.X, eps.data)
         assert (got.y.tolist(), got.rows.tolist()) == (want.y.tolist(),

@@ -19,7 +19,7 @@ from phonepair.evaluation import (
 )
 from phonepair.models import ConvergenceError, ModelSpec, TrainConfig
 
-from helpers import elastic_net_objective, predict
+from helpers import elastic_net_objective, predict, train_all_rows
 
 
 class TestKfold:
@@ -295,14 +295,15 @@ def assert_same_scores(spec, got, want):
 
 
 def fold_by_fold(spec, ds, folds):
-    """The oracle: fit each z-scored fold with its own ``models.train`` and
+    """The oracle: fit each z-scored fold with its own ``train_all_rows`` and
     score its test rows; yields each fold's (model, scores, metrics).  An
     elastic-net fold starts from the previous fold's (w, b), every other
     fit cold."""
     start = None
     for X_train, y_train, X_test, y_test in zscored_folds(ds, folds):
-        model = models.train(spec, X_train, y_train, n_channels=ds.n_channels,
-                             n_times=ds.n_times, start=start)
+        model = train_all_rows(spec, X_train, y_train,
+                               n_channels=ds.n_channels, n_times=ds.n_times,
+                               start=start)
         if spec.variant == "elastic_net":
             start = (model.params["w"], model.params["b"])
         scores = model.predict_proba(X_test)
@@ -468,7 +469,7 @@ class TestElasticNetChain:
         assert [start is None for start, _ in warm] == [True] + [False] * 4
         for fold, ((X, y, X_test, _), (_, model)) in enumerate(zip(
                 zscored_folds(ds, folds), warm, strict=True)):
-            cold = models.train(spec, X, y)
+            cold = train_all_rows(spec, X, y)
             assert model.meta["kkt_violation"] <= models.EN_KKT_TOL
             f_warm, f_cold = (elastic_net_objective(
                 X, 2.0 * y - 1.0, m.params["w"], m.params["b"], spec.alpha,
@@ -484,7 +485,7 @@ class TestElasticNetChain:
         spec = ModelSpec("elastic_net")
         warm = sum(state["n_iter"] for _, state
                    in models.fit_folds(spec, ds.X, ds.y, folds))
-        cold = sum(models.train(spec, X, y).meta["n_iter"]
+        cold = sum(train_all_rows(spec, X, y).meta["n_iter"]
                    for X, y, _, _ in zscored_folds(ds, folds))
         assert warm < cold
 
@@ -593,7 +594,7 @@ class TestFoldErrors:
         with pytest.raises(DataError,
                            match=r"^fold 0: need a 2-D matrix with at least"
                                  r" 2 rows for z-score stats$"):
-            evaluate(ModelSpec(variant), ds, kfold(ds.y, k=2, seed=0))
+            evaluate(ModelSpec(variant), ds, np.array([0, 1]))
 
     def test_a_single_class_test_fold_names_the_fold(self):
         ds = tiny_dataset()

@@ -19,7 +19,6 @@ from phonepair.models import (
     TrainConfig,
     TrainedModel,
     svm_decision,
-    train,
 )
 
 from helpers import (
@@ -29,6 +28,7 @@ from helpers import (
     loss_and_grads,
     predict,
     traced_peak,
+    train_all_rows,
     whole_gradients,
 )
 
@@ -77,12 +77,13 @@ def en_coordinate_descent(X, y, alpha, l1, n_sweeps=20000, tol=1e-12):
 class TestElasticNet:
     def test_separable_accuracy(self, rng):
         X, y = two_blobs(rng, sep=4.0)
-        model = train(ModelSpec("elastic_net", alpha=1e-3), X, y)
+        model = train_all_rows(ModelSpec("elastic_net", alpha=1e-3), X, y)
         assert np.mean(predict(model, X) == y) >= 0.95
 
     def test_huge_alpha_zeroes_weights(self, rng):
         X, y = two_blobs(rng)
-        model = train(ModelSpec("elastic_net", alpha=1e4, l1_ratio=1.0), X, y)
+        model = train_all_rows(
+            ModelSpec("elastic_net", alpha=1e4, l1_ratio=1.0), X, y)
         assert np.allclose(model.params["w"], 0.0)
         # predictions then come from the bias alone
         proba = model.predict_proba(X)[:, 1]
@@ -91,7 +92,8 @@ class TestElasticNet:
     def test_matches_coordinate_descent_oracle(self, rng):
         X, y = two_blobs(rng, n_per=25, p=6, sep=2.0)
         alpha, l1 = 0.05, 0.5
-        model = train(ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
+        model = train_all_rows(
+            ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
         w_cd, b_cd, obj_cd = en_coordinate_descent(X, y, alpha, l1)
         ypm = 2.0 * y - 1.0
         obj = elastic_net_objective(
@@ -107,7 +109,8 @@ class TestElasticNet:
     def test_subgradient_optimality(self, rng):
         X, y = two_blobs(rng, n_per=20, p=8, sep=1.5)
         alpha, l1 = 0.02, 0.7
-        model = train(ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
+        model = train_all_rows(
+            ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
         w, b = model.params["w"], model.params["b"]
         n = len(y)
         ypm = 2.0 * y - 1.0
@@ -126,7 +129,8 @@ class TestElasticNet:
         X, y = two_blobs(rng, n_per=40, p=10, sep=1.0)
         nnz = []
         for alpha in (1e-3, 1e-2, 1e-1, 1.0):
-            m = train(ModelSpec("elastic_net", alpha=alpha, l1_ratio=1.0), X, y)
+            m = train_all_rows(
+                ModelSpec("elastic_net", alpha=alpha, l1_ratio=1.0), X, y)
             nnz.append(int(np.sum(np.abs(m.params["w"]) > 1e-10)))
         assert nnz == sorted(nnz, reverse=True)
         assert nnz[-1] < nnz[0]
@@ -134,8 +138,8 @@ class TestElasticNet:
     def test_label_flip_antisymmetry(self, rng):
         X, y = two_blobs(rng, n_per=20, p=5)
         spec = ModelSpec("elastic_net", alpha=0.01, l1_ratio=0.3)
-        m1 = train(spec, X, y)
-        m2 = train(spec, X, 1 - y)
+        m1 = train_all_rows(spec, X, y)
+        m2 = train_all_rows(spec, X, 1 - y)
         assert np.allclose(m1.params["w"], -m2.params["w"], atol=1e-4)
         assert abs(m1.params["b"] + m2.params["b"]) <= 1e-4
 
@@ -168,7 +172,8 @@ class TestElasticNetSolver:
     def test_wide_sparse_meets_kkt(self, rng):
         X, y = wide_sparse(rng)
         alpha, l1 = 1e-2, 0.5
-        model = train(ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
+        model = train_all_rows(
+            ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
         w, b = model.params["w"], model.params["b"]
         assert en_kkt_violation(X, y, w, b, alpha, l1) <= EN_KKT_TOL
         assert model.meta["kkt_violation"] <= EN_KKT_TOL
@@ -179,7 +184,8 @@ class TestElasticNetSolver:
     def test_ridge_and_lasso_converge(self, rng, l1):
         X, y = wide_sparse(rng, n=80, p=600)
         alpha = 1e-2
-        model = train(ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
+        model = train_all_rows(
+            ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1), X, y)
         w, b = model.params["w"], model.params["b"]
         assert en_kkt_violation(X, y, w, b, alpha, l1) <= EN_KKT_TOL
         assert model.meta["n_iter"] < EN_MAX_ITER
@@ -189,7 +195,7 @@ class TestElasticNetSolver:
     def test_huge_alpha_fits_intercept_only(self, rng):
         X, y = wide_sparse(rng, n=90, p=300)
         y[:20] = 1
-        model = train(ModelSpec("elastic_net", alpha=1e4), X, y)
+        model = train_all_rows(ModelSpec("elastic_net", alpha=1e4), X, y)
         assert not np.any(model.params["w"])
         n1 = y.sum()
         assert model.params["b"] == pytest.approx(np.log(n1 / (len(y) - n1)),
@@ -199,8 +205,9 @@ class TestElasticNetSolver:
     def test_a_start_at_the_optimum_takes_no_step(self, rng, l1):
         X, y = wide_sparse(rng, n=80, p=600)
         spec = ModelSpec("elastic_net", l1_ratio=l1)
-        fit = train(spec, X, y)
-        again = train(spec, X, y, start=(fit.params["w"], fit.params["b"]))
+        fit = train_all_rows(spec, X, y)
+        again = train_all_rows(spec, X, y,
+                               start=(fit.params["w"], fit.params["b"]))
         assert again.meta["n_iter"] == 0
         assert again.params["w"].tobytes() == fit.params["w"].tobytes()
         assert again.params["b"] == fit.params["b"]
@@ -223,7 +230,7 @@ class TestElasticNetSolver:
         X, y = wide_sparse(rng, n=60, p=200)
         monkeypatch.setattr(models, "EN_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="KKT"):
-            train(ModelSpec("elastic_net"), X, y)
+            train_all_rows(ModelSpec("elastic_net"), X, y)
 
 
 def lbfgsb_working_set(Xs, ypm, w, b, alpha, l1, maxiter):
@@ -257,9 +264,9 @@ class TestNewtonAgainstLbfgsb:
         X, y = wide_sparse(rng, n=n, p=p)
         alpha = 1e-2
         spec = ModelSpec("elastic_net", alpha=alpha, l1_ratio=l1)
-        newton = train(spec, X, y)
+        newton = train_all_rows(spec, X, y)
         monkeypatch.setattr(models, "_solve_working_set", lbfgsb_working_set)
-        oracle = train(spec, X, y)
+        oracle = train_all_rows(spec, X, y)
         ypm = 2.0 * y - 1.0
         f_newton, f_oracle = (
             elastic_net_objective(X, ypm, m.params["w"], m.params["b"],
@@ -320,7 +327,7 @@ def test_sigmoid_matches_expit_without_warnings():
 class TestLda:
     def test_full_shrinkage_analytic(self, rng):
         X, y = two_blobs(rng, n_per=50, p=3, sep=2.0)
-        model = train(ModelSpec("lda", shrinkage=1.0), X, y)
+        model = train_all_rows(ModelSpec("lda", shrinkage=1.0), X, y)
         # with s = 1 the covariance is (trace/p) I, so w is the scaled
         # class-mean difference
         mu0, mu1 = X[y == 0].mean(axis=0), X[y == 1].mean(axis=0)
@@ -335,7 +342,7 @@ class TestLda:
         X = rng.standard_normal((n, p))
         y = np.r_[np.zeros(n // 2, int), np.ones(n // 2, int)]
         X[y == 1, :5] += 1.0
-        model = train(ModelSpec("lda", shrinkage=s), X, y)
+        model = train_all_rows(ModelSpec("lda", shrinkage=s), X, y)
         mu0, mu1 = X[y == 0].mean(axis=0), X[y == 1].mean(axis=0)
         Xc = X.copy()
         Xc[y == 0] -= mu0
@@ -347,7 +354,7 @@ class TestLda:
 
     def test_zero_shrinkage_matches_dense_solve(self, rng):
         X, y = two_blobs(rng, n_per=40, p=6, sep=2.0)
-        model = train(ModelSpec("lda", shrinkage=0.0), X, y)
+        model = train_all_rows(ModelSpec("lda", shrinkage=0.0), X, y)
         mu0, mu1 = X[y == 0].mean(axis=0), X[y == 1].mean(axis=0)
         Xc = X.copy()
         Xc[y == 0] -= mu0
@@ -360,17 +367,17 @@ class TestLda:
         X = rng.standard_normal((10, 50))
         y = np.r_[np.zeros(5, int), np.ones(5, int)]
         with pytest.raises(DataError, match="shrinkage"):
-            train(ModelSpec("lda", shrinkage=0.0), X, y)
+            train_all_rows(ModelSpec("lda", shrinkage=0.0), X, y)
 
     def test_separable_accuracy(self, rng):
         X, y = two_blobs(rng, sep=4.0)
-        model = train(ModelSpec("lda"), X, y)
+        model = train_all_rows(ModelSpec("lda"), X, y)
         assert np.mean(predict(model, X) == y) >= 0.95
 
     def test_class_size_minimum(self, rng):
         X = rng.standard_normal((3, 2))
         with pytest.raises(DataError, match="at least 2"):
-            train(ModelSpec("lda"), X, np.array([0, 1, 1]))
+            train_all_rows(ModelSpec("lda"), X, np.array([0, 1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +451,13 @@ class TestSvmRbf:
         X = np.array([[0.0, 0], [0, 1], [1, 0], [1, 1]] * 4)
         X = X + 0.05 * rng.standard_normal(X.shape)
         y = (np.round(X[:, 0]) != np.round(X[:, 1])).astype(int)
-        model = train(ModelSpec("svm_rbf", C=10.0, gamma=2.0), X, y)
+        model = train_all_rows(ModelSpec("svm_rbf", C=10.0, gamma=2.0),
+                               X, y)
         assert np.mean(predict(model, X) == y) == 1.0
 
     def test_kkt_feasibility(self, rng):
         X, y = two_blobs(rng, n_per=20, p=3, sep=1.5)
-        model = train(ModelSpec("svm_rbf", C=1.0), X, y)
+        model = train_all_rows(ModelSpec("svm_rbf", C=1.0), X, y)
         alphas = model.params["alphas"]
         ypm = 2.0 * y - 1.0
         assert np.all(alphas >= -1e-9)
@@ -459,7 +467,7 @@ class TestSvmRbf:
     def test_kkt_stationarity(self, rng):
         X, y = two_blobs(rng, n_per=15, p=2, sep=2.0)
         C = 1.0
-        model = train(ModelSpec("svm_rbf", C=C, gamma=0.5), X, y)
+        model = train_all_rows(ModelSpec("svm_rbf", C=C, gamma=0.5), X, y)
         alphas = model.params["alphas"]
         ypm = 2.0 * y - 1.0
         margins = ypm * svm_decision(model.params, X)
@@ -476,7 +484,7 @@ class TestSvmRbf:
     def test_dual_objective_near_oracle(self, rng):
         X, y = two_blobs(rng, n_per=12, p=2, sep=1.0)
         C, gamma = 1.0, 0.8
-        model = train(ModelSpec("svm_rbf", C=C, gamma=gamma), X, y)
+        model = train_all_rows(ModelSpec("svm_rbf", C=C, gamma=gamma), X, y)
         ypm = 2.0 * y - 1.0
         K = rbf_gram(X, gamma)
         obj_smo = svm_dual_objective(model.params["alphas"], K, ypm)
@@ -486,12 +494,12 @@ class TestSvmRbf:
 
     def test_default_gamma(self, rng):
         X, y = two_blobs(rng, n_per=15, p=5, sep=3.0)
-        model = train(ModelSpec("svm_rbf"), X, y)
+        model = train_all_rows(ModelSpec("svm_rbf"), X, y)
         assert model.params["gamma"] == pytest.approx(1.0 / (5 * X.var()))
 
     def test_probabilities_ordered_by_decision(self, rng):
         X, y = two_blobs(rng, n_per=20, p=3, sep=2.0)
-        model = train(ModelSpec("svm_rbf", C=1.0), X, y)
+        model = train_all_rows(ModelSpec("svm_rbf", C=1.0), X, y)
         f = svm_decision(model.params, X)
         p1 = model.predict_proba(X)[:, 1]
         order = np.argsort(f)
@@ -503,14 +511,15 @@ class TestSvmRbf:
         for n_per, p, sep in [(12, 2, 1.0), (20, 3, 1.5), (30, 4, 3.0),
                               (40, 6, 2.0)]:
             X, y = two_blobs(rng, n_per, p, sep)
-            model = train(ModelSpec("svm_rbf"), X, y)
+            model = train_all_rows(ModelSpec("svm_rbf"), X, y)
             assert svm_gap(model, X, y, 1.0) <= SVM_TOL + 1e-9
             assert 0 < model.meta["smo_iter"] < models.SVM_MAX_ITER
 
     def test_the_train_seed_moves_no_byte(self, rng):
         X, y = two_blobs(rng, n_per=20, p=3, sep=1.5)
-        a, b = (train(ModelSpec("svm_rbf", train=TrainConfig(seed=seed)),
-                      X, y) for seed in (0, 7))
+        a, b = (train_all_rows(
+            ModelSpec("svm_rbf", train=TrainConfig(seed=seed)), X, y)
+            for seed in (0, 7))
         assert a.params.keys() == b.params.keys()
         for key, value in a.params.items():
             assert (np.asarray(value).tobytes()
@@ -520,7 +529,7 @@ class TestSvmRbf:
     def test_one_class_is_a_data_error(self, rng, label):
         X = rng.standard_normal((10, 3))
         with pytest.raises(DataError, match="both classes"):
-            train(ModelSpec("svm_rbf"), X, np.full(10, label))
+            train_all_rows(ModelSpec("svm_rbf"), X, np.full(10, label))
 
     def test_platt_link_on_separable_values_is_the_smoothed_optimum(self):
         """The smoothed targets make the optimum finite; an oracle finds it
@@ -544,14 +553,14 @@ class TestSvmRbf:
 
 def en_solver(rng):
     X, y = wide_sparse(rng, n=60, p=200)
-    model = train(ModelSpec("elastic_net"), X, y)
+    model = train_all_rows(ModelSpec("elastic_net"), X, y)
     return en_kkt_violation(X, y, model.params["w"], model.params["b"],
                             1e-2, 0.5)
 
 
 def smo_solver(rng):
     X, y = two_blobs(rng)
-    return svm_gap(train(ModelSpec("svm_rbf"), X, y), X, y, 1.0)
+    return svm_gap(train_all_rows(ModelSpec("svm_rbf"), X, y), X, y, 1.0)
 
 
 def platt_solver(rng):
@@ -670,7 +679,8 @@ class TestNeuralTraining:
     def test_ffn_learns_separable(self, rng):
         X, y = two_blobs(rng, n_per=30, p=4, sep=4.0)
         cfg = TrainConfig(learning_rate=0.05, max_epochs=300, seed=1)
-        model = train(ModelSpec("ffn", hidden_sizes=(), train=cfg), X, y)
+        model = train_all_rows(ModelSpec("ffn", hidden_sizes=(), train=cfg),
+                               X, y)
         assert np.mean(predict(model, X) == y) >= 0.9
 
     def test_cnn_learns_separable(self, rng):
@@ -682,13 +692,14 @@ class TestNeuralTraining:
         cfg = TrainConfig(learning_rate=0.05, max_epochs=300, seed=1)
         spec = ModelSpec("cnn", kernel=10, stride=10, filters_per_channel=4,
                          train=cfg)
-        model = train(spec, X, y, n_channels=C, n_times=T)
+        model = train_all_rows(spec, X, y, n_channels=C, n_times=T)
         assert np.mean(predict(model, X) == y) >= 0.9
 
     def test_early_stopping_invariants(self, rng):
         X, y = two_blobs(rng, n_per=25, p=4, sep=2.0)
         cfg = TrainConfig(learning_rate=0.01, max_epochs=120, patience=5, seed=2)
-        model = train(ModelSpec("ffn", hidden_sizes=(), train=cfg), X, y)
+        model = train_all_rows(ModelSpec("ffn", hidden_sizes=(), train=cfg),
+                               X, y)
         assert len(model.val_log) <= cfg.max_epochs
         assert len(model.training_log) == len(model.val_log)
         assert model.meta["best_epoch"] == int(np.argmin(model.val_log)) + 1
@@ -697,26 +708,26 @@ class TestNeuralTraining:
         X = rng.standard_normal((8, 4))
         y = np.array([0, 1] * 4)
         with pytest.raises(DataError, match="10 samples"):
-            train(ModelSpec("ffn"), X, y)
+            train_all_rows(ModelSpec("ffn"), X, y)
 
     def test_deterministic(self, rng):
         X, y = two_blobs(rng, n_per=15, p=4)
         cfg = TrainConfig(learning_rate=0.01, max_epochs=40, seed=7)
         spec = ModelSpec("ffn", hidden_sizes=(), train=cfg)
-        m1, m2 = train(spec, X, y), train(spec, X, y)
+        m1, m2 = train_all_rows(spec, X, y), train_all_rows(spec, X, y)
         for k in m1.params:
             assert np.array_equal(m1.params[k], m2.params[k])
 
     def test_cnn_requires_shape(self, rng):
         X, y = two_blobs(rng, n_per=10, p=20)
         with pytest.raises(DataError, match="n_channels"):
-            train(ModelSpec("cnn"), X, y)
+            train_all_rows(ModelSpec("cnn"), X, y)
 
     @pytest.mark.parametrize("variant", ["ffn", "cnn"])
     def test_trains_in_float32_and_predicts_float64(self, rng, variant):
         X, y = two_blobs(rng, n_per=15, p=20)
         spec = ModelSpec(variant, train=TrainConfig(max_epochs=5))
-        model = train(spec, X, y, n_channels=2, n_times=10)
+        model = train_all_rows(spec, X, y, n_channels=2, n_times=10)
         assert {p.dtype for p in model.params.values()} == {
             np.dtype(np.float32)}
         proba = model.predict_proba(X)
@@ -744,8 +755,9 @@ class TestNeuralTraining:
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError,
                                match=f"{variant} diverged: .* at epoch 1$"):
-                train(ModelSpec(variant, kernel=5, stride=5, train=cfg), X, y,
-                      n_channels=2, n_times=10)
+                train_all_rows(ModelSpec(variant, kernel=5, stride=5,
+                                         train=cfg), X, y,
+                               n_channels=2, n_times=10)
 
     def test_a_class_with_no_training_row_is_a_data_error(self):
         y = np.array([0] * 48 + [1] * 48)
@@ -798,11 +810,13 @@ class TestInPlaceUpdate:
         cfg = TrainConfig(learning_rate=0.01, max_epochs=120, patience=5,
                           seed=2)
         spec = ModelSpec("ffn", hidden_sizes=(1024,), train=cfg)
-        full = train(spec, X, y)
+        full = train_all_rows(spec, X, y)
         best = full.meta["best_epoch"]
         assert best < len(full.val_log)  # patience fired
-        cut = train(ModelSpec("ffn", hidden_sizes=(1024,), train=TrainConfig(
-            learning_rate=0.01, max_epochs=best, patience=5, seed=2)), X, y)
+        cut = train_all_rows(ModelSpec(
+            "ffn", hidden_sizes=(1024,), train=TrainConfig(
+                learning_rate=0.01, max_epochs=best, patience=5, seed=2)),
+            X, y)
         assert cut.meta["best_epoch"] == best
         assert full.params.keys() == cut.params.keys()
         for k in full.params:
@@ -855,7 +869,7 @@ class TestInPlaceUpdate:
         X, y = two_blobs(rng, n_per=30, p=400)
         spec = ModelSpec("ffn", hidden_sizes=(2048, 1024), train=TrainConfig(
             learning_rate=1e-3, max_epochs=5, patience=5))
-        model, peak = traced_peak(train, spec, X, y)
+        model, peak = traced_peak(train_all_rows, spec, X, y)
         assert len(model.val_log) == 5
         param_bytes = sum(p.nbytes for p in model.params.values())
         # the start's weights, the weights, m, v and the best copy make 5;
@@ -917,7 +931,7 @@ class TestBlockwiseBackward:
             spec = ModelSpec("cnn", kernel=10, stride=10,
                              filters_per_channel=4, train=cfg)
             net = CnnNet(10, 30, kernel=10, stride=10, filters=4)
-        model = train(spec, X, y, n_channels=10, n_times=30)
+        model = train_all_rows(spec, X, y, n_channels=10, n_times=30)
         want = fit_with_whole_gradients(net, X, y, cfg)
         assert model.params.keys() == want.keys()
         for k in want:
@@ -934,7 +948,7 @@ def fit_every_variant(rng):
     X, y = two_blobs(rng, n_per=15, p=20)
     for variant in VARIANTS:
         spec = ModelSpec(variant, train=TrainConfig(max_epochs=20))
-        yield X, train(spec, X, y, n_channels=2, n_times=10)
+        yield X, train_all_rows(spec, X, y, n_channels=2, n_times=10)
 
 
 class TestPredictContract:
@@ -953,13 +967,13 @@ class TestPredictContract:
 
     def test_predict_thresholds_proba(self, rng):
         X, y = two_blobs(rng, n_per=15, p=3)
-        model = train(ModelSpec("lda"), X, y)
+        model = train_all_rows(ModelSpec("lda"), X, y)
         proba = model.predict_proba(X)[:, 1]
         assert np.array_equal(predict(model, X), (proba >= 0.5).astype(int))
 
     def test_stateless_prediction(self, rng):
         X, y = two_blobs(rng, n_per=15, p=3)
-        model = train(ModelSpec("elastic_net"), X, y)
+        model = train_all_rows(ModelSpec("elastic_net"), X, y)
         Xq = rng.standard_normal((6, 3))
         before = Xq.copy()
         p1 = model.predict_proba(Xq)
@@ -977,7 +991,8 @@ class TestPredictContract:
         y[0] = 2
         for variant in VARIANTS:
             with pytest.raises(DataError, match="binary"):
-                train(ModelSpec(variant), X, y, n_channels=2, n_times=10)
+                train_all_rows(ModelSpec(variant), X, y, n_channels=2,
+                               n_times=10)
 
     def test_train_calls_the_module_trainer(self, rng, monkeypatch):
         # a wrapper bound to models.train_<variant> after import must see
@@ -992,7 +1007,8 @@ class TestPredictContract:
 
         monkeypatch.setattr(models, "train_lda", spy)
         spec = ModelSpec("lda")
-        assert train(spec, X, y).predictor is models._predict_linear_logistic
+        assert (train_all_rows(spec, X, y).predictor
+                is models._predict_linear_logistic)
         assert seen == [spec]
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -1009,7 +1025,7 @@ class TestPredictContract:
         monkeypatch.setattr(models, f"train_{variant}", spy)
         spec = ModelSpec(variant, train=TrainConfig(max_epochs=3))
         folds = np.arange(len(y)) % 3
-        train(spec, X, y, n_channels=2, n_times=10)
+        train_all_rows(spec, X, y, n_channels=2, n_times=10)
         models.fit_folds(spec, X, y, folds, 2, 10)
         assert all(isinstance(fold, models.Fold) for fold in seen)
         assert [fold.rows.tolist() for fold in seen] == [

@@ -3,7 +3,7 @@ import json
 import os
 import tracemalloc
 from collections import Counter
-from dataclasses import MISSING, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from phonepair.dataio import ConfigError, DataError
 from phonepair.epochs import extract_epochs
 from phonepair.models import ModelSpec, TrainConfig
 from phonepair.pipeline import (
+    Chain,
     CvConfig,
     EpochWindow,
     PreprocessingToggles,
@@ -348,8 +349,8 @@ class TestFileEpochs:
             return extract_epochs(rec, self.EVENTS, window.tmin, window.tmax)
 
         want = epochs_outcome(whole)
-        got = epochs_outcome(pipeline.file_epochs, path, toggles, band_pass,
-                             self.EVENTS, window)
+        got = epochs_outcome(pipeline.file_epochs, path,
+                             Chain(toggles, band_pass, window), self.EVENTS)
         assert got == want
         # Alpha's 13 Hz edge is past the decimated rate's 5 Hz Nyquist
         assert isinstance(want[0], bytes) == (
@@ -372,8 +373,8 @@ class TestFileEpochs:
             path = interleaved_recording(str(tmp_path / f"r{n_samples}.nrd"),
                                          9, n_samples)
             spectra.clear()
-            pipeline.file_epochs(path, toggles, dsp.BANDS["Delta"],
-                                 self.EVENTS, EpochWindow())
+            pipeline.file_epochs(path, Chain(toggles, dsp.BANDS["Delta"]),
+                                 self.EVENTS)
             # one band-pass spectrum, made for the first of the two groups
             assert sum(spectra) == 1
             sizes.append((dsp.design_fir.cache_info().currsize,
@@ -402,7 +403,7 @@ class TestFileEpochs:
         cfg = studies.ExperimentConfig(
             manifests=(), models=(), phone_pairs=(("a", "e"),),
             cv=CvConfig(k=2), min_count=20)
-        return (cfg, man, toggles, dsp.BANDS["Beta"],
+        return (cfg, man, Chain(toggles, dsp.BANDS["Beta"]),
                 [("Beta", ModelSpec("elastic_net"))])
 
     EPOCHS_BYTES = 60 * 40 * 301 * 8
@@ -548,8 +549,8 @@ class TestEvaluateRecording:
         assert pairs([["i", "a"]]) == ["a-i"]
         assert capsys.readouterr().err == ""
 
-    # the baseline of (-0.5, -0.2) is longer than its window, so the epochs
-    # are a strided view and X a copy of the reordered rows
+    # the baseline of (-0.5, -0.2) is longer than its window: its epochs are
+    # cut from a wider gather, and still contiguous, so X is a view of them
     @pytest.mark.parametrize("window", [EpochWindow(),
                                         EpochWindow(-0.5, -0.2)])
     def test_three_pairs_give_the_rows_of_a_copy_per_pair(self, monkeypatch,
@@ -569,8 +570,7 @@ class TestEvaluateRecording:
             # the epochs are back in their order before each pair
             seen.append(eps.data.tobytes() == original)
             ds = real(eps, *args, **kw)
-            assert np.shares_memory(ds.X, eps.data) == (
-                eps.data.flags.c_contiguous)
+            assert np.shares_memory(ds.X, eps.data)
             return ds
 
         monkeypatch.setattr(pipeline, "build_pair_dataset", spy)
@@ -579,7 +579,7 @@ class TestEvaluateRecording:
                                   phone_pairs="auto", min_count=10)
         assert seen == [True] * 3
         assert eps.data.tobytes() == original
-        assert eps.data.flags.c_contiguous == (window == EpochWindow())
+        assert eps.data.flags.c_contiguous
         assert sorted({r["pair"] for r in rows}) == ["a-e", "a-i", "e-i"]
         assert rows == evaluate_recording_by_copies(
             eps, events, subject="s01", task="production", runs=runs,
@@ -780,6 +780,66 @@ class TestStudies:
         # 6 distinct toggle sets, then 2 recordings; a single unit runs
         # in-process; then one unit per kept band of one recording
         assert pool_sizes == [6, 2, len(table.rows)]
+
+
+class TestUnits:
+    """A study unit is one distinct (recording, chain), and everything that
+    shapes its epochs reaches ``file_epochs`` in its chain."""
+
+    @pytest.fixture
+    def cuts(self, monkeypatch):
+        """The (recording, chain, n_times) of each ``file_epochs`` call."""
+        seen, real = [], pipeline.file_epochs
+
+        def spy(path, chain, events):
+            eps, skipped = real(path, chain, events)
+            seen.append((path, chain, eps.data.shape[2]))
+            return eps, skipped
+
+        monkeypatch.setattr(pipeline, "file_epochs", spy)
+        return seen
+
+    def test_each_window_is_a_unit_of_its_own(self, corpus, cuts):
+        man = dataio.load_manifest(corpus["production"][0])
+        cfg = exp_config(corpus["production"][:1])
+        # decimated to 100 Hz: 31 and 61 samples
+        chains = [Chain(cfg.preprocessing, window=window) for window in
+                  (EpochWindow(), EpochWindow(-0.2, 0.4))]
+        groups, rows = studies._run_plan(cfg, [
+            (man, chain, name, EN[0])
+            for name, chain in zip(("default", "wide"), chains)])
+        assert cuts == [(man.recording_path, chains[0], 31),
+                        (man.recording_path, chains[1], 61)]
+        assert [len(g) for g in groups.values()] == [3, 3]
+
+    def test_entries_that_share_a_chain_are_one_unit(self, corpus, cuts):
+        first, second = (dataio.load_manifest(p) for p in corpus["production"])
+        cfg = exp_config(corpus["production"])
+        chain = Chain(cfg.preprocessing, window=cfg.epoch_window)
+        lda = ModelSpec("lda")
+        groups, rows = studies._run_plan(cfg, [
+            (second, chain, "baseline", EN[0]),
+            (first, chain, "baseline", EN[0]),
+            (second, chain, "baseline", lda)])
+        # in plan order, each recording cut once for all its runs
+        assert [(path, c) for path, c, _ in cuts] == [
+            (second.recording_path, chain), (first.recording_path, chain)]
+        assert Counter((r["subject"], r["model"]) for r in rows) == {
+            ("s01", "elastic_net"): 3, ("s02", "elastic_net"): 3,
+            ("s02", "lda"): 3}
+
+    def test_a_field_added_to_the_chain_reaches_file_epochs(self, corpus,
+                                                            cuts):
+        @dataclass(frozen=True)
+        class Tagged(Chain):
+            tag: str = "waveform"
+
+        man = dataio.load_manifest(corpus["production"][0])
+        chain = Tagged(PreprocessingToggles(), tag="envelope")
+        studies._run_plan(exp_config(corpus["production"][:1]),
+                          [(man, chain, "baseline", EN[0])])
+        [(_, got, _)] = cuts
+        assert got is chain
 
 
 class TestReport:
